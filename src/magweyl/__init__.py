@@ -22,7 +22,6 @@ from .quantize import (
     magnetic_translation,
     partial_fourier,
     partial_fourier_inverse,
-    quantize,
     rep_A,
     twisted_product,
     wrong_quantize,

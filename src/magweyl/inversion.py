@@ -1,22 +1,27 @@
-"""Neumann-series inversion of elliptic symbols, regularizers, resolvent
-families, and the functional calculus for affiliated observables.
+"""Inversion of elliptic symbols in the twisted algebra, regularizers,
+resolvent families, and the functional calculus for affiliated observables.
 
-The series for the twisted inverse of f - z is
+The paper's twisted inverse of f - z is the Neumann series
 
     (f - z)^(-1 twisted) = (f - z)^(-1) # sum_k R_z^(k#),
     R_z := 1 - (f - z) # (f - z)^(-1),
 
 where # is the twisted product and (f - z)^(-1) the plain pointwise
-reciprocal.  At the matrix level the partial sums telescope exactly: with
-M = quantize(f) - z and Q = quantize(1/(f - z)), the residual after k terms
-is R^(k+1) with R = I - M Q, so convergence is governed by the operator norm
-of R being subunitary — which improves as |z| grows along the negative real
-axis.  Nonreal z are reached from a convergent real seed by marching the
-resolvent identity with contraction-sized steps.
+reciprocal.  With M = quantize(f) - z and Q = quantize(1/(f - z)), the
+quantized generator is R = I - M Q, and the series converges when the
+operator norm of R is subunitary, which improves as |z| grows along the
+negative real axis.  By spectral invariance the inverse lies in the algebra,
+so only its matrix is needed, and at matrix level the series telescopes:
+Q sum_k R^k = M^(-1).  The inverse is therefore computed by one solve of
+M against the identity, while ||R|| < 1 is kept as the admissibility
+certificate of a real z and reported with the series length it certifies.
+Nonreal z, reached in the paper from a real seed through the resolvent
+identity, are solved directly in the same way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +31,10 @@ from .grid import PhaseSpaceGrid
 from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, VectorPotential
 from .quantize import MagneticOperator, SampledSymbol, dequantize, quantize
 from .symbols import Symbol, is_elliptic, japanese_bracket
+
+
+# default accuracy the certified series length is counted for
+SERIES_TOL = 1e-8
 
 
 class EllipticityError(ValueError):
@@ -68,62 +77,77 @@ def _reciprocal_symbol(f: Symbol, z: complex) -> Symbol:
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Twisted inverse of f - z with convergence metadata."""
+    """Twisted inverse of f - z with its certificate."""
 
     symbol: SampledSymbol
     z: complex
-    terms: int
+    terms: int               # series length ||R|| certifies (0 when ||R|| >= 1)
     residual: float          # sup of |(f - z) # result - 1| on the interior 80%
     norm_R: float            # operator norm of the series generator R_z
     matrix: np.ndarray = field(repr=False)  # quantized inverse (gauge of the build)
+
+
+def _series_generator(f: Symbol, z: complex, A: VectorPotential, grid: PhaseSpaceGrid,
+                      quad: FluxQuadrature, threads: int):
+    """M_f - z and the operator norm of R_z = I - (M_f - z) Q with
+    Q = quantize(1/(f - z))."""
+    P = grid.npoints
+    Mf = quantize(f, A, grid, quad, threads).matrix - z * np.eye(P)
+    Q = quantize(_reciprocal_symbol(f, z), A, grid, quad, threads).matrix
+    return Mf, float(sp_linalg.svdvals(np.eye(P) - Mf @ Q)[0])
 
 
 def norm_Rz(f: Symbol, z: complex, B: MagneticField, A: VectorPotential,
             grid: PhaseSpaceGrid, quad: FluxQuadrature = DEFAULT_QUAD,
             threads: int = 1) -> float:
     """Operator norm of R_z = 1 - (f - z) # (f - z)^(-1) (quantized)."""
-    Mf = quantize(f, A, grid, quad, threads).matrix
-    Q = quantize(_reciprocal_symbol(f, z), A, grid, quad, threads).matrix
-    R = np.eye(grid.npoints) - (Mf - z * np.eye(grid.npoints)) @ Q
-    return float(sp_linalg.svdvals(R)[0])
+    return _series_generator(f, complex(z), A, grid, quad, threads)[1]
+
+
+def certified_terms(norm_R: float, tol: float, npoints: int) -> int:
+    """Series length after which ||R||^k npoints < 0.1 tol, counting the
+    identity term: an upper bound on the terms a partial-sum loop stopping
+    at max|R^k| npoints < 0.1 tol would use, since max|R^k| <= ||R||^k.
+    0 when the series does not converge."""
+    if norm_R >= 1.0:
+        return 0
+    if norm_R == 0.0:
+        return 1
+    return 1 + math.ceil(math.log(0.1 * tol / npoints) / math.log(norm_R))
 
 
 def neumann_invert(f: Symbol, z: complex, B: MagneticField, A: VectorPotential,
-                   grid: PhaseSpaceGrid, k_max: int = 80, tol: float = 1e-8,
+                   grid: PhaseSpaceGrid, tol: float = SERIES_TOL,
                    quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1,
                    validate: bool = True) -> InversionResult:
-    """Invert f - z by the Neumann series in the twisted algebra.
+    """Invert f - z in the twisted algebra, certified by the Neumann series.
 
-    Accumulates partial sums until the sup-norm of the dequantized residual
-    (f - z) # result - 1 over the interior 80% of phase space drops below
-    ``tol``, or ``k_max`` terms are used.
+    Raises :class:`DivergenceError` unless the series generator has operator
+    norm below 1; the inverse is then the sum of the series, computed as one
+    solve of M_f - z.  ``terms`` is the series length that norm certifies
+    for ``tol``.
     """
     z = complex(z)
     if validate:
         _require_invertible(f, z, grid)
-    P = grid.npoints
-    Mf = quantize(f, A, grid, quad, threads).matrix - z * np.eye(P)
-    Q = quantize(_reciprocal_symbol(f, z), A, grid, quad, threads).matrix
-    R = np.eye(P) - Mf @ Q
-    nR = float(sp_linalg.svdvals(R)[0])
+    Mf, nR = _series_generator(f, z, A, grid, quad, threads)
     if nR >= 1.0:
         raise DivergenceError(
             f"series generator has operator norm {nR:.4g} >= 1 at z = {z}; "
             "seed at larger |z| and extend via the resolvent identity")
-    S = np.eye(P)
-    T = np.eye(P)
-    terms = 1
-    for k in range(1, k_max + 1):
-        T = T @ R
-        S = S + T
-        terms = k + 1
-        if np.abs(T).max() * P < 0.1 * tol:  # cheap bound before the exact read
-            break
-    result_mat = Q @ S
-    sym = dequantize(MagneticOperator(grid, result_mat, gauge=A), A, quad, threads)
-    residual = inversion_residual(Mf, result_mat, grid, A, quad, threads)
+    return _solved(Mf, z, certified_terms(nR, tol, grid.npoints), nR, A, grid, quad,
+                   threads)
+
+
+def _solved(Mf_minus_z: np.ndarray, z: complex, terms: int, norm_R: float,
+            A: VectorPotential, grid: PhaseSpaceGrid, quad: FluxQuadrature,
+            threads: int) -> InversionResult:
+    """The inverse of M_f - z by one LU solve, dequantized, with its residual."""
+    X = sp_linalg.solve(Mf_minus_z, np.eye(grid.npoints))
+    sym = dequantize(MagneticOperator(grid, X, gauge=A), A, quad, threads)
+    residual = inversion_residual(Mf_minus_z, X, grid, A, quad, threads)
     return InversionResult(symbol=sym, z=z, terms=terms, residual=residual,
-                           norm_R=nR, matrix=result_mat)
+                           norm_R=norm_R, matrix=X)
 
 
 def inversion_residual(Mf_minus_z: np.ndarray, inverse_mat: np.ndarray,
@@ -186,8 +210,6 @@ def build_regularizer(m: float, B: MagneticField, A: VectorPotential,
             f"no lambda <= {lam} brought the series generator norm below 1/2")
     inv = neumann_invert(p, 0.0, B, A, grid, tol=1e-10, quad=quad, threads=threads,
                          validate=False)
-    if m > 0:
-        return Regularizer(m=m, lam=lam, r_plus=p, r_minus=inv.symbol, inversion=inv)
     return Regularizer(m=m, lam=lam, r_plus=p, r_minus=inv.symbol, inversion=inv)
 
 
@@ -225,9 +247,15 @@ def order_check_inverse(result: SampledSymbol, grid: PhaseSpaceGrid,
 
 @dataclass
 class ResolventFamily:
-    """Map z -> twisted inverse of f - z, built by Neumann series at
-    admissible real z and extended to nonreal z by marching the resolvent
-    identity X' = X + (z' - z) X X' in contraction-sized steps."""
+    """Map z -> twisted inverse of f - z.
+
+    An admissible real z (z <= inf f - 1) goes through
+    :func:`neumann_invert`, which enforces the series certificate
+    ||R_z|| < 1.  Every other z, which the paper reaches by marching the
+    resolvent identity X' = X + (z' - z) X X' from such a seed, is solved
+    directly, with ||R_z|| and its certified series length only reported.
+    The family invariants below check the resolvent identity and the
+    adjoint symmetry of the results."""
 
     f: Symbol
     B: MagneticField
@@ -235,64 +263,22 @@ class ResolventFamily:
     grid: PhaseSpaceGrid
     quad: FluxQuadrature = DEFAULT_QUAD
     threads: int = 1
-    seed_z: float | None = None
     entries: dict = field(default_factory=dict)
-
-    def _seed(self) -> complex:
-        if self.seed_z is None:
-            inf_f = _sampled_inf(self.f, self.grid)
-            self.seed_z = min(inf_f - 10.0, -10.0)
-        return complex(self.seed_z)
 
     def add(self, z: complex) -> InversionResult:
         z = complex(z)
         key = (z.real, z.imag)
         if key in self.entries:
             return self.entries[key]
-        inf_f = _sampled_inf(self.f, self.grid)
-        if abs(z.imag) < 1e-14 and z.real <= inf_f - 1.0:
+        if abs(z.imag) < 1e-14 and z.real <= _sampled_inf(self.f, self.grid) - 1.0:
             res = neumann_invert(self.f, z, self.B, self.A, self.grid,
                                  quad=self.quad, threads=self.threads)
         else:
-            res = self._march(z)
+            Mf, nR = _series_generator(self.f, z, self.A, self.grid, self.quad, self.threads)
+            res = _solved(Mf, z, certified_terms(nR, SERIES_TOL, self.grid.npoints), nR,
+                          self.A, self.grid, self.quad, self.threads)
         self.entries[key] = res
         return res
-
-    def _march(self, z_target: complex) -> InversionResult:
-        z0 = self._seed()
-        base = self.add(z0)
-        X = base.matrix
-        P = self.grid.npoints
-        z = complex(z0)
-        guard = 0
-        while z != z_target:
-            norm_X = float(sp_linalg.svdvals(X)[0])
-            step_cap = 0.5 / norm_X
-            dz = z_target - z
-            if abs(dz) > step_cap:
-                dz = dz / abs(dz) * step_cap
-            z_next = z + dz
-            # fixed-point iteration of the resolvent identity
-            Y = X.copy()
-            for _ in range(200):
-                Y_new = X + dz * (X @ Y)
-                delta = np.abs(Y_new - Y).max()
-                Y = Y_new
-                if delta < 1e-14:
-                    break
-            X = Y
-            z = z_next
-            guard += 1
-            if guard > 10_000:
-                raise DivergenceError(f"resolvent marching to z = {z_target} stalled")
-        Mf = quantize(self.f, self.A, self.grid, self.quad, self.threads).matrix \
-            - z_target * np.eye(P)
-        sym = dequantize(MagneticOperator(self.grid, X, gauge=self.A),
-                         self.A, self.quad, self.threads)
-        residual = inversion_residual(Mf, X, self.grid, self.A, self.quad, self.threads)
-        nR = float(sp_linalg.svdvals(np.eye(P) - Mf @ X)[0])
-        return InversionResult(symbol=sym, z=z_target, terms=0, residual=residual,
-                               norm_R=nR, matrix=X)
 
     # -- family invariants --------------------------------------------------
 

@@ -230,11 +230,6 @@ def gamma_B(B: MagneticField, x, y, z, quad: FluxQuadrature = DEFAULT_QUAD):
     return total
 
 
-def omega_low(B: MagneticField, x, y, z, quad: FluxQuadrature = DEFAULT_QUAD):
-    """Low-index flux phase omega_B(x, y, z) = exp(-i Gamma_B(x, y, z))."""
-    return np.exp(-1j * gamma_B(B, x, y, z, quad))
-
-
 def circulation(A: VectorPotential, x, y, quad: FluxQuadrature = DEFAULT_QUAD):
     """Line integral of A along the oriented straight segment from x to y.
 

@@ -317,53 +317,77 @@ def dequantize(M: MagneticOperator, A: VectorPotential,
 _STENCIL = 8
 
 
-def _lagrange_values(data: np.ndarray, i0: int, targets: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Interpolate ``data`` (samples at integer indices i0, i0+1, ...) at the
-    float ``targets`` along ``axis`` with 8-point Lagrange stencils clamped
-    to the available range.  Exact when a target hits an integer node."""
-    m = data.shape[axis]
-    pts = min(_STENCIL, m)
-    # clamp to the sampled range: extrapolation beyond the box edge would
-    # amplify rounding, and edge regions are quarantined anyway
-    t = np.clip(np.asarray(targets, dtype=float) - i0, 0.0, m - 1.0)
+def _stencils(N: int):
+    """8-point Lagrange stencils for every diagonal offset d in
+    -N//2 .. N//2 - 1: the offsets, absolute row indices of shape
+    (8, N_d, N_l) and weights of shape (N_d, N_l, 8).
+
+    Diagonal i - j = d has entries on rows i_lo .. i_lo + m - 1 with
+    i_lo = max(0, d) and m = N - |d|; row i sits at midpoint index i - d/2,
+    so output node l is read at row position l + d/2.  Targets are clamped
+    to the sampled range (extrapolation beyond the box edge would amplify
+    rounding, and edge regions are quarantined anyway), and a stencil is
+    exact when a target hits a node.  A diagonal shorter than the stencil
+    uses all of its m points; the unused slots get weight 0 and a valid row.
+    """
+    ds = np.arange(-N // 2, N // 2)
+    i_lo = np.maximum(ds, 0)[:, None]
+    m = (N - np.abs(ds))[:, None]
+    pts = np.minimum(_STENCIL, m)
+    t = np.clip(np.arange(N) + ds[:, None] / 2.0 - i_lo, 0.0, m - 1.0)
     starts = np.clip(np.floor(t).astype(int) - (pts // 2 - 1), 0, m - pts)
     tau = t - starts
-    # Lagrange weights on nodes 0..pts-1 at position tau, vectorized
-    weights = np.ones((len(t), pts))
-    for r in range(pts):
-        for rp in range(pts):
+    weights = np.ones(tau.shape + (_STENCIL,))
+    for r in range(_STENCIL):
+        for rp in range(_STENCIL):
             if rp != r:
-                weights[:, r] *= (tau - rp) / (r - rp)
-    data = np.moveaxis(data, axis, 0)
-    out = np.zeros((len(t),) + data.shape[1:], dtype=data.dtype)
-    for r in range(pts):
-        out += weights[:, r].reshape((-1,) + (1,) * (data.ndim - 1)) * data[starts + r]
-    return np.moveaxis(out, 0, axis)
+                weights[..., r] *= np.where(rp < pts, (tau - rp) / (r - rp), 1.0)
+    used = np.arange(_STENCIL) < pts[..., None]
+    rows = i_lo[..., None] + starts[..., None] + np.where(used, np.arange(_STENCIL), 0)
+    return ds, np.ascontiguousarray(np.moveaxis(rows, -1, 0)), np.where(used, weights, 0.0)
+
+
+def _interpolate(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_r weights[..., r] * data[r] for complex ``data`` of shape
+    (8, ...), accumulated in the order r = 0..7.
+
+    Works on the real and imaginary parts (the value of a real-by-complex
+    product is the pair of real products), which avoids casting the
+    weights to complex."""
+    parts = data.view(float).reshape(data.shape + (2,))
+    out = np.zeros(parts.shape[1:])
+    for r in range(_STENCIL):
+        out += weights[..., r, None] * parts[r]
+    return out.view(complex)[..., 0]
 
 
 def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """Symbol samples f(x_l, xi_k) from a phase-stripped kernel table."""
     N, n = grid.N, grid.n
-    ls = np.arange(N)
+    W = np.asarray(W, dtype=complex)
+    ds, rows, weights = _stencils(N)
+    sign = (-1.0) ** ds
     cs = np.zeros((N,) * n + (N,) * n, dtype=complex)  # [l..., d mod N ...]
-    ds = np.arange(-N // 2, N // 2)
     if n == 1:
-        for d in ds:
-            i_lo, i_hi = max(0, d), N + min(0, d)  # valid row range for i - j = d
-            diag = W[np.arange(i_lo, i_hi), np.arange(i_lo, i_hi) - d]
-            # diagonal entry at row i sits at midpoint index i - d/2
-            vals = _lagrange_values(diag, i_lo, ls + d / 2.0)
-            cs[:, d % N] = (-1.0) ** d * vals
+        vals = _interpolate(W[rows, rows - ds[:, None]], weights)
+        cs[:, ds % N] = (sign[:, None] * vals).T
         return sp_fft.fft(cs, axis=1)
-    W4 = W.reshape(N, N, N, N).transpose(0, 2, 1, 3)  # [i1, i2, j1, j2]
-    for d1 in ds:
-        r1 = np.arange(max(0, d1), N + min(0, d1))
-        for d2 in ds:
-            r2 = np.arange(max(0, d2), N + min(0, d2))
-            diag = W4[r1[:, None], r2[None, :], r1[:, None] - d1, r2[None, :] - d2]
-            vals = _lagrange_values(diag, r1[0], ls + d1 / 2.0, axis=0)
-            vals = _lagrange_values(vals, r2[0], ls + d2 / 2.0, axis=1)
-            cs[:, :, d1 % N, d2 % N] = (-1.0) ** (d1 + d2) * vals
+    # Known defect: for the pair (d1, d2) this reads W[i N + i - d1,
+    # k N + k - d2], not the diagonal W[i1 N + i2, (i1 - d1) N + i2 - d2]
+    # (see the FOUND entry in CHANGES.md).  Flat offsets of every k of every
+    # d2 are gathered; those off the read set wrap and are never used.
+    k = np.arange(N)
+    axis1 = k * N + (k - ds[:, None]) % N  # (N_d, N)
+    flat = np.ravel(W)
+    # the axis-1 stencils read the axis-0 result A[d2, l1, k]
+    reread = (np.arange(len(ds))[:, None, None] * N * N
+              + np.arange(N)[:, None] * N + rows[:, :, None, :])  # (8, N_d, N_l, N_l)
+    for e, d1 in enumerate(ds):
+        axis0 = (rows[:, e] * N + rows[:, e] - d1) * N * N  # (8, N_l)
+        A = _interpolate(flat[axis0[:, None, :, None] + axis1[None, :, None, :]],
+                         weights[e][:, None, :])
+        vals = _interpolate(np.ravel(A)[reread], weights[:, None, :, :])
+        cs[:, :, d1 % N, ds % N] = np.moveaxis(sign[e] * sign[:, None, None] * vals, 0, -1)
     return sp_fft.fft2(cs, axes=(2, 3))
 
 
@@ -435,14 +459,6 @@ class KernelFunction:
         nodes = g.dx * (np.arange(g.N) - g.N // 2)
         axes = np.meshgrid(*([nodes] * g.n), indexing="ij")
         return np.stack(axes, axis=-1)
-
-    def l1_norm(self) -> float:
-        """Discrete L1 norm over (v-lattice), sup over grid coefficients."""
-        g = self.grid
-        v = self.difference_lattice().reshape(-1, g.n)
-        q = g.x_flat()
-        vals = np.abs(self.fn(q[:, None, :], v[None, :, :]))
-        return float(np.max(np.sum(vals, axis=1) * g.dx**g.n))
 
 
 def kernel_involution(F: KernelFunction) -> KernelFunction:

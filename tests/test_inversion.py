@@ -1,4 +1,4 @@
-"""Neumann-series inversion, regularizers, resolvent families."""
+"""Certified inversion, regularizers, resolvent families."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,10 @@ from magweyl.inversion import (
     Regularizer,
     ResolventFamily,
     affiliated_calculus,
+    _reciprocal_symbol,
+    _sampled_inf,
     build_regularizer,
+    certified_terms,
     neumann_invert,
     norm_Rz,
     order_check_inverse,
@@ -91,6 +94,46 @@ def test_nonreal_z_marches_from_seed():
     dense = np.linalg.inv(Mf)
     rel = np.abs(res.matrix - dense).max() / np.abs(dense).max()
     assert rel <= 1e-7
+
+
+def test_terms_is_the_certified_series_length():
+    z, tol = -10.0, 1e-8
+    res = neumann_invert(ARCTAN, z, B0, A0, GRID, tol=tol)
+    P = GRID.npoints
+    expected = 1 + int(np.ceil(np.log(0.1 * tol / P) / np.log(res.norm_R)))
+    assert res.terms == certified_terms(res.norm_R, tol, P) == expected
+    # it bounds the count of a partial-sum loop with the same stopping rule
+    Mf = quantize(ARCTAN, A0, GRID).matrix - z * np.eye(P)
+    Q = quantize(_reciprocal_symbol(ARCTAN, z), A0, GRID).matrix
+    R = np.eye(P) - Mf @ Q
+    T = np.eye(P)
+    for k in range(1, 81):
+        T = T @ R
+        if np.abs(T).max() * P < 0.1 * tol:
+            break
+    assert res.terms >= k + 1
+    assert certified_terms(0.0, tol, P) == 1
+    assert certified_terms(1.0, tol, P) == 0
+
+
+def test_divergence_is_raised_without_validation():
+    # z = -5 is admissible (z <= inf f - 1), but the generator norm is about 1.6
+    assert norm_Rz(ARCTAN, -5.0, B0, A0, GRID) >= 1.0
+    with pytest.raises(DivergenceError, match="operator norm"):
+        neumann_invert(ARCTAN, -5.0, B0, A0, GRID, validate=False)
+
+
+def test_resolvent_on_a_fine_grid_needs_no_convergent_seed():
+    # the real z = inf f - 10 has generator norm 2.78 at N = 512, so the
+    # family must reach 1 + 1j without a series-convergent real seed
+    g = make_grid(1, 20.0, 512)
+    assert norm_Rz(ARCTAN, _sampled_inf(ARCTAN, g) - 10.0, B0, A0, g) >= 1.0
+    z = 1.0 + 1.0j
+    res = ResolventFamily(ARCTAN, B0, A0, g).add(z)
+    assert res.residual <= 1e-7
+    Mf = quantize(ARCTAN, A0, g).matrix - z * np.eye(g.npoints)
+    dense = np.linalg.inv(Mf)
+    assert np.abs(res.matrix - dense).max() / np.abs(dense).max() <= 1e-10
 
 
 def test_invalid_inputs_raise():

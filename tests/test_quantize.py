@@ -1,7 +1,12 @@
 """Quantization, dequantization, magnetic translations, kernel calculus."""
 
+import types
+
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
+
+import magweyl
 
 from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField, VectorPotential
@@ -15,6 +20,7 @@ from magweyl.quantize import (
     partial_fourier_inverse,
     quantize,
     rep_A,
+    _table_to_samples,
     translation_cocycle_diagonal,
     twisted_product,
     wrong_quantize,
@@ -185,3 +191,62 @@ def test_twisted_product_intertwines_zero_field():
     P = rep_A(F, A, g).matrix @ rep_A(G, A, g).matrix
     M = rep_A(twisted_product(F, G, B, g), A, g).matrix
     assert np.abs(M - P).max() / np.abs(P).max() < 1e-8
+
+
+def test_package_attribute_quantize_is_the_module():
+    assert isinstance(magweyl.quantize, types.ModuleType)
+    assert magweyl.quantize.quantize is quantize
+
+
+# -- reference sampler: one diagonal at a time ------------------------------
+
+
+def _lagrange_values_ref(data, i0, targets, axis=0):
+    m = data.shape[axis]
+    pts = min(8, m)
+    t = np.clip(np.asarray(targets, dtype=float) - i0, 0.0, m - 1.0)
+    starts = np.clip(np.floor(t).astype(int) - (pts // 2 - 1), 0, m - pts)
+    tau = t - starts
+    weights = np.ones((len(t), pts))
+    for r in range(pts):
+        for rp in range(pts):
+            if rp != r:
+                weights[:, r] *= (tau - rp) / (r - rp)
+    data = np.moveaxis(data, axis, 0)
+    out = np.zeros((len(t),) + data.shape[1:], dtype=data.dtype)
+    for r in range(pts):
+        out += weights[:, r].reshape((-1,) + (1,) * (data.ndim - 1)) * data[starts + r]
+    return np.moveaxis(out, 0, axis)
+
+
+def _table_to_samples_ref(W, grid):
+    N, n = grid.N, grid.n
+    ls = np.arange(N)
+    cs = np.zeros((N,) * n + (N,) * n, dtype=complex)
+    ds = np.arange(-N // 2, N // 2)
+    if n == 1:
+        for d in ds:
+            i_lo, i_hi = max(0, d), N + min(0, d)
+            diag = W[np.arange(i_lo, i_hi), np.arange(i_lo, i_hi) - d]
+            vals = _lagrange_values_ref(diag, i_lo, ls + d / 2.0)
+            cs[:, d % N] = (-1.0) ** d * vals
+        return sp_fft.fft(cs, axis=1)
+    W4 = W.reshape(N, N, N, N).transpose(0, 2, 1, 3)
+    for d1 in ds:
+        r1 = np.arange(max(0, d1), N + min(0, d1))
+        for d2 in ds:
+            r2 = np.arange(max(0, d2), N + min(0, d2))
+            diag = W4[r1[:, None], r2[None, :], r1[:, None] - d1, r2[None, :] - d2]
+            vals = _lagrange_values_ref(diag, r1[0], ls + d1 / 2.0, axis=0)
+            vals = _lagrange_values_ref(vals, r2[0], ls + d2 / 2.0, axis=1)
+            cs[:, :, d1 % N, d2 % N] = (-1.0) ** (d1 + d2) * vals
+    return sp_fft.fft2(cs, axes=(2, 3))
+
+
+@pytest.mark.parametrize("n, N", [(1, 12), (1, 64), (2, 8), (2, 12), (2, 16), (2, 24)])
+def test_vectorized_sampler_is_bit_identical_to_the_diagonal_loop(n, N):
+    # N <= 12 gives edge diagonals shorter than the 8-point stencil
+    g = make_grid(n, 8.0, N)
+    rng = np.random.default_rng(N + 100 * n)
+    W = rng.standard_normal((g.npoints,) * 2) + 1j * rng.standard_normal((g.npoints,) * 2)
+    assert np.array_equal(_table_to_samples(W, g), _table_to_samples_ref(W, g))
