@@ -16,7 +16,7 @@ Q sum_k R^k = M^(-1).  The inverse is therefore computed by one solve of
 M against the identity, while ||R|| < 1 is kept as the admissibility
 certificate of a real z and reported with the series length it certifies.
 Nonreal z, reached in the paper from a real seed through the resolvent
-identity, are solved directly in the same way.
+identity, are solved directly in the same way, without a certificate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .quantize import MagneticOperator, SampledSymbol, dequantize, quantize
 from .symbols import Symbol, is_elliptic, japanese_bracket
 
 
-# default accuracy the certified series length is counted for
+# accuracy the certified series length is counted for
 SERIES_TOL = 1e-8
 
 
@@ -45,18 +45,12 @@ class DivergenceError(RuntimeError):
     """Raised when the inversion series cannot converge at the given z."""
 
 
-def _require_invertible(f: Symbol, z: complex, grid: PhaseSpaceGrid):
-    """Validate the admissibility of z for the Neumann series seed."""
+def _require_elliptic(f: Symbol, grid: PhaseSpaceGrid):
+    """Reject a symbol that is complex-valued or not elliptic on the window."""
     if not f.real:
         raise EllipticityError("base symbol must be real-valued")
     if not is_elliptic(f, R=0.3 * np.max(grid.xi_nodes), C=1e-3, region=grid):
         raise EllipticityError("symbol is not elliptic on the sampled window")
-    if abs(z.imag) < 1e-14:
-        inf_f = _sampled_inf(f, grid)
-        if not z.real <= inf_f - 1.0:
-            raise DivergenceError(
-                f"real z = {z} must satisfy z <= inf f - 1 = {inf_f - 1.0:.6g}; "
-                "use a more negative z (or a nonreal one)")
 
 
 def _sampled_inf(f: Symbol, grid: PhaseSpaceGrid) -> float:
@@ -81,9 +75,9 @@ class InversionResult:
 
     symbol: SampledSymbol
     z: complex
-    terms: int               # series length ||R|| certifies (0 when ||R|| >= 1)
+    terms: int               # series length ||R|| certifies (0 without a series)
     residual: float          # sup of |(f - z) # result - 1| on the interior 80%
-    norm_R: float            # operator norm of the series generator R_z
+    norm_R: float | None     # operator norm of the series generator R_z, if computed
     matrix: np.ndarray = field(repr=False)  # quantized inverse (gauge of the build)
 
 
@@ -91,10 +85,9 @@ def _series_generator(f: Symbol, z: complex, A: VectorPotential, grid: PhaseSpac
                       quad: FluxQuadrature, threads: int):
     """M_f - z and the operator norm of R_z = I - (M_f - z) Q with
     Q = quantize(1/(f - z))."""
-    P = grid.npoints
-    Mf = quantize(f, A, grid, quad, threads).matrix - z * np.eye(P)
+    Mf = quantize(f, A, grid, quad, threads).matrix - z * np.eye(grid.npoints)
     Q = quantize(_reciprocal_symbol(f, z), A, grid, quad, threads).matrix
-    return Mf, float(sp_linalg.svdvals(np.eye(P) - Mf @ Q)[0])
+    return Mf, float(sp_linalg.svdvals(np.eye(grid.npoints) - Mf @ Q)[0])
 
 
 def norm_Rz(f: Symbol, z: complex, B: MagneticField, A: VectorPotential,
@@ -104,42 +97,45 @@ def norm_Rz(f: Symbol, z: complex, B: MagneticField, A: VectorPotential,
     return _series_generator(f, complex(z), A, grid, quad, threads)[1]
 
 
-def certified_terms(norm_R: float, tol: float, npoints: int) -> int:
-    """Series length after which ||R||^k npoints < 0.1 tol, counting the
-    identity term: an upper bound on the terms a partial-sum loop stopping
-    at max|R^k| npoints < 0.1 tol would use, since max|R^k| <= ||R||^k.
-    0 when the series does not converge."""
+def certified_terms(norm_R: float, npoints: int) -> int:
+    """Series length after which ||R||^k npoints < 0.1 SERIES_TOL, counting
+    the identity term: an upper bound on the terms a partial-sum loop
+    stopping at max|R^k| npoints < 0.1 SERIES_TOL would use, since
+    max|R^k| <= ||R||^k.  0 when the series does not converge."""
     if norm_R >= 1.0:
         return 0
     if norm_R == 0.0:
         return 1
-    return 1 + math.ceil(math.log(0.1 * tol / npoints) / math.log(norm_R))
+    return 1 + math.ceil(math.log(0.1 * SERIES_TOL / npoints) / math.log(norm_R))
 
 
 def neumann_invert(f: Symbol, z: complex, B: MagneticField, A: VectorPotential,
-                   grid: PhaseSpaceGrid, tol: float = SERIES_TOL,
-                   quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1,
-                   validate: bool = True) -> InversionResult:
+                   grid: PhaseSpaceGrid, quad: FluxQuadrature = DEFAULT_QUAD,
+                   threads: int = 1, validate: bool = True) -> InversionResult:
     """Invert f - z in the twisted algebra, certified by the Neumann series.
 
-    Raises :class:`DivergenceError` unless the series generator has operator
-    norm below 1; the inverse is then the sum of the series, computed as one
-    solve of M_f - z.  ``terms`` is the series length that norm certifies
-    for ``tol``.
+    With ``validate``, f must be real and elliptic and a real z admissible,
+    z <= inf f - 1.  Raises :class:`DivergenceError` unless the series
+    generator has operator norm below 1; the inverse is then the sum of the
+    series, computed as one solve of M_f - z, exact to rounding.  ``terms``
+    is the series length that norm certifies.
     """
     z = complex(z)
     if validate:
-        _require_invertible(f, z, grid)
+        _require_elliptic(f, grid)
+        if abs(z.imag) < 1e-14 and not z.real <= (inf_f := _sampled_inf(f, grid)) - 1.0:
+            raise DivergenceError(
+                f"real z = {z} must satisfy z <= inf f - 1 = {inf_f - 1.0:.6g}; "
+                "use a more negative z (or a nonreal one)")
     Mf, nR = _series_generator(f, z, A, grid, quad, threads)
     if nR >= 1.0:
         raise DivergenceError(
             f"series generator has operator norm {nR:.4g} >= 1 at z = {z}; "
             "seed at larger |z| and extend via the resolvent identity")
-    return _solved(Mf, z, certified_terms(nR, tol, grid.npoints), nR, A, grid, quad,
-                   threads)
+    return _solved(Mf, z, certified_terms(nR, grid.npoints), nR, A, grid, quad, threads)
 
 
-def _solved(Mf_minus_z: np.ndarray, z: complex, terms: int, norm_R: float,
+def _solved(Mf_minus_z: np.ndarray, z: complex, terms: int, norm_R: float | None,
             A: VectorPotential, grid: PhaseSpaceGrid, quad: FluxQuadrature,
             threads: int) -> InversionResult:
     """The inverse of M_f - z by one LU solve, dequantized, with its residual."""
@@ -208,8 +204,7 @@ def build_regularizer(m: float, B: MagneticField, A: VectorPotential,
     else:
         raise DivergenceError(
             f"no lambda <= {lam} brought the series generator norm below 1/2")
-    inv = neumann_invert(p, 0.0, B, A, grid, tol=1e-10, quad=quad, threads=threads,
-                         validate=False)
+    inv = neumann_invert(p, 0.0, B, A, grid, quad=quad, threads=threads, validate=False)
     return Regularizer(m=m, lam=lam, r_plus=p, r_minus=inv.symbol, inversion=inv)
 
 
@@ -253,9 +248,10 @@ class ResolventFamily:
     :func:`neumann_invert`, which enforces the series certificate
     ||R_z|| < 1.  Every other z, which the paper reaches by marching the
     resolvent identity X' = X + (z' - z) X X' from such a seed, is solved
-    directly, with ||R_z|| and its certified series length only reported.
-    The family invariants below check the resolvent identity and the
-    adjoint symmetry of the results."""
+    directly once f passes the same real-valued and ellipticity checks; it
+    carries no series certificate (``terms`` 0, ``norm_R`` None).  The
+    family invariants below check the resolvent identity and the adjoint
+    symmetry of the results."""
 
     f: Symbol
     B: MagneticField
@@ -274,9 +270,10 @@ class ResolventFamily:
             res = neumann_invert(self.f, z, self.B, self.A, self.grid,
                                  quad=self.quad, threads=self.threads)
         else:
-            Mf, nR = _series_generator(self.f, z, self.A, self.grid, self.quad, self.threads)
-            res = _solved(Mf, z, certified_terms(nR, SERIES_TOL, self.grid.npoints), nR,
-                          self.A, self.grid, self.quad, self.threads)
+            _require_elliptic(self.f, self.grid)
+            Mf = quantize(self.f, self.A, self.grid, self.quad, self.threads).matrix
+            res = _solved(Mf - z * np.eye(self.grid.npoints), z, 0, None, self.A,
+                          self.grid, self.quad, self.threads)
         self.entries[key] = res
         return res
 

@@ -9,6 +9,7 @@ from magweyl.inversion import (
     EllipticityError,
     Regularizer,
     ResolventFamily,
+    SERIES_TOL,
     affiliated_calculus,
     _reciprocal_symbol,
     _sampled_inf,
@@ -97,11 +98,11 @@ def test_nonreal_z_marches_from_seed():
 
 
 def test_terms_is_the_certified_series_length():
-    z, tol = -10.0, 1e-8
-    res = neumann_invert(ARCTAN, z, B0, A0, GRID, tol=tol)
+    z, tol = -10.0, SERIES_TOL
+    res = neumann_invert(ARCTAN, z, B0, A0, GRID)
     P = GRID.npoints
     expected = 1 + int(np.ceil(np.log(0.1 * tol / P) / np.log(res.norm_R)))
-    assert res.terms == certified_terms(res.norm_R, tol, P) == expected
+    assert res.terms == certified_terms(res.norm_R, P) == expected
     # it bounds the count of a partial-sum loop with the same stopping rule
     Mf = quantize(ARCTAN, A0, GRID).matrix - z * np.eye(P)
     Q = quantize(_reciprocal_symbol(ARCTAN, z), A0, GRID).matrix
@@ -112,8 +113,8 @@ def test_terms_is_the_certified_series_length():
         if np.abs(T).max() * P < 0.1 * tol:
             break
     assert res.terms >= k + 1
-    assert certified_terms(0.0, tol, P) == 1
-    assert certified_terms(1.0, tol, P) == 0
+    assert certified_terms(0.0, P) == 1
+    assert certified_terms(1.0, P) == 0
 
 
 def test_divergence_is_raised_without_validation():
@@ -146,6 +147,18 @@ def test_invalid_inputs_raise():
     with pytest.raises(DivergenceError):
         # real z above inf(f) - 1 is inadmissible for the series seed
         neumann_invert(ARCTAN, 0.0, B0, A0, GRID)
+
+
+def test_resolvent_family_rejects_invalid_symbols_off_the_series():
+    # nonreal z skip the series certificate but not the checks on f
+    with pytest.raises(EllipticityError, match="real-valued"):
+        ResolventFamily(Symbol.from_expression("x1 + xi1", 1, m=1),
+                        B0, A0, GRID).add(1j)
+    vanishing = Symbol.from_expression("cos(xi1)", 1, m=0, real=True)
+    with pytest.raises(EllipticityError, match="not elliptic"):
+        ResolventFamily(vanishing, B0, A0, GRID).add(1j)
+    res = ResolventFamily(ARCTAN, B0, A0, GRID).add(1j)
+    assert res.terms == 0 and res.norm_R is None
 
 
 def test_affiliated_calculus_matches_eigendecomposition():
