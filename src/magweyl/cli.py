@@ -99,8 +99,7 @@ def _build_field(config, n):
             raise ConfigError(
                 f"field component key {key!r} must name an index pair like '12'")
         exprs[(int(digits[0]), int(digits[1]))] = text
-    smooth = block.get("smoothness", "bounded")
-    return MagneticField.from_expressions(n, exprs, smoothness=smooth)
+    return MagneticField.from_expressions(n, exprs)
 
 
 def _position_expr(text, n):

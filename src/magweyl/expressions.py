@@ -516,6 +516,34 @@ def parse_expression(text: str, n_dim: int | None = None) -> Node:
     return _Parser(text, n_dim).parse()
 
 
+def degree(node: Node) -> int | None:
+    """Total polynomial degree of an AST, or None if it is not a polynomial.
+
+    Conservative: an AST whose value is a polynomial but whose form is not
+    (``exp(0*x1)``, ``x1^(1+1)``) gets None.
+    """
+    if isinstance(node, (Num, Const)):
+        return 0
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, Neg):
+        return degree(node.arg)
+    if isinstance(node, Func):
+        return 0 if degree(node.arg) == 0 else None
+    a, b = degree(node.left), degree(node.right)
+    if node.op in "+-":
+        return None if a is None or b is None else max(a, b)
+    if node.op == "*":
+        return None if a is None or b is None else a + b
+    if node.op == "/":
+        return a if b == 0 else None
+    # power
+    k = float(node.right.value) if isinstance(node.right, Num) else -1.0
+    if a is not None and k >= 0 and k.is_integer():
+        return a * int(k)
+    return 0 if a == 0 and b == 0 else None
+
+
 def evaluate(node: Node, x=None, xi=None) -> np.ndarray:
     """Evaluate an AST with position array x and momentum array xi.
 

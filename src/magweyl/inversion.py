@@ -172,12 +172,12 @@ def _bracket_power_symbol(n: int, m: float, lam: float = 0.0) -> Symbol:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """The order-reducing pair r_m, r_{-m} built from p_{m,lambda} = <xi>^m + lambda."""
+    """The order-reducing pair r_m, r_{-m} built from p_{|m|,lambda} = <xi>^|m| + lambda."""
 
     m: float
     lam: float
-    r_plus: Symbol                      # r_m for m > 0 (or the constant 1)
-    r_minus: SampledSymbol | Symbol     # its twisted inverse
+    r_plus: Symbol | SampledSymbol      # r_m, of order m
+    r_minus: SampledSymbol | Symbol     # its twisted inverse r_{-m}
     inversion: InversionResult | None = None
 
 
@@ -189,7 +189,7 @@ def build_regularizer(m: float, B: MagneticField, A: VectorPotential,
     p_{m,lambda} at z = 0 drops below 1/2, then invert.
 
     For m = 0 the regularizer is the constant 1; for m < 0 it is the twisted
-    inverse of p_{|m|, lambda}.
+    inverse of p_{|m|, lambda}, and ``r_minus`` is p_{|m|, lambda}.
     """
     if m == 0:
         one = _bracket_power_symbol(grid.n, 0.0)
@@ -205,7 +205,8 @@ def build_regularizer(m: float, B: MagneticField, A: VectorPotential,
         raise DivergenceError(
             f"no lambda <= {lam} brought the series generator norm below 1/2")
     inv = neumann_invert(p, 0.0, B, A, grid, quad=quad, threads=threads, validate=False)
-    return Regularizer(m=m, lam=lam, r_plus=p, r_minus=inv.symbol, inversion=inv)
+    r_plus, r_minus = (inv.symbol, p) if m < 0 else (p, inv.symbol)
+    return Regularizer(m=m, lam=lam, r_plus=r_plus, r_minus=r_minus, inversion=inv)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,12 @@ scalar component B_12, and closedness is automatic.  A vector potential is a
 
 All parameter integrals (flux over a 2-simplex, the explicit double-integral
 flux formula, circulation along a segment, the transversal gauge) use
-tensor-product Gauss-Legendre quadrature, exact for polynomial integrands of
-degree <= 2*order - 1 per axis.
+tensor-product Gauss-Legendre quadrature; q nodes are exact for polynomial
+integrands of degree <= 2q - 1 per axis.  ``FluxQuadrature.order`` is a cap:
+fields and potentials of known polynomial ``degree`` (set by the expression
+constructors, the constant field, the zero potential and the transversal
+gauge) are integrated with the smallest exact rule (:func:`exact_order`),
+and data of unknown degree with ``order`` nodes.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ def _gl_nodes(order: int, a: float, b: float):
 
 @dataclass(frozen=True)
 class FluxQuadrature:
-    """Gauss-Legendre rule for the (s, t) parameter integrals."""
+    """Gauss-Legendre rule for the (s, t) parameter integrals: ``order`` is
+    the number of nodes per axis for data of unknown degree, and the cap for
+    polynomial data."""
 
     order: int = 8
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.order < 2:
@@ -48,19 +53,31 @@ class FluxQuadrature:
 DEFAULT_QUAD = FluxQuadrature()
 
 
+def exact_order(quad: FluxQuadrature, degree: int | None, weight: int = 0) -> int:
+    """Nodes per axis for a 1D integrand of polynomial degree ``degree``
+    times a polynomial weight (Jacobian, ``s`` factor) of degree ``weight``.
+
+    The smallest Gauss-Legendre rule exact for that degree k, k // 2 + 1,
+    capped at ``quad.order``; ``quad.order`` when the degree is unknown.
+    """
+    if degree is None:
+        return quad.order
+    return min(quad.order, (degree + weight) // 2 + 1)
+
+
 @dataclass(frozen=True)
 class MagneticField:
     """Antisymmetric 2-form with evaluable components B_jk, j < k.
 
     ``components`` maps (j, k) with 1 <= j < k <= n to a callable taking an
     array of shape (..., n) and returning real values of shape (...).
-    ``smoothness`` is a declared class tag (recorded, not verified):
-    'polynomial', 'bounded', or 'in-algebra'.
+    ``degree`` is the total polynomial degree of the components, or None
+    when it is unknown or they are not polynomials.
     """
 
     n: int
     components: dict = field(default_factory=dict)
-    smoothness: str = "bounded"
+    degree: int | None = None
 
     def __post_init__(self):
         for j, k in self.components:
@@ -85,25 +102,23 @@ class MagneticField:
         return not self.components
 
     @staticmethod
-    def from_expressions(n: int, exprs: dict, smoothness: str = "bounded") -> "MagneticField":
+    def from_expressions(n: int, exprs: dict) -> "MagneticField":
         """Build from {(j, k): expression-string} using the parser."""
-        comps = {}
-        for (j, k), text in exprs.items():
-            ast = expressions.parse_expression(text, n_dim=n)
-            comps[(j, k)] = _position_callable(ast)
-        return MagneticField(n=n, components=comps, smoothness=smoothness)
+        asts = {key: expressions.parse_expression(text, n_dim=n) for key, text in exprs.items()}
+        comps = {key: _position_callable(ast) for key, ast in asts.items()}
+        return MagneticField(n=n, components=comps, degree=_max_degree(asts.values()))
 
     @staticmethod
     def constant(n: int, b: float) -> "MagneticField":
         """Constant field B_12 = b (n must be 2 unless b = 0)."""
         if b == 0.0:
-            return MagneticField(n=n, components={}, smoothness="polynomial")
+            return MagneticField(n=n, components={}, degree=0)
         if n != 2:
             raise ValueError("nonzero constant field requires n = 2")
         return MagneticField(
             n=2,
             components={(1, 2): lambda x: np.full(np.asarray(x).shape[:-1], float(b))},
-            smoothness="polynomial",
+            degree=0,
         )
 
 
@@ -114,12 +129,23 @@ def _position_callable(ast):
     return fn
 
 
+def _max_degree(asts):
+    """Largest polynomial degree of the ASTs; None if any is not polynomial."""
+    degrees = [expressions.degree(ast) for ast in asts]
+    return None if None in degrees else max(degrees, default=0)
+
+
 @dataclass(frozen=True)
 class VectorPotential:
-    """1-form with evaluable real components A_j, 1 <= j <= n."""
+    """1-form with evaluable real components A_j, 1 <= j <= n.
+
+    ``degree`` is the total polynomial degree of the components, or None
+    when it is unknown or they are not polynomials.
+    """
 
     n: int
     components: tuple = ()
+    degree: int | None = None
 
     def __post_init__(self):
         if len(self.components) != self.n:
@@ -146,15 +172,13 @@ class VectorPotential:
 
             z._is_zero = True
             comps.append(z)
-        return VectorPotential(n=n, components=tuple(comps))
+        return VectorPotential(n=n, components=tuple(comps), degree=0)
 
     @staticmethod
     def from_expressions(n: int, exprs) -> "VectorPotential":
-        comps = []
-        for text in exprs:
-            ast = expressions.parse_expression(text, n_dim=n)
-            comps.append(_position_callable(ast))
-        return VectorPotential(n=n, components=tuple(comps))
+        asts = [expressions.parse_expression(text, n_dim=n) for text in exprs]
+        return VectorPotential(n=n, components=tuple(_position_callable(ast) for ast in asts),
+                               degree=_max_degree(asts))
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +202,10 @@ def flux_triangle(B: MagneticField, v0, v1, v2, quad: FluxQuadrature = DEFAULT_Q
         return np.zeros(np.broadcast_shapes(v0.shape, v1.shape, v2.shape)[:-1])
     d1 = v1 - v0
     d2 = v2 - v0
-    un, uw = _gl_nodes(quad.order, 0.0, 1.0)
-    vn, vw = _gl_nodes(quad.order, 0.0, 1.0)
+    # B along each axis, times the Jacobian (1 - u)
+    q = exact_order(quad, B.degree, weight=1)
+    un, uw = _gl_nodes(q, 0.0, 1.0)
+    vn, vw = _gl_nodes(q, 0.0, 1.0)
     # quadrature mesh over the unit square, flattened
     U, V = np.meshgrid(un, vn, indexing="ij")
     W = np.outer(uw, vw) * (1.0 - U)  # include Jacobian
@@ -208,8 +234,9 @@ def gamma_B(B: MagneticField, x, y, z, quad: FluxQuadrature = DEFAULT_QUAD):
     z = np.asarray(z, dtype=float)
     if B.is_zero():
         return np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape)[:-1])
-    sn, sw = _gl_nodes(quad.order, 0.0, 2.0)
-    tn, tw = _gl_nodes(quad.order, 0.0, 1.0)
+    q = exact_order(quad, B.degree, weight=1)  # B along each axis, times s
+    sn, sw = _gl_nodes(q, 0.0, 2.0)
+    tn, tw = _gl_nodes(q, 0.0, 1.0)
     S, T = np.meshgrid(sn, tn, indexing="ij")
     W = np.outer(sw, tw) * S  # include the s factor
     S, W = S.ravel(), W.ravel()
@@ -237,7 +264,7 @@ def circulation(A: VectorPotential, x, y, quad: FluxQuadrature = DEFAULT_QUAD):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    tn, tw = _gl_nodes(quad.order, 0.0, 1.0)
+    tn, tw = _gl_nodes(exact_order(quad, A.degree), 0.0, 1.0)
     d = y - x
     pts = x[..., None, :] + tn[:, None] * d[..., None, :]  # (..., q, n)
     vals = A.evaluate(pts)  # (..., q, n)
@@ -249,11 +276,11 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
     """The transversal gauge A_k(x) = -sum_j x_j Integral_0^1 ds s B_kj(s x).
 
     Satisfies dA = B and A(0) = 0; for a constant field B_12 = b in 2D this
-    is the symmetric gauge (-b x2 / 2, b x1 / 2).
+    is the symmetric gauge (-b x2 / 2, b x1 / 2).  A has degree B.degree + 1.
     """
     if B.is_zero():
         return VectorPotential.zero(B.n)
-    sn, sw = _gl_nodes(quad.order, 0.0, 1.0)
+    sn, sw = _gl_nodes(exact_order(quad, B.degree, weight=1), 0.0, 1.0)
     weights = sw * sn  # include the s factor
 
     def make_component(k: int):
@@ -272,7 +299,8 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
 
         return component
 
-    return VectorPotential(n=B.n, components=tuple(make_component(k) for k in range(1, B.n + 1)))
+    return VectorPotential(n=B.n, components=tuple(make_component(k) for k in range(1, B.n + 1)),
+                           degree=None if B.degree is None else B.degree + 1)
 
 
 def gauge_shift(A: VectorPotential, grad_psi=None, psi=None, step: float = 1e-5) -> VectorPotential:
@@ -280,7 +308,8 @@ def gauge_shift(A: VectorPotential, grad_psi=None, psi=None, step: float = 1e-5)
 
     Either an analytic gradient ``grad_psi`` (callable x -> shape (..., n))
     is supplied, or ``psi`` (callable x -> shape (...)) is differentiated by
-    central finite differences with step h = step * (1 + |x|).
+    central finite differences with step h = step * (1 + |x|).  The result
+    has unknown degree.
     """
     if grad_psi is None:
         if psi is None:

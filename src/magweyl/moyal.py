@@ -390,6 +390,11 @@ def remainder_order(f: Symbol, g: Symbol, B: MagneticField, A: VectorPotential,
         ray = prod.values[mid, mid, :, mid]
     xi = grid.xi_nodes
     keep = (xi >= xi_window[0]) & (xi <= xi_window[1] * np.max(xi))
+    if np.count_nonzero(keep) < 2:
+        raise ValueError(
+            f"remainder fit window xi in [{xi_window[0]}, {xi_window[1]} * {np.max(xi):.4g}] "
+            f"holds {np.count_nonzero(keep)} momentum node(s) at N={N}, L={grid.L}; "
+            f"a fit needs 2 (raise N or lower L)")
     xi_sel = xi[keep]
     pts_xi = np.zeros((len(xi_sel), n))
     pts_xi[:, 0] = xi_sel

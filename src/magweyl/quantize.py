@@ -372,18 +372,18 @@ def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
         vals = _interpolate(W[rows, rows - ds[:, None]], weights)
         cs[:, ds % N] = (sign[:, None] * vals).T
         return sp_fft.fft(cs, axis=1)
-    # Known defect: for the pair (d1, d2) this reads W[i N + i - d1,
-    # k N + k - d2], not the diagonal W[i1 N + i2, (i1 - d1) N + i2 - d2]
-    # (see the FOUND entry in CHANGES.md).  Flat offsets of every k of every
-    # d2 are gathered; those off the read set wrap and are never used.
+    # The pair (d1, d2) reads the diagonal W[i1 N + i2, (i1 - d1) N + i2 - d2]
+    # at flat offset (i1 N^2 + i1 - d1) N + i2 N^2 + (i2 - d2).  Offsets of
+    # every i2 of every d2 are gathered; those off the read set wrap and are
+    # never used.
     k = np.arange(N)
-    axis1 = k * N + (k - ds[:, None]) % N  # (N_d, N)
+    axis1 = k * N * N + (k - ds[:, None]) % N  # (N_d, N)
     flat = np.ravel(W)
     # the axis-1 stencils read the axis-0 result A[d2, l1, k]
     reread = (np.arange(len(ds))[:, None, None] * N * N
               + np.arange(N)[:, None] * N + rows[:, :, None, :])  # (8, N_d, N_l, N_l)
     for e, d1 in enumerate(ds):
-        axis0 = (rows[:, e] * N + rows[:, e] - d1) * N * N  # (8, N_l)
+        axis0 = (rows[:, e] * N * N + rows[:, e] - d1) * N  # (8, N_l)
         A = _interpolate(flat[axis0[:, None, :, None] + axis1[None, :, None, :]],
                          weights[e][:, None, :])
         vals = _interpolate(np.ravel(A)[reread], weights[:, None, :, :])

@@ -57,7 +57,6 @@ class Symbol:
     delta: float = 0.0
     real: bool = False
     derivatives: dict = field(default_factory=dict, repr=False)
-    depth: int = 0  # max declared analytic derivative order (inf for ASTs)
     x_independent: bool = False
     ast: object = field(default=None, repr=False)
 
@@ -80,15 +79,14 @@ class Symbol:
             )
 
         return Symbol(n=n, fn=fn, m=m, rho=rho, delta=delta, real=real,
-                      depth=10**9, x_independent=x_indep, ast=ast)
+                      x_independent=x_indep, ast=ast)
 
     @staticmethod
     def from_callable(fn, n: int, m: float = 0.0, rho: float = 0.0, delta: float = 0.0,
                       real: bool = False, derivatives: dict | None = None,
-                      depth: int = 0, x_independent: bool = False) -> "Symbol":
+                      x_independent: bool = False) -> "Symbol":
         return Symbol(n=n, fn=fn, m=m, rho=rho, delta=delta, real=real,
-                      derivatives=dict(derivatives or {}), depth=depth,
-                      x_independent=x_independent)
+                      derivatives=dict(derivatives or {}), x_independent=x_independent)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -100,8 +98,7 @@ class Symbol:
                        for key, g in self.derivatives.items()}
         base = self.fn
         return replace(self, fn=lambda x, xi: np.conj(base(x, xi)),
-                       derivatives=conj_derivs, ast=None,
-                       depth=self.depth if not self.ast else 2)
+                       derivatives=conj_derivs, ast=None)
 
     # -- derivatives --------------------------------------------------------
 
@@ -315,15 +312,14 @@ def project_quasiorbit(f: Symbol, Q: QuasiOrbit) -> Symbol:
         derivs = {key: (lambda g: (lambda x, xi: g(np.asarray(x) + shift, xi)))(g)
                   for key, g in f.derivatives.items()}
         return replace(f, fn=lambda x, xi: base(np.asarray(x) + shift, xi),
-                       derivatives=derivs, ast=None,
-                       depth=f.depth if not f.ast else 2)
+                       derivatives=derivs, ast=None)
     if Q.kind == "direction":
         if f.x_independent:
             return f
         x0 = Q.project_point(f.n)
         derivs = _FrozenDerivatives(f, x0)
         return replace(f, fn=derivs.freeze(f.fn), derivatives=derivs,
-                       x_independent=True, ast=None, depth=f.depth)
+                       x_independent=True, ast=None)
     raise ValueError(f"quasi-orbit {Q.label!r} has no projection rule ({Q.kind!r})")
 
 
@@ -377,7 +373,7 @@ def project_field(B: MagneticField, Q: QuasiOrbit) -> MagneticField:
         shift = np.asarray(Q.shift, dtype=float)
         comps = {key: (lambda g: (lambda x: g(np.asarray(x) + shift)))(g)
                  for key, g in B.components.items()}
-        return MagneticField(n=B.n, components=comps, smoothness=B.smoothness)
+        return MagneticField(n=B.n, components=comps, degree=B.degree)
     if Q.kind == "direction":
         x0 = Q.project_point(B.n)
         comps = {}
@@ -387,5 +383,5 @@ def project_field(B: MagneticField, Q: QuasiOrbit) -> MagneticField:
                 return g(np.broadcast_to(x0, x.shape))
 
             comps[key] = frozen
-        return MagneticField(n=B.n, components=comps, smoothness="polynomial")
+        return MagneticField(n=B.n, components=comps, degree=0)  # frozen at x0
     raise ValueError(f"quasi-orbit {Q.label!r} has no projection rule ({Q.kind!r})")

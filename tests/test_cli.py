@@ -163,3 +163,18 @@ def test_unknown_command_rejected(tmp_path, capsys):
                     dict(SPECTRUM_CFG, task={"command": "frobnicate"}))
     assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "command" in capsys.readouterr().err
+
+
+def test_expand_with_an_empty_fit_window_is_diagnosed(tmp_path, capsys):
+    # at L=8, N=16 no momentum node lies in [1.5, 0.25 * xi_max]
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "grid": {"n": 2, "L": 8.0, "N": 16},
+        "field": {"components": {"12": "0.7"}},
+        "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
+        "symbol2": {"expression": "xi2 + exp(-x2^2)", "m": 1, "rho": 1},
+        "task": {"command": "expand", "depth": 2},
+    })
+    assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "window" in err and "N=16" in err and "L=8.0" in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magweyl.expressions import ParseError, evaluate, parse_expression
+from magweyl.expressions import ParseError, degree, evaluate, parse_expression
 
 
 def ev(text, n=1, **bindings):
@@ -85,6 +85,27 @@ def test_diff_against_finite_differences():
             fd = (evaluate(ast, x=xp, xi=xp) - evaluate(ast, x=xm, xi=xm)) / (2 * h)
             an = evaluate(d, x=np.array([x0]), xi=np.array([x0]))
             np.testing.assert_allclose(an, fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("text, expect", [
+    ("-1.03*x2/2", 1),
+    ("x1*x2^3", 4),
+    ("3", 0),
+    ("pi - 2*e", 0),
+    ("-(x1 + xi2)^2", 2),
+    ("x1^2 - x2^3 + 1", 3),
+    ("(1 + x1)^0", 0),
+    ("2^3 * x1", 1),
+    ("sin(2)*x1", 1),
+    ("exp(x1)", None),
+    ("1/(1+x1^2)", None),
+    ("x1^-1", None),
+    ("2^x1", None),
+    ("x1^2.5", None),
+    ("x1*arctan(x2)", None),
+])
+def test_polynomial_degree(text, expect):
+    assert degree(parse_expression(text, n_dim=2)) == expect
 
 
 def test_vectorized_evaluation_broadcasts():

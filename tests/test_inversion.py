@@ -77,6 +77,20 @@ def test_build_regularizer_round_trip():
     assert triv.r_plus is triv.r_minus
 
 
+def test_build_regularizer_negative_order():
+    g = make_grid(1, 6.4, 64)
+    reg = build_regularizer(-2.0, B0, A0, g)
+    pos = build_regularizer(2.0, B0, A0, g)
+    assert reg.m == -2.0
+    # r_plus is the inverse of p_{2, lambda}, of order -2; r_minus is p itself
+    assert isinstance(reg.r_minus, Symbol) and reg.r_minus.m == 2.0
+    assert order_check_inverse(reg.r_plus, g) == pytest.approx(-2.0, abs=0.3)
+    np.testing.assert_array_equal(reg.r_plus.table, pos.r_minus.table)
+    Mp = quantize(reg.r_plus, A0, g).matrix
+    Mm = quantize(reg.r_minus, A0, g).matrix
+    assert np.abs(Mp @ Mm - np.eye(g.npoints)).max() < 1e-7
+
+
 def test_resolvent_family_identity_and_adjoint():
     fam = ResolventFamily(ARCTAN, B0, A0, GRID)
     zs = [-10.0, -3.0 + 1.0j, 2.0 + 0.5j]

@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
+from magweyl.grid import make_grid
 from magweyl.magnetics import (
     DEFAULT_QUAD,
     FluxQuadrature,
     MagneticField,
     VectorPotential,
     circulation,
+    exact_order,
     flux_triangle,
     gamma_B,
     gauge_shift,
     omega_cocycle,
     transversal_gauge,
 )
+from magweyl.quantize import circulation_matrix
 
 QUAD16 = FluxQuadrature(order=16)
 
@@ -141,3 +145,102 @@ def test_zero_and_constant_builders():
 def test_quadrature_order_validation():
     with pytest.raises(ValueError):
         FluxQuadrature(order=0)
+
+
+# -- exact-order quadrature for polynomial data ------------------------------
+
+
+def _unknown_degree(F):
+    """The same components with the degree forgotten (the nominal rule)."""
+    if isinstance(F, MagneticField):
+        return MagneticField(n=F.n, components=F.components)
+    return VectorPotential(n=F.n, components=F.components)
+
+
+def test_exact_order_rule():
+    assert exact_order(DEFAULT_QUAD, None) == 8
+    assert exact_order(FluxQuadrature(order=3), None, weight=1) == 3
+    assert [exact_order(DEFAULT_QUAD, k) for k in range(6)] == [1, 1, 2, 2, 3, 3]
+    assert exact_order(DEFAULT_QUAD, 0, weight=1) == 1
+    assert exact_order(DEFAULT_QUAD, 1, weight=1) == 2
+    assert exact_order(FluxQuadrature(order=4), 20) == 4  # capped
+
+
+def test_degree_metadata():
+    assert MagneticField.constant(2, 0.7).degree == 0
+    assert MagneticField.constant(2, 0.0).degree == 0
+    assert VectorPotential.zero(2).degree == 0
+    B = MagneticField.from_expressions(2, {(1, 2): "0.3 + x1*x2"})
+    assert B.degree == 2
+    assert transversal_gauge(B).degree == 3
+    assert transversal_gauge(MagneticField.constant(2, 0.7)).degree == 1
+    assert transversal_gauge(MagneticField.constant(2, 0.0)).degree == 0
+    B_np = MagneticField.from_expressions(2, {(1, 2): "1/(1+x1^2)"})
+    assert B_np.degree is None
+    assert transversal_gauge(B_np).degree is None
+    assert MagneticField.from_expressions(2, {}).degree == 0
+    A = VectorPotential.from_expressions(2, ["-x2^2", "x1"])
+    assert A.degree == 2
+    assert VectorPotential.from_expressions(2, ["x2", "exp(x1)"]).degree is None
+    assert gauge_shift(A, grad_psi=lambda x: np.zeros(np.shape(x))).degree is None
+    # objects built by hand have unknown degree
+    assert VectorPotential(n=2, components=A.components).degree is None
+    assert MagneticField(n=2, components=B.components).degree is None
+
+
+@pytest.mark.parametrize("exprs", [
+    ("-1.03*x2/2", "1.03*x1/2"),                  # linear (symmetric gauge)
+    ("0.2*x2 - 0.3*x1*x2", "0.4*x1^2 + x2 - 1"),  # quadratic
+    ("x2^3 - x1", "x1*x2^2 + 0.5*x1^3"),          # cubic
+])
+def test_circulation_matrix_of_polynomial_gauges_matches_the_nominal_rule(exprs):
+    g = make_grid(2, 10.0, 12)
+    A = VectorPotential.from_expressions(2, exprs)
+    C = circulation_matrix(A, g)
+    C_nominal = circulation_matrix(_unknown_degree(A), g)
+    assert np.abs(C - C_nominal).max() <= 1e-13 * np.abs(C_nominal).max()
+
+
+def test_transversal_gauge_of_constant_field_is_the_expression_symmetric_gauge():
+    g = make_grid(2, 12.0, 12)
+    A = transversal_gauge(MagneticField.constant(2, 0.7))
+    A_expr = VectorPotential.from_expressions(2, ["-0.35*x2", "0.35*x1"])
+    np.testing.assert_array_equal(circulation_matrix(A, g), circulation_matrix(A_expr, g))
+
+
+def test_transversal_gauge_of_polynomial_field_matches_order_16():
+    B = MagneticField.from_expressions(2, {(1, 2): "0.5 - 0.3*x1 + 0.2*x1*x2^2"})
+    x = np.random.default_rng(11).uniform(-4.0, 4.0, size=(50, 2))
+    A = transversal_gauge(B).evaluate(x)
+    A16 = transversal_gauge(_unknown_degree(B), QUAD16).evaluate(x)
+    np.testing.assert_allclose(A, A16, rtol=1e-13, atol=1e-13 * np.abs(A16).max())
+
+
+@pytest.mark.parametrize("text", ["0.8", "0.3 + 0.5*x1 - 0.2*x2", "x1*x2 - 0.4*x2^2"])
+def test_flux_and_cocycle_of_polynomial_fields_match_order_16(text):
+    B = MagneticField.from_expressions(2, {(1, 2): text})
+    B16 = _unknown_degree(B)
+    rng = np.random.default_rng(13)
+    q, x, y = rng.uniform(-3.0, 3.0, size=(3, 200, 2))
+    flux = flux_triangle(B, q, q + x, q + x + y)
+    flux16 = flux_triangle(B16, q, q + x, q + x + y, QUAD16)
+    np.testing.assert_allclose(flux, flux16, rtol=0, atol=1e-13 * np.abs(flux16).max())
+    np.testing.assert_allclose(omega_cocycle(B, q, x, y), omega_cocycle(B16, q, x, y, QUAD16),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gamma_B(B, q, x, y), gamma_B(B16, q, x, y, QUAD16),
+                               rtol=0, atol=1e-13 * np.abs(flux16).max())
+
+
+def test_non_polynomial_gauge_keeps_the_nominal_rule_bit_for_bit():
+    g = make_grid(2, 8.0, 8)
+    A = VectorPotential.from_expressions(2, ["arctan(x2)", "x1*exp(-x1^2/4)"])
+    assert A.degree is None
+    # the eight-node rule on [0, 1], written out
+    t, w = roots_legendre(8)
+    nodes, weights = 0.5 * t + 0.5, 0.5 * w
+    X = g.x_flat()
+    x, y = X[:, None, :], X[None, :, :]
+    d = y - x
+    pts = x[..., None, :] + nodes[:, None] * d[..., None, :]
+    expect = np.sum(weights * np.sum(A.evaluate(pts) * d[..., None, :], axis=-1), axis=-1)
+    np.testing.assert_array_equal(circulation_matrix(A, g), expect)

@@ -25,7 +25,7 @@ from magweyl.quantize import (
     twisted_product,
     wrong_quantize,
 )
-from magweyl.symbols import Symbol
+from magweyl.symbols import Symbol, _phase_mesh
 
 
 def test_position_symbol_is_multiplication_operator():
@@ -231,7 +231,7 @@ def _table_to_samples_ref(W, grid):
             vals = _lagrange_values_ref(diag, i_lo, ls + d / 2.0)
             cs[:, d % N] = (-1.0) ** d * vals
         return sp_fft.fft(cs, axis=1)
-    W4 = W.reshape(N, N, N, N).transpose(0, 2, 1, 3)
+    W4 = W.reshape(N, N, N, N)  # W4[i1, i2, j1, j2] = W[i1 N + i2, j1 N + j2]
     for d1 in ds:
         r1 = np.arange(max(0, d1), N + min(0, d1))
         for d2 in ds:
@@ -250,3 +250,18 @@ def test_vectorized_sampler_is_bit_identical_to_the_diagonal_loop(n, N):
     rng = np.random.default_rng(N + 100 * n)
     W = rng.standard_normal((g.npoints,) * 2) + 1j * rng.standard_normal((g.npoints,) * 2)
     assert np.array_equal(_table_to_samples(W, g), _table_to_samples_ref(W, g))
+
+
+@pytest.mark.parametrize("text, b", [
+    ("xi1^2 + 0.5*xi2^2", 0.0),
+    ("xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2 + exp(-x2^2)", 0.5),
+])
+def test_2d_samples_match_the_symbol(text, b):
+    g = make_grid(2, 8.0, 16)
+    A = (VectorPotential.from_expressions(2, [f"{-b / 2}*x2", f"{b / 2}*x1"]) if b
+         else VectorPotential.zero(2))
+    f = Symbol.from_expression(text, 2, m=2, real=True)
+    S = dequantize(quantize(f, A, g), A)
+    exact = f(*_phase_mesh(g))
+    mask = np.broadcast_to(S.interior_mask(0.5), S.values.shape)
+    assert np.abs(S.values - exact)[mask].max() <= 1e-10

@@ -45,14 +45,14 @@ def test_analytic_derivatives():
 
 def test_finite_difference_fallback():
     f = Symbol.from_callable(
-        lambda x, xi: np.sin(x[..., 0]) * np.exp(-xi[..., 0] ** 2), 1, depth=2)
+        lambda x, xi: np.sin(x[..., 0]) * np.exp(-xi[..., 0] ** 2), 1)
     d = f.derivative((1,), (0,))
     x = np.array([0.4])
     xi = np.array([0.3])
     assert complex(d(x, xi)) == pytest.approx(
         np.cos(0.4) * np.exp(-0.09), abs=1e-8)
     with pytest.raises(ValueError):
-        f.derivative((2,), (1,))  # beyond declared depth
+        f.derivative((2,), (1,))  # beyond the finite-difference order 2
 
 
 def test_seminorm_weighting():
@@ -128,6 +128,16 @@ def test_project_field_direction():
     BQ = project_field(B, Q)
     x = np.zeros((3, 2))
     np.testing.assert_allclose(BQ.component(1, 2)(x), 2.0, atol=1e-8)
+
+
+def test_project_field_degree():
+    B = MagneticField.from_expressions(2, {(1, 2): "1 + x1*x2"})
+    shifted = project_field(B, QuasiOrbit("s", "translate", shift=(1.0, -2.0)))
+    frozen = project_field(B, QuasiOrbit("plus", "direction", direction=(1.0, 0.0)))
+    assert (B.degree, shifted.degree, frozen.degree) == (2, 2, 0)
+    B_np = MagneticField.from_expressions(2, {(1, 2): "1 + tanh(x1)"})
+    assert project_field(B_np, QuasiOrbit("s", "translate", shift=(1.0, 0.0))).degree is None
+    assert project_field(B_np, QuasiOrbit("plus", "direction", direction=(1.0, 0.0))).degree == 0
 
 
 def test_algebra_validation():
