@@ -1,6 +1,6 @@
 """Numerical laboratory for gauge-covariant quantization in magnetic fields."""
 
-from .grid import GridFunction, PhaseSpaceGrid, fourier, inverse_fourier, make_grid
+from .grid import PhaseSpaceGrid, make_grid
 from .magnetics import (
     DEFAULT_QUAD,
     FluxQuadrature,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -55,6 +56,9 @@ _DEFAULTS = {
 _COMMANDS = ("quantize", "spectrum", "ess-spectrum", "gauge-check",
              "expand", "invert", "validate")
 
+# physical memory in bytes, the budget a dense grid must fit in
+_MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
 
 def _require_block(config: dict, name: str) -> dict:
     if name not in config:
@@ -87,7 +91,17 @@ def _build_grid(config):
     for key in ("n", "L", "N"):
         if key not in block:
             raise ConfigError(f"grid block is missing {key!r}")
-    return make_grid(int(block["n"]), float(block["L"]), int(block["N"]))
+    grid = make_grid(int(block["n"]), float(block["L"]), int(block["N"]))
+    # a quantization holds four P x P arrays at once: the circulation (8 bytes
+    # an entry), its phase, the kernel table and the operator (16 each)
+    P = grid.npoints
+    need = 56 * P * P
+    if need > _MEMORY_BYTES:
+        raise ConfigError(
+            f"grid n={grid.n}, N={grid.N} has P={P} points; dense storage needs "
+            f"about {need / 2**30:.1f} GiB (56*P^2 bytes), more than the "
+            f"{_MEMORY_BYTES / 2**30:.1f} GiB of physical memory")
+    return grid
 
 
 def _build_field(config, n):
@@ -166,7 +180,20 @@ def _psi_pair(config, A, n):
             out[..., j] = np.real(expressions.evaluate(g, x=x)) + np.zeros(x.shape[:-1])
         return out
 
-    return psi, gauge_shift(A, grad_psi=grad_psi)
+    # A + grad(psi) is a polynomial when both are; its phase still comes from
+    # its own quadrature, never from C_A + psi(y) - psi(x)
+    d = expressions.degree(ast)
+    degree = None if A.degree is None or d is None else max(A.degree, d - 1)
+    return psi, dataclasses.replace(gauge_shift(A, grad_psi=grad_psi), degree=degree)
+
+
+def _context(config):
+    """The objects every command starts from: (grid, B, A, f)."""
+    grid = _build_grid(config)
+    B = _build_field(config, grid.n)
+    A = _build_gauge(config, B, grid.n)
+    f = _build_symbol(config, grid.n)
+    return grid, B, A, f
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +222,7 @@ def _write_eigenvalues(out_dir, values, fmt, name="eigenvalues.csv"):
 
 
 def _cmd_quantize(config, out_dir, threads):
-    grid = _build_grid(config)
-    B = _build_field(config, grid.n)
-    A = _build_gauge(config, B, grid.n)
-    f = _build_symbol(config, grid.n)
+    grid, B, A, f = _context(config)
     M = quantize(f, A, grid, threads=threads)
     _write_summary(out_dir, {
         "command": "quantize",
@@ -210,10 +234,7 @@ def _cmd_quantize(config, out_dir, threads):
 
 
 def _cmd_spectrum(config, out_dir, threads):
-    grid = _build_grid(config)
-    B = _build_field(config, grid.n)
-    A = _build_gauge(config, B, grid.n)
-    f = _build_symbol(config, grid.n)
+    grid, B, A, f = _context(config)
     fmt = config["output"]["eigenvalue_format"]
     M = quantize(f, A, grid, threads=threads)
     res = spectrum(M)
@@ -229,9 +250,7 @@ def _cmd_spectrum(config, out_dir, threads):
 
 
 def _cmd_ess_spectrum(config, out_dir, threads):
-    grid = _build_grid(config)
-    B = _build_field(config, grid.n)
-    f = _build_symbol(config, grid.n)
+    grid, B, _, f = _context(config)
     algebra = _build_algebra(config)
     merge_tol = config["task"].get("merge_tol")
     res = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol,
@@ -252,10 +271,7 @@ def _cmd_ess_spectrum(config, out_dir, threads):
 
 
 def _cmd_gauge_check(config, out_dir, threads):
-    grid = _build_grid(config)
-    B = _build_field(config, grid.n)
-    A1 = _build_gauge(config, B, grid.n)
-    f = _build_symbol(config, grid.n)
+    grid, B, A1, f = _context(config)
     psi, A2 = _psi_pair(config, A1, grid.n)
     tol = float(config["task"].get("tolerance", 1e-6))
     M1 = quantize(f, A1, grid, threads=threads)
@@ -280,10 +296,7 @@ def _cmd_gauge_check(config, out_dir, threads):
 
 
 def _cmd_expand(config, out_dir, threads):
-    grid = _build_grid(config)
-    B = _build_field(config, grid.n)
-    A = _build_gauge(config, B, grid.n)
-    f = _build_symbol(config, grid.n)
+    grid, B, A, f = _context(config)
     g = _build_symbol(config, grid.n, block_name="symbol2")
     depth = int(config["task"].get("depth", 2))
     x = grid.x_mesh()
@@ -305,10 +318,7 @@ def _cmd_expand(config, out_dir, threads):
 
 
 def _cmd_invert(config, out_dir, threads):
-    grid = _build_grid(config)
-    B = _build_field(config, grid.n)
-    A = _build_gauge(config, B, grid.n)
-    f = _build_symbol(config, grid.n)
+    grid, B, A, f = _context(config)
     task = config["task"]
     if "z" not in task:
         raise ConfigError("task block needs 'z' for invert")
@@ -335,10 +345,7 @@ def _cmd_invert(config, out_dir, threads):
 
 
 def _cmd_validate(config, out_dir, threads):
-    grid = _build_grid(config)
-    B = _build_field(config, grid.n)
-    A = _build_gauge(config, B, grid.n)
-    f = _build_symbol(config, grid.n)
+    grid, B, A, f = _context(config)
     seed = int(config["task"]["seed"])
     rng = np.random.default_rng(seed)
     checks = {}

@@ -1,4 +1,4 @@
-"""Phase-space discretization: position box, dual momentum lattice, unitary FFT.
+"""Phase-space discretization: position box and dual momentum lattice.
 
 Conventions (every 2*pi placement in the package is fixed here):
 
@@ -12,9 +12,12 @@ Conventions (every 2*pi placement in the package is fixed here):
       (F^-1 U)(x)    = (2*pi)^(-n/2) * Integral dxi e^{-i x.xi} U(xi)
 
   discretized by plain Riemann sums on the lattices above.  With the node
-  conventions this is a unitary map on C^(N^n) (Parseval holds to machine
-  precision) and its discrete form reduces to an FFT with alternating-sign
-  pre/post factors.
+  conventions this is a unitary map on C^(N^n) whose discrete form reduces
+  to an FFT with alternating-sign pre/post factors.  This module only fixes
+  the convention.  It is implemented in ``quantize`` alone: by
+  ``_symbol_table`` (symbol -> kernel table, inverted by
+  ``_table_to_samples``) and by ``partial_fourier`` (kernel -> symbol, with
+  ``partial_fourier_inverse``).
 * Whenever an integral ``Integral dy ...`` over position (or momentum) space
   appears in another module with the "normalized measure" convention, it is
   discretized as ``(2*pi)^(-n/2) * dx^n * sum(...)`` (resp. with ``dxi``).
@@ -26,10 +29,9 @@ never wrapped back into the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 
 @dataclass(frozen=True)
@@ -100,116 +102,6 @@ class PhaseSpaceGrid:
         return -self.L / 2.0 + (self.dx / 2.0) * np.arange(2 * self.N - 1)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples on the position (or momentum) lattice of a grid.
-
-    ``space`` records which lattice the samples live on so that the discrete
-    L2 norm uses the matching measure (dx^n or dxi^n)."""
-
-    grid: PhaseSpaceGrid
-    values: np.ndarray = field(repr=False)
-    space: str = "position"
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        expected = (self.grid.N,) * self.grid.n
-        if vals.shape != expected:
-            raise ValueError(f"values shape {vals.shape} != {expected}")
-        if self.space not in ("position", "momentum"):
-            raise ValueError(f"space must be 'position' or 'momentum', got {self.space!r}")
-        object.__setattr__(self, "values", vals)
-
-    def norm(self) -> float:
-        """Discrete L2 norm with the lattice measure, sqrt(h^n * sum |u|^2)."""
-        g = self.grid
-        h = g.dx if self.space == "position" else g.dxi
-        return float(np.sqrt(h**g.n * np.sum(np.abs(self.values) ** 2)))
-
-
 def make_grid(n: int, L: float, N: int) -> PhaseSpaceGrid:
     """Construct a PhaseSpaceGrid, validating all invariants."""
     return PhaseSpaceGrid(n=n, L=L, N=N)
-
-
-def _axis_transform_factors(grid: PhaseSpaceGrid):
-    """Alternating-sign factors implementing the centered-node phase shifts."""
-    signs = (-1.0) ** np.arange(grid.N)
-    return signs
-
-
-def fourier(u: GridFunction) -> GridFunction:
-    """Unitary discrete Fourier transform, position -> momentum samples.
-
-    Discretizes (2*pi)^(-1/2) * Integral dx e^{+i x xi} u(x) per axis.  With
-    x_j = (j - N/2) dx and xi_k = (k - N/2) dxi the sum reduces to
-    (2*pi)^(-1/2) * dx * (-1)^k * N * ifft((-1)^j u_j)[k]  (N divisible by 4
-    makes the corner phase exactly 1).
-    """
-    g = u.grid
-    s = _axis_transform_factors(g)
-    vals = u.values
-    for axis in range(g.n):
-        shape = [1] * g.n
-        shape[axis] = g.N
-        sa = s.reshape(shape)
-        vals = sa * (g.N * sp_fft.ifft(sa * vals, axis=axis))
-        vals = vals * (g.dx / np.sqrt(2.0 * np.pi))
-    return GridFunction(g, vals, space="momentum")
-
-
-def inverse_fourier(U: GridFunction) -> GridFunction:
-    """Inverse of :func:`fourier`: momentum samples -> position samples."""
-    g = U.grid
-    s = _axis_transform_factors(g)
-    vals = U.values
-    for axis in range(g.n):
-        shape = [1] * g.n
-        shape[axis] = g.N
-        sa = s.reshape(shape)
-        vals = sa * sp_fft.fft(sa * vals, axis=axis)
-        vals = vals * (g.dxi / np.sqrt(2.0 * np.pi))
-    return GridFunction(g, vals, space="position")
-
-
-def spectral_derivative(u: GridFunction, axis: int = 0) -> GridFunction:
-    """d u / d x_axis computed via the momentum multiplier.
-
-    With the e^{+i x xi} forward kernel, differentiation corresponds to the
-    multiplier -i*xi on the transform side:  F(u')(xi) = -i xi (F u)(xi).
-    """
-    g = u.grid
-    if not 0 <= axis < g.n:
-        raise ValueError(f"axis {axis} out of range for dimension {g.n}")
-    U = fourier(u)
-    shape = [1] * g.n
-    shape[axis] = g.N
-    xi = g.xi_nodes.reshape(shape)
-    return inverse_fourier(GridFunction(g, -1j * xi * U.values, space="momentum"))
-
-
-def interpolate(u: GridFunction, point) -> complex:
-    """Trigonometric (band-limited) interpolation at an off-grid point.
-
-    Evaluates u(p) = (2*pi)^(-n/2) * dxi^n * sum_k e^{-i p.xi_k} (F u)(xi_k),
-    which is exact at grid nodes and for lattice plane waves.  The point must
-    lie inside the closed box [-L/2, L/2]^n.
-    """
-    g = u.grid
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    if p.shape != (g.n,):
-        raise ValueError(f"point must have shape ({g.n},)")
-    if np.any(np.abs(p) > g.L / 2.0 + 1e-12):
-        raise ValueError(f"point {p} outside box [-{g.L / 2}, {g.L / 2}]^{g.n}")
-    U = fourier(u).values
-    acc = U
-    for axis in range(g.n):
-        phases = np.exp(-1j * p[axis] * g.xi_nodes)
-        acc = np.tensordot(phases, acc, axes=([0], [0]))
-    return complex(acc * (g.dxi / np.sqrt(2.0 * np.pi)) ** g.n)
-
-
-def sample(grid: PhaseSpaceGrid, fn) -> GridFunction:
-    """Sample a callable fn(x) (x of shape (..., n)) on the position lattice."""
-    vals = np.asarray(fn(grid.x_mesh()), dtype=complex)
-    return GridFunction(grid, vals)

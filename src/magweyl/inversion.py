@@ -30,6 +30,7 @@ from scipy import linalg as sp_linalg
 from .grid import PhaseSpaceGrid
 from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, VectorPotential
 from .quantize import MagneticOperator, SampledSymbol, dequantize, quantize
+from .spectral import spectrum
 from .symbols import Symbol, is_elliptic, japanese_bracket
 
 
@@ -313,12 +314,8 @@ def affiliated_calculus(f: Symbol, A: VectorPotential, grid: PhaseSpaceGrid,
 
     ``eta`` is a callable applied to the eigenvalues (a continuous function
     vanishing at infinity in the intended use)."""
-    M = quantize(f, A, grid, quad, threads)
-    defect = M.hermiticity_defect()
-    if defect > hermiticity_tol:
-        raise ValueError(f"matrix is not Hermitian: relative defect {defect:.3e}")
-    H = 0.5 * (M.matrix + M.matrix.conj().T)
-    w, V = sp_linalg.eigh(H)
-    vals = np.asarray(eta(w), dtype=complex)
+    res = spectrum(quantize(f, A, grid, quad, threads), hermiticity_tol, keep_vectors=True)
+    V = res.eigenvectors
+    vals = np.asarray(eta(res.eigenvalues), dtype=complex)
     out = (V * vals) @ V.conj().T
     return MagneticOperator(grid, out, gauge=A, symbol=None)

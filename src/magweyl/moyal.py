@@ -28,7 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import PhaseSpaceGrid
-from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, VectorPotential, gamma_B
+from .magnetics import (DEFAULT_QUAD, FluxQuadrature, MagneticField, VectorPotential,
+                        flux_triangle, gamma_B)
 from .quantize import MagneticOperator, SampledSymbol, dequantize, quantize
 from .symbols import Symbol, japanese_bracket
 
@@ -99,16 +100,10 @@ def moyal_direct(f, g, B, X, radius: float = 4.5, points: int = 16,
             c0 = x - y[:, None, :] - z[None, :, :]
             c1 = x + y[:, None, :] - z[None, :, :]
             c2 = x - y[:, None, :] + z[None, :, :]
-            flux = _triangle_flux(B, c0, c1, c2, quad)
+            flux = flux_triangle(B, c0, c1, c2, quad)
             phase = phase * np.exp(-1j * flux)
         total += weight * np.sum(fvals[:, None] * phase * gvals[None, :])
     return complex(total)
-
-
-def _triangle_flux(B, c0, c1, c2, quad):
-    from .magnetics import flux_triangle
-
-    return flux_triangle(B, c0, c1, c2, quad)
 
 
 # ---------------------------------------------------------------------------

@@ -233,43 +233,6 @@ def _symbol_table(f, grid: PhaseSpaceGrid) -> np.ndarray:
     return W
 
 
-def _wrong_symbol_table(f, A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Kernel table for the non-covariant quantization: the symbol's momentum
-    argument is shifted by -A(midpoint) and no circulation phase is applied."""
-    N, n = grid.N, grid.n
-    xi_mesh = grid.xi_mesh()
-    half = grid.half_nodes()
-    if n == 1:
-        q = half[:, None, None]
-        Aq = A.evaluate(q)  # (2N-1, 1, 1)
-        F = np.asarray(f(q, xi_mesh[None, :, :] - Aq), dtype=complex)
-        G = sp_fft.ifft(F, axis=1)
-        i = np.arange(N)
-        p = i[:, None] + i[None, :]
-        d = i[:, None] - i[None, :]
-        return (-1.0) ** d * G[p, d % N]
-    W = np.empty((grid.npoints, grid.npoints), dtype=complex)
-    i = np.arange(N)
-    i2g, j2g = np.meshgrid(i, i, indexing="ij")
-    p2 = i2g + j2g
-    d2 = i2g - j2g
-    sign2 = (-1.0) ** d2
-    for p1, q1 in enumerate(half):
-        qgrid = np.empty((2 * N - 1, 1, 1, 2))
-        qgrid[..., 0] = q1
-        qgrid[..., 1] = half[:, None, None]
-        Aq = A.evaluate(qgrid)  # (2N-1, 1, 1, 2)
-        F = np.asarray(f(qgrid, xi_mesh[None] - Aq), dtype=complex)
-        G = sp_fft.ifft2(F, axes=(1, 2))
-        for i1 in range(max(0, p1 - N + 1), min(N, p1 + 1)):
-            j1 = p1 - i1
-            d1 = i1 - j1
-            W[i1 * N:(i1 + 1) * N, j1 * N:(j1 + 1) * N] = (
-                (-1.0) ** d1 * sign2 * G[p2, d1 % N, d2 % N]
-            )
-    return W
-
-
 # ---------------------------------------------------------------------------
 # quantize / dequantize
 # ---------------------------------------------------------------------------
@@ -291,11 +254,13 @@ def quantize(f, A: VectorPotential, grid: PhaseSpaceGrid,
 
 def wrong_quantize(f, A: VectorPotential, grid: PhaseSpaceGrid,
                    quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1) -> MagneticOperator:
-    """The negative control: momentum argument shifted by -A(midpoint), no
-    circulation phase.  Coincides with :func:`quantize` when A = 0."""
+    """The negative control, naive minimal coupling: the zero-gauge
+    quantization of the symbol (x, xi) -> f(x, xi - A(x)), so the momentum
+    argument is shifted by -A at each midpoint and no circulation phase is
+    applied.  Coincides with :func:`quantize` when A = 0."""
     if A is None or A.is_zero():
         return quantize(f, VectorPotential.zero(grid.n), grid, quad, threads)
-    W = _wrong_symbol_table(f, A, grid)
+    W = _symbol_table(lambda x, xi: f(x, xi - A.evaluate(x)), grid)
     return MagneticOperator(grid, W, gauge=A, symbol=f)
 
 

@@ -1,11 +1,18 @@
 """Command-line driver: configs, outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
+from magweyl import cli
 from magweyl.cli import run
+from magweyl.grid import make_grid
+from magweyl.magnetics import MagneticField, transversal_gauge
+from magweyl.quantize import circulation_matrix, quantize
+from magweyl.symbols import Symbol
 
 SPECTRUM_CFG = {
     "grid": {"n": 1, "L": 20.0, "N": 64},
@@ -178,3 +185,89 @@ def test_expand_with_an_empty_fit_window_is_diagnosed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "window" in err and "N=16" in err and "L=8.0" in err
+
+
+_ORBITS_1D = {"kind": "AsymptoticLimitsPerDirection", "orbits": [
+    {"label": "plus", "kind": "direction", "direction": [1.0]},
+    {"label": "minus", "kind": "direction", "direction": [-1.0]}]}
+_XI2 = {"expression": "xi1^2 + xi2^2", "m": 2, "rho": 1, "real": True}
+_ARCTAN_1D = {"expression": "xi1^2 + arctan(x1)", "m": 2, "rho": 1, "real": True}
+_TINY_RUNS = {
+    "quantize": ({"grid": {"n": 2, "L": 8.0, "N": 8},
+                  "field": {"components": {"12": "0.6"}},
+                  "symbol": {"expression": "xi1^2 + xi2^2 + arctan(x1)*xi2", "m": 2},
+                  "task": {"command": "quantize"}}, 0),
+    "spectrum": ({"grid": {"n": 1, "L": 20.0, "N": 32},
+                  "symbol": {"expression": "x1^2 + xi1^2", "m": 2, "real": True},
+                  "task": {"command": "spectrum"}}, 0),
+    "ess-spectrum": ({"grid": {"n": 1, "L": 20.0, "N": 32}, "symbol": _ARCTAN_1D,
+                      "algebra": _ORBITS_1D, "task": {"command": "ess-spectrum"}}, 0),
+    "gauge-check": ({"grid": {"n": 2, "L": 8.0, "N": 8},
+                     "field": {"components": {"12": "1 + 1/(1+x1^2)"}},
+                     "gauge": {"kind": "pair", "psi": "sin(x1)*x2"},
+                     "symbol": _XI2, "task": {"command": "gauge-check"}}, 0),
+    "expand": ({"grid": {"n": 1, "L": 20.0, "N": 64},
+                "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
+                "symbol2": {"expression": "xi1 + exp(-x1^2)", "m": 1, "rho": 1},
+                "task": {"command": "expand", "depth": 2}}, 0),
+    "invert": ({"grid": {"n": 1, "L": 20.0, "N": 32}, "symbol": _ARCTAN_1D,
+                "task": {"command": "invert", "z": -10}}, 0),
+    "invert-divergent": ({"grid": {"n": 1, "L": 20.0, "N": 32}, "symbol": _ARCTAN_1D,
+                          "task": {"command": "invert", "z": 100.0}}, 2),
+    "validate": ({"grid": {"n": 2, "L": 8.0, "N": 8},
+                  "field": {"components": {"12": "1 + 1/(1+x1^2)"}},
+                  "symbol": _XI2, "task": {"command": "validate"}}, 0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:remainder fit window")
+@pytest.mark.parametrize("name", sorted(_TINY_RUNS))
+def test_every_command_reruns_from_its_effective_config_to_the_same_bytes(tmp_path, name):
+    cfg, code = _TINY_RUNS[name]
+    out1, out2 = tmp_path / "out1", tmp_path / "out2"
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out1)]) == code
+    assert run(["--config", str(out1 / "effective_config.json"), "--out", str(out2)]) == code
+    artifacts = sorted(p.name for p in out1.iterdir())
+    assert "summary.json" in artifacts
+    assert artifacts == sorted(p.name for p in out2.iterdir())
+    for artifact in artifacts:
+        assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+    if name == "quantize":
+        grid = make_grid(2, 8.0, 8)
+        A = transversal_gauge(MagneticField.constant(2, 0.6))
+        f = Symbol.from_expression(cfg["symbol"]["expression"], 2, m=2)
+        summary = json.loads((out1 / "summary.json").read_text())
+        assert summary["dimension"] == grid.npoints
+        assert summary["operator_norm"] == float(svdvals(quantize(f, A, grid).matrix)[0])
+
+
+def test_a_grid_too_large_for_memory_is_diagnosed(tmp_path, capsys, monkeypatch):
+    # a small budget on a small grid: P = 64 needs 56 * 64^2 bytes
+    monkeypatch.setattr(cli, "_MEMORY_BYTES", 56 * 64 * 64 - 1)
+    cfg, _ = _TINY_RUNS["quantize"]
+    out = tmp_path / "out"
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "n=2" in err and "N=8" in err and "P=64" in err and "memory" in err
+    assert not (out / "summary.json").exists()
+    monkeypatch.setattr(cli, "_MEMORY_BYTES", 56 * 64 * 64)
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
+
+
+def test_ess_spectrum_rejects_a_malformed_gauge_block(tmp_path, capsys):
+    cfg = dict(_TINY_RUNS["ess-spectrum"][0], gauge={"kind": "nonsense"})
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg),
+                "--out", str(tmp_path / "out")]) == 1
+    assert "nonsense" in capsys.readouterr().err
+
+
+def test_shifted_gauge_of_a_polynomial_psi_has_a_degree():
+    grid = make_grid(2, 12.0, 12)
+    A = transversal_gauge(MagneticField.constant(2, 0.7))
+    _, shifted = cli._psi_pair({"gauge": {"psi": "0.3*x1*x2"}}, A, 2)
+    assert shifted.degree == 1
+    C = circulation_matrix(shifted, grid)
+    C_nominal = circulation_matrix(dataclasses.replace(shifted, degree=None), grid)
+    assert np.abs(C - C_nominal).max() <= 1e-13 * np.abs(C_nominal).max()
+    _, shifted = cli._psi_pair({"gauge": {"psi": "sin(x1)*x2"}}, A, 2)
+    assert shifted.degree is None

@@ -1,19 +1,9 @@
-"""Grid conventions, unitary FFT, trigonometric interpolation."""
+"""Grid conventions: nodes, validation, meshes."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from magweyl.grid import (
-    GridFunction,
-    fourier,
-    interpolate,
-    inverse_fourier,
-    make_grid,
-    sample,
-    spectral_derivative,
-)
+from magweyl.grid import make_grid
 
 
 def test_node_conventions():
@@ -46,72 +36,3 @@ def test_mesh_shapes():
     assert g.x_flat().shape == (64, 2)
     assert g.half_nodes().shape == (15,)
     assert np.allclose(np.diff(g.half_nodes()), g.dx / 2.0)
-
-
-def test_fourier_matches_riemann_sum():
-    g = make_grid(1, 12.0, 48)
-    u = sample(g, lambda x: np.exp(-x[..., 0] ** 2) * (1 + 0.3j * np.sin(x[..., 0])))
-    U = fourier(u)
-    direct = (g.dx / np.sqrt(2.0 * np.pi)) * (
-        np.exp(1j * np.outer(g.xi_nodes, g.x_nodes)) @ u.values)
-    np.testing.assert_allclose(U.values, direct, atol=1e-12)
-
-
-def test_fourier_gaussian_fixed_point():
-    # exp(-x^2/2) is its own transform under the unitary convention
-    g = make_grid(1, 20.0, 128)
-    u = sample(g, lambda x: np.exp(-x[..., 0] ** 2 / 2.0))
-    U = fourier(u)
-    np.testing.assert_allclose(U.values, np.exp(-g.xi_nodes**2 / 2.0), atol=1e-12)
-
-
-def test_parseval_and_round_trip():
-    rng = np.random.default_rng(11)
-    g = make_grid(2, 7.0, 16)
-    vals = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    u = GridFunction(g, vals)
-    U = fourier(u)
-    assert U.space == "momentum"
-    assert U.norm() == pytest.approx(u.norm(), rel=1e-12)
-    back = inverse_fourier(U)
-    np.testing.assert_allclose(back.values, vals, atol=1e-12)
-
-
-def test_spectral_derivative_plane_wave():
-    g = make_grid(1, 2.0 * np.pi, 32)
-    k = 3.0
-    u = sample(g, lambda x: np.exp(1j * k * x[..., 0]))
-    du = spectral_derivative(u)
-    np.testing.assert_allclose(du.values, 1j * k * u.values, atol=1e-10)
-
-
-def test_spectral_derivative_2d_axis():
-    g = make_grid(2, 2.0 * np.pi, 16)
-    u = sample(g, lambda x: np.sin(x[..., 0]) * np.cos(2.0 * x[..., 1]))
-    d1 = spectral_derivative(u, axis=1)
-    expect = -2.0 * np.sin(g.x_mesh()[..., 0]) * np.sin(2.0 * g.x_mesh()[..., 1])
-    np.testing.assert_allclose(d1.values, expect, atol=1e-10)
-    with pytest.raises(ValueError):
-        spectral_derivative(u, axis=2)
-
-
-def test_interpolate_exact_at_nodes_and_waves():
-    g = make_grid(1, 2.0 * np.pi, 16)
-    u = sample(g, lambda x: np.exp(1j * 2.0 * x[..., 0]) + 0.5)
-    # exact at a node
-    assert interpolate(u, [g.x_nodes[5]]) == pytest.approx(u.values[5], abs=1e-12)
-    # exact off-node for a lattice plane wave
-    p = 0.1234
-    assert interpolate(u, [p]) == pytest.approx(np.exp(2j * p) + 0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        interpolate(u, [g.L])
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=5),
-       st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
-def test_fourier_round_trip_property(mode, amp):
-    g = make_grid(1, 10.0, 32)
-    u = sample(g, lambda x: amp * np.cos(mode * 2.0 * np.pi * x[..., 0] / g.L))
-    back = inverse_fourier(fourier(u))
-    np.testing.assert_allclose(back.values, u.values, atol=1e-10)

@@ -9,7 +9,7 @@ from scipy import fft as sp_fft
 import magweyl
 
 from magweyl.grid import make_grid
-from magweyl.magnetics import MagneticField, VectorPotential
+from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
 from magweyl.quantize import (
     KernelFunction,
     circulation_matrix,
@@ -265,3 +265,69 @@ def test_2d_samples_match_the_symbol(text, b):
     exact = f(*_phase_mesh(g))
     mask = np.broadcast_to(S.interior_mask(0.5), S.values.shape)
     assert np.abs(S.values - exact)[mask].max() <= 1e-10
+
+
+# -- reference wrong quantization: its own slab loop ------------------------
+
+
+def _wrong_symbol_table_ref(f, A, grid):
+    N, n = grid.N, grid.n
+    xi_mesh = grid.xi_mesh()
+    half = grid.half_nodes()
+    if n == 1:
+        q = half[:, None, None]
+        Aq = A.evaluate(q)  # (2N-1, 1, 1)
+        F = np.asarray(f(q, xi_mesh[None, :, :] - Aq), dtype=complex)
+        G = sp_fft.ifft(F, axis=1)
+        i = np.arange(N)
+        p = i[:, None] + i[None, :]
+        d = i[:, None] - i[None, :]
+        return (-1.0) ** d * G[p, d % N]
+    W = np.empty((grid.npoints, grid.npoints), dtype=complex)
+    i = np.arange(N)
+    i2g, j2g = np.meshgrid(i, i, indexing="ij")
+    p2 = i2g + j2g
+    d2 = i2g - j2g
+    sign2 = (-1.0) ** d2
+    for p1, q1 in enumerate(half):
+        qgrid = np.empty((2 * N - 1, 1, 1, 2))
+        qgrid[..., 0] = q1
+        qgrid[..., 1] = half[:, None, None]
+        Aq = A.evaluate(qgrid)  # (2N-1, 1, 1, 2)
+        F = np.asarray(f(qgrid, xi_mesh[None] - Aq), dtype=complex)
+        G = sp_fft.ifft2(F, axes=(1, 2))
+        for i1 in range(max(0, p1 - N + 1), min(N, p1 + 1)):
+            j1 = p1 - i1
+            d1 = i1 - j1
+            W[i1 * N:(i1 + 1) * N, j1 * N:(j1 + 1) * N] = (
+                (-1.0) ** d1 * sign2 * G[p2, d1 % N, d2 % N]
+            )
+    return W
+
+
+def _wrong_case(case):
+    if case == "1d":
+        A = VectorPotential.from_expressions(1, ["0.3*x1 + arctan(x1)"])
+        return make_grid(1, 10.0, 32), A, "xi1^2 + arctan(x1)*xi1"
+    text = "xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2"
+    if case == "const12":
+        return make_grid(2, 8.0, 12), transversal_gauge(MagneticField.constant(2, 0.7)), text
+    if case == "explicit12":
+        A = VectorPotential.from_expressions(2, ["-arctan(x2)", "x1*exp(-x1^2/8)"])
+        return make_grid(2, 8.0, 12), A, text
+    B = MagneticField.from_expressions(2, {(1, 2): "1 + 0.5/(1+x1^2)"})
+    return make_grid(2, 10.0, 24), transversal_gauge(B), text
+
+
+@pytest.mark.parametrize("case", ["1d", "const12", "explicit12", "nonpoly24"])
+def test_wrong_quantize_is_bit_identical_to_its_slab_loop(case):
+    g, A, text = _wrong_case(case)
+    f = Symbol.from_expression(text, g.n, m=2)
+    assert np.array_equal(wrong_quantize(f, A, g).matrix, _wrong_symbol_table_ref(f, A, g))
+
+
+def test_wrong_quantize_without_field_is_quantize():
+    g = make_grid(2, 8.0, 12)
+    f = Symbol.from_expression("xi1^2 + xi2^2 + arctan(x1)", 2, m=2)
+    A0 = VectorPotential.zero(2)
+    assert np.array_equal(wrong_quantize(f, A0, g).matrix, quantize(f, A0, g).matrix)
