@@ -14,6 +14,7 @@ from .magnetics import (
     transversal_gauge,
 )
 from .quantize import (
+    Gauge,
     KernelFunction,
     MagneticOperator,
     SampledSymbol,

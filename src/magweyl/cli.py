@@ -35,7 +35,7 @@ from .magnetics import (
     transversal_gauge,
 )
 from .moyal import expansion_term, remainder_order
-from .quantize import circulation_matrix, dequantize, quantize, wrong_quantize
+from .quantize import Gauge, circulation_matrix, dequantize, quantize, wrong_quantize
 from .spectral import essential_spectrum, spectrum
 from .symbols import CoefficientAlgebra, QuasiOrbit, Symbol
 
@@ -124,16 +124,14 @@ def _position_expr(text, n):
 def _build_gauge(config, B, n):
     block = config.get("gauge", _DEFAULTS["gauge"])
     kind = block.get("kind", "transversal")
-    if kind == "transversal":
+    if kind in ("transversal", "pair"):
+        # a pair's base gauge; gauge-check applies the psi shift
         return transversal_gauge(B)
     if kind == "explicit":
         exprs = block.get("A")
         if not exprs or len(exprs) != n:
             raise ConfigError(f"gauge block needs {n} 'A' component expressions")
         return VectorPotential.from_expressions(n, exprs)
-    if kind == "pair":
-        # base transversal gauge; the psi shift is applied by gauge-check
-        return transversal_gauge(B)
     raise ConfigError(f"unknown gauge kind {kind!r}")
 
 
@@ -187,13 +185,13 @@ def _psi_pair(config, A, n):
     return psi, dataclasses.replace(gauge_shift(A, grad_psi=grad_psi), degree=degree)
 
 
-def _context(config):
-    """The objects every command starts from: (grid, B, A, f)."""
+def _context(config, threads):
+    """The objects every command starts from: (grid, B, gauge, f)."""
     grid = _build_grid(config)
     B = _build_field(config, grid.n)
-    A = _build_gauge(config, B, grid.n)
+    gauge = Gauge(_build_gauge(config, B, grid.n), grid, threads)
     f = _build_symbol(config, grid.n)
-    return grid, B, A, f
+    return grid, B, gauge, f
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +220,8 @@ def _write_eigenvalues(out_dir, values, fmt, name="eigenvalues.csv"):
 
 
 def _cmd_quantize(config, out_dir, threads):
-    grid, B, A, f = _context(config)
-    M = quantize(f, A, grid, threads=threads)
+    grid, B, gauge, f = _context(config, threads)
+    M = quantize(f, gauge)
     _write_summary(out_dir, {
         "command": "quantize",
         "dimension": M.grid.npoints,
@@ -234,9 +232,9 @@ def _cmd_quantize(config, out_dir, threads):
 
 
 def _cmd_spectrum(config, out_dir, threads):
-    grid, B, A, f = _context(config)
+    grid, B, gauge, f = _context(config, threads)
     fmt = config["output"]["eigenvalue_format"]
-    M = quantize(f, A, grid, threads=threads)
+    M = quantize(f, gauge)
     res = spectrum(M)
     _write_eigenvalues(out_dir, res.eigenvalues, fmt)
     _write_summary(out_dir, {
@@ -250,7 +248,7 @@ def _cmd_spectrum(config, out_dir, threads):
 
 
 def _cmd_ess_spectrum(config, out_dir, threads):
-    grid, B, _, f = _context(config)
+    grid, B, _, f = _context(config, threads)
     algebra = _build_algebra(config)
     merge_tol = config["task"].get("merge_tol")
     res = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol,
@@ -271,20 +269,19 @@ def _cmd_ess_spectrum(config, out_dir, threads):
 
 
 def _cmd_gauge_check(config, out_dir, threads):
-    grid, B, A1, f = _context(config)
-    psi, A2 = _psi_pair(config, A1, grid.n)
+    grid, B, gauge1, f = _context(config, threads)
+    psi, A2 = _psi_pair(config, gauge1.A, grid.n)
+    gauge2 = Gauge(A2, grid, threads)
     tol = float(config["task"].get("tolerance", 1e-6))
-    M1 = quantize(f, A1, grid, threads=threads)
-    M2 = quantize(f, A2, grid, threads=threads)
     phase = np.exp(1j * np.asarray(psi(grid.x_flat()), dtype=float))
-    conjugated = (phase[:, None] * M1.matrix) * np.conj(phase)[None, :]
-    residual = float(np.linalg.norm(conjugated - M2.matrix)
-                     / max(np.linalg.norm(M2.matrix), 1e-300))
-    W1 = wrong_quantize(f, A1, grid)
-    W2 = wrong_quantize(f, A2, grid)
-    wrong_conj = (phase[:, None] * W1.matrix) * np.conj(phase)[None, :]
-    wrong_residual = float(np.linalg.norm(wrong_conj - W2.matrix)
-                           / max(np.linalg.norm(W2.matrix), 1e-300))
+
+    def covariance(quantizer):
+        M1, M2 = quantizer(f, gauge1).matrix, quantizer(f, gauge2).matrix
+        conjugated = (phase[:, None] * M1) * np.conj(phase)[None, :]
+        return float(np.linalg.norm(conjugated - M2) / max(np.linalg.norm(M2), 1e-300))
+
+    residual = covariance(quantize)
+    wrong_residual = covariance(wrong_quantize)
     _write_summary(out_dir, {
         "command": "gauge-check",
         "covariance_residual": residual,
@@ -296,7 +293,7 @@ def _cmd_gauge_check(config, out_dir, threads):
 
 
 def _cmd_expand(config, out_dir, threads):
-    grid, B, A, f = _context(config)
+    grid, B, gauge, f = _context(config, threads)
     g = _build_symbol(config, grid.n, block_name="symbol2")
     depth = int(config["task"].get("depth", 2))
     x = grid.x_mesh()
@@ -305,7 +302,7 @@ def _cmd_expand(config, out_dir, threads):
     for l in range(depth):
         h_l = expansion_term(f, g, B, l)
         sup_values[f"h{l}_sup"] = float(np.abs(h_l.fn(x, xi)).max())
-    fit = remainder_order(f, g, B, A, grid, depth)
+    fit = remainder_order(f, g, B, gauge, depth)
     expected = f.m + g.m - depth  # rho = 1 symbol classes
     _write_summary(out_dir, {
         "command": "expand",
@@ -318,14 +315,14 @@ def _cmd_expand(config, out_dir, threads):
 
 
 def _cmd_invert(config, out_dir, threads):
-    grid, B, A, f = _context(config)
+    grid, B, gauge, f = _context(config, threads)
     task = config["task"]
     if "z" not in task:
         raise ConfigError("task block needs 'z' for invert")
     z = float(task["z"])
     tol = float(task.get("tolerance", 1e-6))
     try:
-        result = neumann_invert(f, z, B, A, grid, threads=threads)
+        result = neumann_invert(f, z, gauge)
     except DivergenceError as exc:
         _write_summary(out_dir, {
             "command": "invert", "z": z, "converged": False,
@@ -345,7 +342,7 @@ def _cmd_invert(config, out_dir, threads):
 
 
 def _cmd_validate(config, out_dir, threads):
-    grid, B, A, f = _context(config)
+    grid, B, gauge, f = _context(config, threads)
     seed = int(config["task"]["seed"])
     rng = np.random.default_rng(seed)
     checks = {}
@@ -364,9 +361,9 @@ def _cmd_validate(config, out_dir, threads):
         np.abs(omega_cocycle(B, q, x, np.zeros_like(x), quad) - 1.0).max())
 
     # quantize/dequantize round trip
-    M = quantize(f, A, grid, threads=threads)
-    table = dequantize(M, A)
-    M2 = quantize(table, A, grid, threads=threads)
+    M = quantize(f, gauge)
+    table = dequantize(M, gauge)
+    M2 = quantize(table, gauge)
     checks["round_trip"] = float(np.abs(M2.matrix - M.matrix).max()
                                  / max(np.abs(M.matrix).max(), 1e-300))
 
@@ -374,10 +371,9 @@ def _cmd_validate(config, out_dir, threads):
     if f.real:
         checks["hermiticity"] = M.hermiticity_defect()
 
-    # assembly is independent of the thread count
-    C1 = circulation_matrix(A, grid, threads=1)
-    C2 = circulation_matrix(A, grid, threads=max(2, threads))
-    checks["thread_independence"] = float(np.abs(C1 - C2).max())
+    # assembly is independent of the thread count: the cached build against a fresh one
+    fresh = circulation_matrix(gauge.A, grid, threads=1 if threads > 1 else 2)
+    checks["thread_independence"] = float(np.abs(gauge.circulation - fresh).max())
 
     tolerances = {
         "cocycle_identity": 1e-8,

@@ -28,8 +28,7 @@ import numpy as np
 from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
-from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, VectorPotential
-from .quantize import MagneticOperator, SampledSymbol, dequantize, quantize
+from .quantize import Gauge, MagneticOperator, SampledSymbol, dequantize, quantize
 from .spectral import spectrum
 from .symbols import Symbol, is_elliptic, japanese_bracket
 
@@ -82,20 +81,18 @@ class InversionResult:
     matrix: np.ndarray = field(repr=False)  # quantized inverse (gauge of the build)
 
 
-def _series_generator(f: Symbol, z: complex, A: VectorPotential, grid: PhaseSpaceGrid,
-                      quad: FluxQuadrature, threads: int):
+def _series_generator(f: Symbol, z: complex, gauge: Gauge):
     """M_f - z and the operator norm of R_z = I - (M_f - z) Q with
     Q = quantize(1/(f - z))."""
-    Mf = quantize(f, A, grid, quad, threads).matrix - z * np.eye(grid.npoints)
-    Q = quantize(_reciprocal_symbol(f, z), A, grid, quad, threads).matrix
-    return Mf, float(sp_linalg.svdvals(np.eye(grid.npoints) - Mf @ Q)[0])
+    P = gauge.grid.npoints
+    Mf = quantize(f, gauge).matrix - z * np.eye(P)
+    Q = quantize(_reciprocal_symbol(f, z), gauge).matrix
+    return Mf, float(sp_linalg.svdvals(np.eye(P) - Mf @ Q)[0])
 
 
-def norm_Rz(f: Symbol, z: complex, B: MagneticField, A: VectorPotential,
-            grid: PhaseSpaceGrid, quad: FluxQuadrature = DEFAULT_QUAD,
-            threads: int = 1) -> float:
+def norm_Rz(f: Symbol, z: complex, gauge: Gauge) -> float:
     """Operator norm of R_z = 1 - (f - z) # (f - z)^(-1) (quantized)."""
-    return _series_generator(f, complex(z), A, grid, quad, threads)[1]
+    return _series_generator(f, complex(z), gauge)[1]
 
 
 def certified_terms(norm_R: float, npoints: int) -> int:
@@ -110,9 +107,7 @@ def certified_terms(norm_R: float, npoints: int) -> int:
     return 1 + math.ceil(math.log(0.1 * SERIES_TOL / npoints) / math.log(norm_R))
 
 
-def neumann_invert(f: Symbol, z: complex, B: MagneticField, A: VectorPotential,
-                   grid: PhaseSpaceGrid, quad: FluxQuadrature = DEFAULT_QUAD,
-                   threads: int = 1, validate: bool = True) -> InversionResult:
+def neumann_invert(f: Symbol, z: complex, gauge: Gauge, validate: bool = True) -> InversionResult:
     """Invert f - z in the twisted algebra, certified by the Neumann series.
 
     With ``validate``, f must be real and elliptic and a real z admissible,
@@ -122,37 +117,35 @@ def neumann_invert(f: Symbol, z: complex, B: MagneticField, A: VectorPotential,
     is the series length that norm certifies.
     """
     z = complex(z)
+    grid = gauge.grid
     if validate:
         _require_elliptic(f, grid)
         if abs(z.imag) < 1e-14 and not z.real <= (inf_f := _sampled_inf(f, grid)) - 1.0:
             raise DivergenceError(
                 f"real z = {z} must satisfy z <= inf f - 1 = {inf_f - 1.0:.6g}; "
                 "use a more negative z (or a nonreal one)")
-    Mf, nR = _series_generator(f, z, A, grid, quad, threads)
+    Mf, nR = _series_generator(f, z, gauge)
     if nR >= 1.0:
         raise DivergenceError(
             f"series generator has operator norm {nR:.4g} >= 1 at z = {z}; "
             "seed at larger |z| and extend via the resolvent identity")
-    return _solved(Mf, z, certified_terms(nR, grid.npoints), nR, A, grid, quad, threads)
+    return _solved(Mf, z, certified_terms(nR, grid.npoints), nR, gauge)
 
 
 def _solved(Mf_minus_z: np.ndarray, z: complex, terms: int, norm_R: float | None,
-            A: VectorPotential, grid: PhaseSpaceGrid, quad: FluxQuadrature,
-            threads: int) -> InversionResult:
+            gauge: Gauge) -> InversionResult:
     """The inverse of M_f - z by one LU solve, dequantized, with its residual."""
-    X = sp_linalg.solve(Mf_minus_z, np.eye(grid.npoints))
-    sym = dequantize(MagneticOperator(grid, X, gauge=A), A, quad, threads)
-    residual = inversion_residual(Mf_minus_z, X, grid, A, quad, threads)
+    X = sp_linalg.solve(Mf_minus_z, np.eye(len(Mf_minus_z)))
+    sym = dequantize(MagneticOperator(gauge.grid, X), gauge)
+    residual = inversion_residual(Mf_minus_z, X, gauge)
     return InversionResult(symbol=sym, z=z, terms=terms, residual=residual,
                            norm_R=norm_R, matrix=X)
 
 
-def inversion_residual(Mf_minus_z: np.ndarray, inverse_mat: np.ndarray,
-                       grid: PhaseSpaceGrid, A: VectorPotential,
-                       quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1) -> float:
+def inversion_residual(Mf_minus_z: np.ndarray, inverse_mat: np.ndarray, gauge: Gauge) -> float:
     """sup over the interior 80% of |dequantize(Mf - z) # inverse - 1|."""
-    res = MagneticOperator(grid, Mf_minus_z @ inverse_mat - np.eye(grid.npoints), gauge=A)
-    sym = dequantize(res, A, quad, threads)
+    res = MagneticOperator(gauge.grid, Mf_minus_z @ inverse_mat - np.eye(len(inverse_mat)))
+    sym = dequantize(res, gauge)
     mask = np.broadcast_to(sym.interior_mask(), sym.values.shape)
     return float(np.abs(sym.values[mask]).max())
 
@@ -182,10 +175,8 @@ class Regularizer:
     inversion: InversionResult | None = None
 
 
-def build_regularizer(m: float, B: MagneticField, A: VectorPotential,
-                      grid: PhaseSpaceGrid, lam_start: float = 1.0,
-                      max_doublings: int = 30, quad: FluxQuadrature = DEFAULT_QUAD,
-                      threads: int = 1) -> Regularizer:
+def build_regularizer(m: float, gauge: Gauge, lam_start: float = 1.0,
+                      max_doublings: int = 30) -> Regularizer:
     """Choose lambda by doubling until the series generator norm of
     p_{m,lambda} at z = 0 drops below 1/2, then invert.
 
@@ -193,19 +184,19 @@ def build_regularizer(m: float, B: MagneticField, A: VectorPotential,
     inverse of p_{|m|, lambda}, and ``r_minus`` is p_{|m|, lambda}.
     """
     if m == 0:
-        one = _bracket_power_symbol(grid.n, 0.0)
+        one = _bracket_power_symbol(gauge.grid.n, 0.0)
         return Regularizer(m=0.0, lam=0.0, r_plus=one, r_minus=one)
     mm = abs(m)
     lam = lam_start
     for _ in range(max_doublings):
-        p = _bracket_power_symbol(grid.n, mm, lam)
-        if norm_Rz(p, 0.0, B, A, grid, quad, threads) < 0.5:
+        p = _bracket_power_symbol(gauge.grid.n, mm, lam)
+        if norm_Rz(p, 0.0, gauge) < 0.5:
             break
         lam *= 2.0
     else:
         raise DivergenceError(
             f"no lambda <= {lam} brought the series generator norm below 1/2")
-    inv = neumann_invert(p, 0.0, B, A, grid, quad=quad, threads=threads, validate=False)
+    inv = neumann_invert(p, 0.0, gauge, validate=False)
     r_plus, r_minus = (inv.symbol, p) if m < 0 else (p, inv.symbol)
     return Regularizer(m=m, lam=lam, r_plus=r_plus, r_minus=r_minus, inversion=inv)
 
@@ -224,13 +215,18 @@ def order_check_inverse(result: SampledSymbol, grid: PhaseSpaceGrid,
     well away from zero because the |z|-shift flattens the decay at small xi.
     """
     N, n = grid.N, grid.n
+    xi = grid.xi_nodes
+    keep = (xi >= xi_window[0] * np.max(xi)) & (xi <= xi_window[1] * np.max(xi))
+    if np.count_nonzero(keep) < 2:
+        raise ValueError(
+            f"order fit window xi in [{xi_window[0]}, {xi_window[1]}] * {np.max(xi):.4g} "
+            f"holds {np.count_nonzero(keep)} momentum node(s) at N={N}, L={grid.L}; "
+            f"a fit needs 2 (raise N)")
     mid = N // 2
     if n == 1:
         ray = result.values[mid, :]
     else:
         ray = result.values[mid, mid, :, mid]
-    xi = grid.xi_nodes
-    keep = (xi >= xi_window[0] * np.max(xi)) & (xi <= xi_window[1] * np.max(xi))
     vals = np.maximum(np.abs(ray[keep]), 1e-300)
     logs = np.log(np.sqrt(1.0 + xi[keep] ** 2))
     slope, _ = np.polyfit(logs, np.log(vals), 1)
@@ -256,11 +252,7 @@ class ResolventFamily:
     symmetry of the results."""
 
     f: Symbol
-    B: MagneticField
-    A: VectorPotential
-    grid: PhaseSpaceGrid
-    quad: FluxQuadrature = DEFAULT_QUAD
-    threads: int = 1
+    gauge: Gauge
     entries: dict = field(default_factory=dict)
 
     def add(self, z: complex) -> InversionResult:
@@ -268,14 +260,13 @@ class ResolventFamily:
         key = (z.real, z.imag)
         if key in self.entries:
             return self.entries[key]
-        if abs(z.imag) < 1e-14 and z.real <= _sampled_inf(self.f, self.grid) - 1.0:
-            res = neumann_invert(self.f, z, self.B, self.A, self.grid,
-                                 quad=self.quad, threads=self.threads)
+        grid = self.gauge.grid
+        if abs(z.imag) < 1e-14 and z.real <= _sampled_inf(self.f, grid) - 1.0:
+            res = neumann_invert(self.f, z, self.gauge)
         else:
-            _require_elliptic(self.f, self.grid)
-            Mf = quantize(self.f, self.A, self.grid, self.quad, self.threads).matrix
-            res = _solved(Mf - z * np.eye(self.grid.npoints), z, 0, None, self.A,
-                          self.grid, self.quad, self.threads)
+            _require_elliptic(self.f, grid)
+            Mf = quantize(self.f, self.gauge).matrix
+            res = _solved(Mf - z * np.eye(grid.npoints), z, 0, None, self.gauge)
         self.entries[key] = res
         return res
 
@@ -286,8 +277,7 @@ class ResolventFamily:
         r1 = self.add(z1)
         r2 = self.add(z2)
         combo = r1.matrix - r2.matrix - (z1 - z2) * (r1.matrix @ r2.matrix)
-        sym = dequantize(MagneticOperator(self.grid, combo, gauge=self.A),
-                         self.A, self.quad, self.threads)
+        sym = dequantize(MagneticOperator(self.gauge.grid, combo), self.gauge)
         mask = np.broadcast_to(sym.interior_mask(), sym.values.shape)
         return float(np.abs(sym.values[mask]).max())
 
@@ -296,7 +286,7 @@ class ResolventFamily:
         transpose of the phase-stripped table)."""
         rz = self.add(z)
         rzb = self.add(np.conj(z))
-        adj = SampledSymbol(self.grid, rz.symbol.table.conj().T)
+        adj = SampledSymbol(self.gauge.grid, rz.symbol.table.conj().T)
         diff = adj - rzb.symbol
         mask = np.broadcast_to(diff.interior_mask(), diff.values.shape)
         return float(np.abs(diff.values[mask]).max())
@@ -307,15 +297,14 @@ class ResolventFamily:
 # ---------------------------------------------------------------------------
 
 
-def affiliated_calculus(f: Symbol, A: VectorPotential, grid: PhaseSpaceGrid,
-                        eta, quad: FluxQuadrature = DEFAULT_QUAD,
-                        hermiticity_tol: float = 1e-8, threads: int = 1) -> MagneticOperator:
+def affiliated_calculus(f: Symbol, gauge: Gauge, eta,
+                        hermiticity_tol: float = 1e-8) -> MagneticOperator:
     """eta(quantize(f)) by dense Hermitian spectral calculus.
 
     ``eta`` is a callable applied to the eigenvalues (a continuous function
     vanishing at infinity in the intended use)."""
-    res = spectrum(quantize(f, A, grid, quad, threads), hermiticity_tol, keep_vectors=True)
+    res = spectrum(quantize(f, gauge), hermiticity_tol, keep_vectors=True)
     V = res.eigenvectors
     vals = np.asarray(eta(res.eigenvalues), dtype=complex)
     out = (V * vals) @ V.conj().T
-    return MagneticOperator(grid, out, gauge=A, symbol=None)
+    return MagneticOperator(gauge.grid, out)

@@ -27,10 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import PhaseSpaceGrid
-from .magnetics import (DEFAULT_QUAD, FluxQuadrature, MagneticField, VectorPotential,
-                        flux_triangle, gamma_B)
-from .quantize import MagneticOperator, SampledSymbol, dequantize, quantize
+from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, flux_triangle, gamma_B
+from .quantize import Gauge, SampledSymbol, dequantize, quantize
 from .symbols import Symbol, japanese_bracket
 
 
@@ -39,19 +37,15 @@ from .symbols import Symbol, japanese_bracket
 # ---------------------------------------------------------------------------
 
 
-def moyal_pullback(f, g, B, A: VectorPotential, grid: PhaseSpaceGrid,
-                   quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1) -> SampledSymbol:
+def moyal_pullback(f, g, gauge: Gauge) -> SampledSymbol:
     """The twisted product f #^B g as the symbol of the operator product.
 
     The returned :class:`SampledSymbol` carries the phase-stripped kernel
     table of quantize(f) @ quantize(g), so quantizing it reproduces the
     matrix product exactly and the result does not depend on the chosen
-    gauge A for B.
+    gauge of the field.
     """
-    Mf = quantize(f, A, grid, quad, threads)
-    Mg = quantize(g, A, grid, quad, threads)
-    prod = MagneticOperator(grid, Mf.matrix @ Mg.matrix, gauge=A)
-    return dequantize(prod, A, quad, threads)
+    return dequantize(quantize(f, gauge) @ quantize(g, gauge), gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +357,8 @@ class RemainderFit:
     narrow_range: bool  # True when the fit window spans < 1 decade in <xi>
 
 
-def remainder_order(f: Symbol, g: Symbol, B: MagneticField, A: VectorPotential,
-                    grid: PhaseSpaceGrid, depth: int,
-                    xi_window=(1.5, 0.25), quad: FluxQuadrature = DEFAULT_QUAD) -> RemainderFit:
+def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge, depth: int,
+                    xi_window=(1.5, 0.25)) -> RemainderFit:
     """Fit the decay order of R_depth = f #^B g - sum_{l<depth} h_l.
 
     The product is evaluated by pullback; the remainder is read along the
@@ -374,8 +367,9 @@ def remainder_order(f: Symbol, g: Symbol, B: MagneticField, A: VectorPotential,
     cut stays well below the momentum-lattice seam, where periodization
     error of growing symbols dominates the true remainder.
     """
-    prod = moyal_pullback(f, g, B, A, grid, quad)
+    prod = moyal_pullback(f, g, gauge)
     expn = expansion_sum(f, g, B, depth)
+    grid = gauge.grid
     N, n = grid.N, grid.n
     mid = N // 2
     # pullback samples along the positive xi_1 axis at x = 0

@@ -21,6 +21,10 @@ Sign convention: with this phase, Op^A(xi_j) = -i d_j - A_j, so for B = dA
 (B_12 = d_1 A_2 - d_2 A_1) the momenta satisfy
 xi1 # xi2 - xi2 # xi1 = i B_12.
 
+The phase is the only gauge-dependent ingredient.  :class:`Gauge` owns it:
+it builds the circulation matrix C once and applies e^{-iC} (quantization)
+or e^{+iC} (its inverse); every gauge-dependent function here takes one.
+
 The inverse transform reads the matrix diagonal-by-diagonal: after stripping
 the circulation phase, the diagonal i - j = d holds fcheck(., d*dx) sampled
 on a midpoint lattice of spacing dx.  Values at the output nodes x_l (offset
@@ -48,12 +52,10 @@ from .magnetics import DEFAULT_QUAD, FluxQuadrature, VectorPotential, circulatio
 
 @dataclass(frozen=True)
 class MagneticOperator:
-    """A dense operator on grid-sampled wavefunctions, tagged with its gauge."""
+    """A dense operator on grid-sampled wavefunctions."""
 
     grid: PhaseSpaceGrid
     matrix: np.ndarray = field(repr=False)
-    gauge: VectorPotential | None = None
-    symbol: object = None
 
     def __post_init__(self):
         P = self.grid.npoints
@@ -74,7 +76,7 @@ class MagneticOperator:
     def __matmul__(self, other: "MagneticOperator") -> "MagneticOperator":
         if other.grid != self.grid:
             raise ValueError("grid mismatch")
-        return MagneticOperator(self.grid, self.matrix @ other.matrix, gauge=self.gauge)
+        return MagneticOperator(self.grid, self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,7 @@ def _as_table(other, grid):
 # ---------------------------------------------------------------------------
 
 
-def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid,
-                       quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1) -> np.ndarray:
+def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 1) -> np.ndarray:
     """Circ(A; x_i -> x_j) for every ordered node pair, shape (P, P).
 
     Rows are processed in fixed-size blocks with a fixed summation order, so
@@ -153,7 +154,7 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid,
 
     def fill(start):
         stop = min(start + block, P)
-        C[start:stop] = circulation(A, X[start:stop, None, :], X[None, :, :], quad)
+        C[start:stop] = circulation(A, X[start:stop, None, :], X[None, :, :], DEFAULT_QUAD)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -162,6 +163,39 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid,
         for start in starts:
             fill(start)
     return C
+
+
+@dataclass(frozen=True)
+class Gauge:
+    """A vector potential A on a grid, the one owner of the circulation phase:
+    the real matrix C = :func:`circulation_matrix` is built on first use, with
+    ``threads`` workers, and kept; the complex phase is never held."""
+
+    A: VectorPotential
+    grid: PhaseSpaceGrid
+    threads: int = 1
+
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def circulation(self) -> np.ndarray:
+        if "C" not in self._cache:
+            self._cache["C"] = circulation_matrix(self.A, self.grid, threads=self.threads)
+        return self._cache["C"]
+
+    def attach(self, W: np.ndarray) -> np.ndarray:
+        """e^{-iC} W, entrywise: a phase-stripped table to its operator."""
+        C = self.circulation
+        return np.exp(-1j * C) * W if C.any() else W.copy()
+
+    def strip(self, M: np.ndarray) -> np.ndarray:
+        """e^{+iC} M, entrywise: an operator to its phase-stripped table."""
+        C = self.circulation
+        return np.exp(1j * C) * M if C.any() else M.copy()
+
+    def segment_phase(self, x, y) -> np.ndarray:
+        """e^{-i Circ(A; x -> y)} for batched endpoints of shape (..., n)."""
+        return np.exp(-1j * circulation(self.A, x, y, DEFAULT_QUAD))
 
 
 # ---------------------------------------------------------------------------
@@ -238,43 +272,34 @@ def _symbol_table(f, grid: PhaseSpaceGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def quantize(f, A: VectorPotential, grid: PhaseSpaceGrid,
-             quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1) -> MagneticOperator:
+def quantize(f, gauge: Gauge) -> MagneticOperator:
     """Gauge-covariant quantization of a symbol (or SampledSymbol)."""
-    if isinstance(f, SampledSymbol):
-        if f.grid != grid:
-            raise ValueError("grid mismatch")
-        W = f.table
-    else:
-        W = _symbol_table(f, grid)
-    C = circulation_matrix(A, grid, quad, threads)
-    M = np.exp(-1j * C) * W if C.any() else W.copy()
-    return MagneticOperator(grid, M, gauge=A, symbol=f)
+    grid = gauge.grid
+    W = _as_table(f, grid) if isinstance(f, SampledSymbol) else _symbol_table(f, grid)
+    return MagneticOperator(grid, gauge.attach(W))
 
 
-def wrong_quantize(f, A: VectorPotential, grid: PhaseSpaceGrid,
-                   quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1) -> MagneticOperator:
+def wrong_quantize(f, gauge: Gauge) -> MagneticOperator:
     """The negative control, naive minimal coupling: the zero-gauge
     quantization of the symbol (x, xi) -> f(x, xi - A(x)), so the momentum
     argument is shifted by -A at each midpoint and no circulation phase is
     applied.  Coincides with :func:`quantize` when A = 0."""
+    A, grid = gauge.A, gauge.grid
     if A is None or A.is_zero():
-        return quantize(f, VectorPotential.zero(grid.n), grid, quad, threads)
-    W = _symbol_table(lambda x, xi: f(x, xi - A.evaluate(x)), grid)
-    return MagneticOperator(grid, W, gauge=A, symbol=f)
+        return quantize(f, gauge)
+    return MagneticOperator(grid, _symbol_table(lambda x, xi: f(x, xi - A.evaluate(x)), grid))
 
 
-def dequantize(M: MagneticOperator, A: VectorPotential,
-               quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1) -> SampledSymbol:
+def dequantize(M: MagneticOperator, gauge: Gauge) -> SampledSymbol:
     """Inverse of :func:`quantize`: a magnetic Wigner transform.
 
     Strips the circulation phase of the supplied gauge and wraps the
     resulting gauge-independent table; symbol samples are materialized
     lazily via diagonal interpolation (see module docstring).
     """
-    C = circulation_matrix(A, M.grid, quad, threads)
-    W = np.exp(1j * C) * M.matrix if C.any() else M.matrix.copy()
-    return SampledSymbol(M.grid, W)
+    if M.grid != gauge.grid:
+        raise ValueError("grid mismatch")
+    return SampledSymbol(M.grid, gauge.strip(M.matrix))
 
 
 # -- diagonal interpolation (table -> symbol samples) -----------------------
@@ -361,21 +386,20 @@ def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def magnetic_translation(A: VectorPotential, y, grid: PhaseSpaceGrid,
-                         quad: FluxQuadrature = DEFAULT_QUAD) -> np.ndarray:
+def magnetic_translation(gauge: Gauge, y) -> np.ndarray:
     """Unitary matrix of [T^A(y) u](x) = e^{-i Circ(A; x -> x+y)} u(x + y).
 
     ``y`` must lie on the position lattice; the shift is cyclic, while the
     circulation uses the straight unwrapped segment.
     """
-    g = grid
+    g = gauge.grid
     y = np.atleast_1d(np.asarray(y, dtype=float))
     steps = y / g.dx
     if not np.allclose(steps, np.round(steps), atol=1e-9):
         raise ValueError(f"translation {y} is not on the position lattice (dx={g.dx})")
     steps = np.round(steps).astype(int)
     X = g.x_flat()
-    phases = np.exp(-1j * circulation(A, X, X + y, quad))
+    phases = gauge.segment_phase(X, X + y)
     # column index of x + y under cyclic wrap
     idx = _difference_index_arrays(g)
     N = g.N
@@ -390,12 +414,11 @@ def magnetic_translation(A: VectorPotential, y, grid: PhaseSpaceGrid,
     return T
 
 
-def translation_cocycle_diagonal(B, x, y, grid: PhaseSpaceGrid,
-                                 quad: FluxQuadrature = DEFAULT_QUAD) -> np.ndarray:
+def translation_cocycle_diagonal(B, x, y, grid: PhaseSpaceGrid) -> np.ndarray:
     """diag(omega^B(q; x, y)) over the position lattice, for the covariance
     relation T(x) T(y) = diag(omega^B(.; x, y)) T(x + y)."""
     Q = grid.x_flat()
-    return np.diag(omega_cocycle(B, Q, np.asarray(x, float), np.asarray(y, float), quad))
+    return np.diag(omega_cocycle(B, Q, np.asarray(x, float), np.asarray(y, float)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +455,21 @@ def kernel_involution(F: KernelFunction) -> KernelFunction:
     return KernelFunction(F.grid, lambda q, v: np.conj(base(q, -np.asarray(v))))
 
 
-def rep_A(F: KernelFunction, A: VectorPotential, grid: PhaseSpaceGrid,
-          quad: FluxQuadrature = DEFAULT_QUAD, threads: int = 1) -> MagneticOperator:
+def rep_A(F: KernelFunction, gauge: Gauge) -> MagneticOperator:
     """Schroedinger representation of a kernel function:
 
     M[i, j] = (2 pi)^(-n/2) dx^n e^{-i Circ(A; x_i -> x_j)}
               F((x_i + x_j)/2, x_j - x_i).
     """
+    grid = gauge.grid
     if F.grid != grid:
         raise ValueError("grid mismatch")
     X = grid.x_flat()
     Q = 0.5 * (X[:, None, :] + X[None, :, :])
     V = X[None, :, :] - X[:, None, :]
     vals = np.asarray(F.fn(Q, V), dtype=complex)
-    C = circulation_matrix(A, grid, quad, threads)
     scale = grid.dx**grid.n / (2.0 * np.pi) ** (grid.n / 2.0)
-    M = scale * np.exp(-1j * C) * vals
-    return MagneticOperator(grid, M, gauge=A, symbol=F)
+    return MagneticOperator(grid, gauge.attach(scale * vals))
 
 
 def partial_fourier(F: KernelFunction):

@@ -27,8 +27,8 @@ from scipy import linalg as sp_linalg
 from scipy import optimize as sp_optimize
 
 from .grid import PhaseSpaceGrid
-from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, transversal_gauge
-from .quantize import MagneticOperator, quantize
+from .magnetics import MagneticField, transversal_gauge
+from .quantize import Gauge, MagneticOperator, quantize
 from .symbols import (
     CoefficientAlgebra,
     Symbol,
@@ -233,7 +233,6 @@ def _default_merge_tol(symbols, grid: PhaseSpaceGrid) -> float:
 def essential_spectrum(f: Symbol, algebra: CoefficientAlgebra,
                        B: MagneticField, grid: PhaseSpaceGrid,
                        merge_tol: float | None = None,
-                       quad: FluxQuadrature = DEFAULT_QUAD,
                        threads: int = 1,
                        hermiticity_tol: float = 1e-8) -> EssentialSpectrumResult:
     """Essential spectrum as the union of quasi-orbit operator spectra.
@@ -258,8 +257,7 @@ def essential_spectrum(f: Symbol, algebra: CoefficientAlgebra,
     analytic_ranges = {}
     raw_intervals = []
     for Q, f_Q, B_Q in projections:
-        A_Q = transversal_gauge(B_Q)
-        M = quantize(f_Q, A_Q, grid, quad=quad, threads=threads)
+        M = quantize(f_Q, Gauge(transversal_gauge(B_Q), grid, threads))
         res = spectrum(M, hermiticity_tol=hermiticity_tol)
         orbit_spectra[Q.label] = res
         if f_Q.x_independent and B_Q.is_zero():
@@ -315,25 +313,23 @@ class BulkComparison:
 
 def compare_bulk_vs_essential(f: Symbol, algebra: CoefficientAlgebra,
                               B: MagneticField, grid: PhaseSpaceGrid,
-                              gauge=None, merge_tol: float | None = None,
+                              merge_tol: float | None = None,
                               edge_tol: float | None = None,
                               localization_threshold: float = 0.9,
-                              quad: FluxQuadrature = DEFAULT_QUAD,
                               threads: int = 1) -> BulkComparison:
     """Diagonalize the full operator and classify its eigenvalues against
     the quasi-orbit essential spectrum.
 
-    ``gauge`` defaults to the transversal gauge of ``B``.  ``edge_tol`` pads
-    the essential lower edge before flagging candidates; the default dxi^2
-    is the momentum-lattice level spacing at a quadratic band bottom, i.e.
-    the finite-box discretization error of the spectral edge itself.
+    The full operator is quantized in the transversal gauge of ``B``.
+    ``edge_tol`` pads the essential lower edge before flagging candidates;
+    the default dxi^2 is the momentum-lattice level spacing at a quadratic
+    band bottom, i.e. the finite-box discretization error of the spectral
+    edge itself.
     """
-    ess = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol,
-                             quad=quad, threads=threads)
+    ess = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol, threads=threads)
     if edge_tol is None:
         edge_tol = grid.dxi**2
-    A = transversal_gauge(B) if gauge is None else gauge
-    M = quantize(f, A, grid, quad=quad, threads=threads)
+    M = quantize(f, Gauge(transversal_gauge(B), grid, threads))
     full = spectrum(M, localization=True)
 
     edge = ess.lower_edge

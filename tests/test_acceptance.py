@@ -30,6 +30,7 @@ from magweyl.magnetics import (
 )
 from magweyl.moyal import expansion_sum, expansion_term, remainder_order
 from magweyl.quantize import (
+    Gauge,
     KernelFunction,
     quantize,
     rep_A,
@@ -96,17 +97,20 @@ def test_criterion_01_gauge_covariance():
     X = g.x_flat()
     for A1, psi_text in pairs:
         psi, grad = _psi_and_grad(psi_text, 2)
-        A2 = gauge_shift(A1, grad_psi=grad)
+        # each potential gets its own gauge, so A2's phase comes from its own
+        # quadrature, never from A1's circulation plus psi(y) - psi(x)
+        G1 = Gauge(A1, g)
+        G2 = Gauge(gauge_shift(A1, grad_psi=grad), g)
         phase = np.exp(1j * psi(X))
         for f in symbols:
-            M1 = quantize(f, A1, g).matrix
-            M2 = quantize(f, A2, g).matrix
+            M1 = quantize(f, G1).matrix
+            M2 = quantize(f, G2).matrix
             conj = phase[:, None] * M1 * np.conj(phase)[None, :]
             res = np.linalg.norm(conj - M2) / np.linalg.norm(M2)
             worst = max(worst, res)
         # negative control on one xi-dependent symbol per pair
-        W1 = wrong_quantize(symbols[0], A1, g).matrix
-        W2 = wrong_quantize(symbols[0], A2, g).matrix
+        W1 = wrong_quantize(symbols[0], G1).matrix
+        W2 = wrong_quantize(symbols[0], G2).matrix
         wres = (np.linalg.norm(phase[:, None] * W1 * np.conj(phase)[None, :] - W2)
                 / np.linalg.norm(W2))
         worst_wrong = max(worst_wrong, wres)
@@ -189,21 +193,22 @@ def test_criterion_04_expansion():
               "Landau": VectorPotential.from_expressions(2, ["0", f"{b}*x1"])}
     probe_err = {}
     for name, A in gauges.items():
-        M1 = quantize(f1, A, g2).matrix
-        M2 = quantize(f2, A, g2).matrix
+        gauge = Gauge(A, g2)
+        M1 = quantize(f1, gauge).matrix
+        M2 = quantize(f2, gauge).matrix
         comm_u = M1 @ (M2 @ u) - M2 @ (M1 @ u)
         probe_err[name] = float(np.abs(comm_u - 1j * b * u).max())
     probe_ok = max(probe_err.values()) <= 1e-3
 
     # remainder decay fits on the two catalog pairs
     g = make_grid(1, 12.8, 512)
-    A0 = VectorPotential.zero(1)
+    G0 = Gauge(VectorPotential.zero(1), g)
     fa = Symbol.from_expression(
         "(1+0.5*sin(1.3*x1+0.7)*exp(-x1^2))*jap(xi1)", 1, m=1)
     fb = Symbol.from_expression(
         "(1-0.3*sin(0.9*x1-0.4)*exp(-x1^2))*jap(xi1)", 1, m=1)
-    fit2 = remainder_order(fa, fb, B1, A0, g, depth=2)  # expect 1+1-2 = 0
-    fit1 = remainder_order(fa, fb, B1, A0, g, depth=1)  # expect 1+1-1 = 1
+    fit2 = remainder_order(fa, fb, B1, G0, depth=2)  # expect 1+1-2 = 0
+    fit1 = remainder_order(fa, fb, B1, G0, depth=1)  # expect 1+1-1 = 1
     slopes_ok = abs(fit2.slope - 0.0) <= 0.3 and abs(fit1.slope - 1.0) <= 0.3
 
     ok = closed_ok and comm_ok and probe_ok and slopes_ok
@@ -219,17 +224,16 @@ def test_criterion_04_expansion():
 
 def test_criterion_05_neumann_inversion():
     g = make_grid(1, 20.0, 128)
-    B0 = MagneticField.from_expressions(1, {})
-    A0 = VectorPotential.zero(1)
+    G0 = Gauge(VectorPotential.zero(1), g)
     f = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)
     z = -10.0
-    res = neumann_invert(f, z, B0, A0, g)
-    Mf = quantize(f, A0, g).matrix - z * np.eye(g.npoints)
+    res = neumann_invert(f, z, G0)
+    Mf = quantize(f, G0).matrix - z * np.eye(g.npoints)
     dense = np.linalg.inv(Mf)
     from scipy.linalg import svdvals
     dist = float(svdvals(res.matrix - dense)[0])
     zs = [-5.0, -10.0, -20.0, -40.0]
-    norms = [norm_Rz(f, zz, B0, A0, g) for zz in zs]
+    norms = [norm_Rz(f, zz, G0) for zz in zs]
     decreasing = all(a > b for a, b in zip(norms, norms[1:]))
     slope = order_check_inverse(res.symbol, g)
     ok = (res.residual <= 1e-6 and dist <= 1e-5 and decreasing
@@ -243,10 +247,8 @@ def test_criterion_05_neumann_inversion():
 
 def test_criterion_06_resolvent_family():
     g = make_grid(1, 20.0, 128)
-    B0 = MagneticField.from_expressions(1, {})
-    A0 = VectorPotential.zero(1)
     f = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)
-    fam = ResolventFamily(f, B0, A0, g)
+    fam = ResolventFamily(f, Gauge(VectorPotential.zero(1), g))
     zset = [-10.0, -20.0, -3.0 + 1.0j, -3.0 - 1.0j]
     for z in zset:
         fam.add(z)
@@ -265,7 +267,7 @@ def test_criterion_07_landau_levels():
     g = make_grid(2, 16.0, 48)
     f = Symbol.from_expression("xi1^2 + xi2^2", 2, m=2, real=True)
     A = VectorPotential.from_expressions(2, ["-0.5*x2", "0.5*x1"])
-    res = spectrum(quantize(f, A, g), localization=True)
+    res = spectrum(quantize(f, Gauge(A, g)), localization=True)
     # keep interior-localized states (edge states fill the spectral gaps)
     vals = res.eigenvalues[res.localization >= 0.7]
     clusters = []
@@ -333,21 +335,21 @@ def test_criterion_09_partial_fourier_intertwining():
     # four 1-D pairs at zero field
     g1 = make_grid(1, 12.0, 32)
     B1 = MagneticField.from_expressions(1, {})
-    A1 = VectorPotential.zero(1)
+    gauge1 = Gauge(VectorPotential.zero(1), g1)
     for seed in (11, 12, 13, 14):
         F = _kernel(g1, seed, 0.5, 0.5)
         G = _kernel(g1, seed + 100, 0.5, 0.5)
-        P = rep_A(F, A1, g1).matrix @ rep_A(G, A1, g1).matrix
-        M = rep_A(twisted_product(F, G, B1, g1), A1, g1).matrix
+        P = rep_A(F, gauge1).matrix @ rep_A(G, gauge1).matrix
+        M = rep_A(twisted_product(F, G, B1, g1), gauge1).matrix
         residuals.append(float(np.abs(M - P).max() / np.abs(P).max()))
     # one 2-D magnetic pair
     g2 = make_grid(2, 10.0, 12)
     B2 = MagneticField.constant(2, 0.7)
-    A2 = VectorPotential.from_expressions(2, ["-0.35*x2", "0.35*x1"])
+    gauge2 = Gauge(VectorPotential.from_expressions(2, ["-0.35*x2", "0.35*x1"]), g2)
     F = _kernel(g2, 21, 1.2, 1.0)
     G = _kernel(g2, 22, 1.2, 1.0)
-    P = rep_A(F, A2, g2).matrix @ rep_A(G, A2, g2).matrix
-    M = rep_A(twisted_product(F, G, B2, g2), A2, g2).matrix
+    P = rep_A(F, gauge2).matrix @ rep_A(G, gauge2).matrix
+    M = rep_A(twisted_product(F, G, B2, g2), gauge2).matrix
     residuals.append(float(np.abs(M - P).max() / np.abs(P).max()))
     worst = max(residuals)
     ok = worst <= 1e-7
@@ -369,7 +371,7 @@ def _bounded_symbol(seed):
 
 def _cv_constant(N):
     g = make_grid(2, 8.0, N)
-    A = VectorPotential.from_expressions(2, ["-0.25*x2", "0.25*x1"])
+    gauge = Gauge(VectorPotential.from_expressions(2, ["-0.25*x2", "0.25*x1"]), g)
     seminorms = []
     norms = []
     orders = [(al, ax) for al in ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -378,7 +380,7 @@ def _cv_constant(N):
         f = _bounded_symbol(seed)
         s = max(seminorm(f, al, ax, g) for al, ax in orders)
         seminorms.append(s)
-        norms.append(quantize(f, A, g).operator_norm())
+        norms.append(quantize(f, gauge).operator_norm())
     s = np.array(seminorms)
     n = np.array(norms)
     return float((s * n).sum() / (s * s).sum())

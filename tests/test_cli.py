@@ -1,6 +1,7 @@
 """Command-line driver: configs, outputs, determinism, exit codes."""
 
 import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -11,7 +12,7 @@ from magweyl import cli
 from magweyl.cli import run
 from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField, transversal_gauge
-from magweyl.quantize import circulation_matrix, quantize
+from magweyl.quantize import Gauge, quantize
 from magweyl.symbols import Symbol
 
 SPECTRUM_CFG = {
@@ -238,7 +239,7 @@ def test_every_command_reruns_from_its_effective_config_to_the_same_bytes(tmp_pa
         f = Symbol.from_expression(cfg["symbol"]["expression"], 2, m=2)
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["dimension"] == grid.npoints
-        assert summary["operator_norm"] == float(svdvals(quantize(f, A, grid).matrix)[0])
+        assert summary["operator_norm"] == float(svdvals(quantize(f, Gauge(A, grid)).matrix)[0])
 
 
 def test_a_grid_too_large_for_memory_is_diagnosed(tmp_path, capsys, monkeypatch):
@@ -266,8 +267,39 @@ def test_shifted_gauge_of_a_polynomial_psi_has_a_degree():
     A = transversal_gauge(MagneticField.constant(2, 0.7))
     _, shifted = cli._psi_pair({"gauge": {"psi": "0.3*x1*x2"}}, A, 2)
     assert shifted.degree == 1
-    C = circulation_matrix(shifted, grid)
-    C_nominal = circulation_matrix(dataclasses.replace(shifted, degree=None), grid)
+    C = Gauge(shifted, grid).circulation
+    C_nominal = Gauge(dataclasses.replace(shifted, degree=None), grid).circulation
     assert np.abs(C - C_nominal).max() <= 1e-13 * np.abs(C_nominal).max()
     _, shifted = cli._psi_pair({"gauge": {"psi": "sin(x1)*x2"}}, A, 2)
     assert shifted.degree is None
+
+
+@pytest.mark.parametrize("threads, fresh", [(1, 2), (3, 1)])
+def test_validate_compares_the_gauge_with_a_fresh_build(tmp_path, monkeypatch, threads, fresh):
+    # the thread check must compare two independent builds at different
+    # thread counts, never the gauge's cached matrix with itself: every build
+    # after the first is marked, so only a comparison of the cached build
+    # with a fresh one sees the mark
+    quantize_module = importlib.import_module("magweyl.quantize")
+    original = quantize_module.circulation_matrix
+    calls = []
+
+    def recording(A, grid, threads=1):
+        C = original(A, grid, threads=threads)
+        if calls:
+            C[0, 1] += 0.25
+        calls.append((A, threads))
+        return C
+
+    monkeypatch.setattr(quantize_module, "circulation_matrix", recording)
+    monkeypatch.setattr(cli, "circulation_matrix", recording)
+    cfg, _ = _TINY_RUNS["validate"]
+    out = tmp_path / "out"
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out),
+                "--threads", str(threads)]) == 2
+    assert [t for _, t in calls] == [threads, fresh]
+    assert calls[0][0] is calls[1][0]
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert checks["thread_independence"] == {"residual": 0.25, "tolerance": 0.0,
+                                             "passed": False}
+    assert all(c["passed"] for name, c in checks.items() if name != "thread_independence")

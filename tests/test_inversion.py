@@ -19,22 +19,22 @@ from magweyl.inversion import (
     norm_Rz,
     order_check_inverse,
 )
-from magweyl.magnetics import MagneticField, VectorPotential
-from magweyl.quantize import quantize
+from magweyl.magnetics import VectorPotential
+from magweyl.quantize import Gauge, SampledSymbol, quantize
 from magweyl.symbols import Symbol
 
 GRID = make_grid(1, 20.0, 128)
-B0 = MagneticField.from_expressions(1, {})
 A0 = VectorPotential.zero(1)
+G0 = Gauge(A0, GRID)
 ARCTAN = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)
 
 
 def test_arctan_inversion_small_z():
     z = -10.0
-    res = neumann_invert(ARCTAN, z, B0, A0, GRID)
+    res = neumann_invert(ARCTAN, z, G0)
     assert res.residual <= 1e-8
     # the quantized inverse matches the dense matrix inverse
-    Mf = quantize(ARCTAN, A0, GRID).matrix - z * np.eye(GRID.npoints)
+    Mf = quantize(ARCTAN, G0).matrix - z * np.eye(GRID.npoints)
     dense = np.linalg.inv(Mf)
     rel = np.abs(res.matrix - dense).max() / np.abs(dense).max()
     assert rel <= 1e-8
@@ -43,12 +43,12 @@ def test_arctan_inversion_small_z():
 
 def test_norm_Rz_decreases_with_distance():
     zs = [-5.0, -10.0, -20.0, -40.0]
-    norms = [norm_Rz(ARCTAN, z, B0, A0, GRID) for z in zs]
+    norms = [norm_Rz(ARCTAN, z, G0) for z in zs]
     assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
 def test_inverse_has_reduced_order():
-    res = neumann_invert(ARCTAN, -10.0, B0, A0, GRID)
+    res = neumann_invert(ARCTAN, -10.0, G0)
     slope = order_check_inverse(res.symbol, GRID)
     # the inverse of an order-2 elliptic symbol has order about -2
     assert slope == pytest.approx(-2.0, abs=0.3)
@@ -57,42 +57,50 @@ def test_inverse_has_reduced_order():
 def test_inverse_order_reduction():
     g = make_grid(1, 6.4, 256)
     f = Symbol.from_expression("jap(xi1)", 1, m=1, real=True)
-    res = neumann_invert(f, -5.0, B0, A0, g)
+    res = neumann_invert(f, -5.0, Gauge(A0, g))
     slope = order_check_inverse(res.symbol, g)
     # the inverse of an order-1 elliptic symbol has order about -1
     assert -1.4 <= slope <= -0.6
 
 
+@pytest.mark.parametrize("n, N, nodes", [(1, 4, 0), (2, 8, 1)])
+def test_order_check_rejects_a_window_of_fewer_than_two_momenta(n, N, nodes):
+    g = make_grid(n, 6.0, N)
+    flat = SampledSymbol(g, np.eye(g.npoints, dtype=complex))
+    with pytest.raises(ValueError, match=rf"holds {nodes} momentum node\(s\) at N={N}, L=6.0"):
+        order_check_inverse(flat, g)
+
+
 def test_build_regularizer_round_trip():
     g = make_grid(1, 6.4, 64)
-    reg = build_regularizer(2.0, B0, A0, g)
+    reg = build_regularizer(2.0, Gauge(A0, g))
     assert reg.m == 2.0
     assert reg.lam >= 1.0
-    Mp = quantize(reg.r_plus, A0, g).matrix
-    Mm = quantize(reg.r_minus, A0, g).matrix
+    Mp = quantize(reg.r_plus, Gauge(A0, g)).matrix
+    Mm = quantize(reg.r_minus, Gauge(A0, g)).matrix
     err = np.abs(Mp @ Mm - np.eye(g.npoints)).max()
     assert err < 1e-7
     # m = 0 degenerates to the constant 1
-    triv = build_regularizer(0.0, B0, A0, g)
+    triv = build_regularizer(0.0, Gauge(A0, g))
     assert triv.r_plus is triv.r_minus
 
 
 def test_build_regularizer_negative_order():
     g = make_grid(1, 6.4, 64)
-    reg = build_regularizer(-2.0, B0, A0, g)
-    pos = build_regularizer(2.0, B0, A0, g)
+    reg = build_regularizer(-2.0, Gauge(A0, g))
+    pos = build_regularizer(2.0, Gauge(A0, g))
     assert reg.m == -2.0
     # r_plus is the inverse of p_{2, lambda}, of order -2; r_minus is p itself
     assert isinstance(reg.r_minus, Symbol) and reg.r_minus.m == 2.0
     assert order_check_inverse(reg.r_plus, g) == pytest.approx(-2.0, abs=0.3)
     np.testing.assert_array_equal(reg.r_plus.table, pos.r_minus.table)
-    Mp = quantize(reg.r_plus, A0, g).matrix
-    Mm = quantize(reg.r_minus, A0, g).matrix
+    Mp = quantize(reg.r_plus, Gauge(A0, g)).matrix
+    Mm = quantize(reg.r_minus, Gauge(A0, g)).matrix
     assert np.abs(Mp @ Mm - np.eye(g.npoints)).max() < 1e-7
 
 
 def test_resolvent_family_identity_and_adjoint():
-    fam = ResolventFamily(ARCTAN, B0, A0, GRID)
+    fam = ResolventFamily(ARCTAN, G0)
     zs = [-10.0, -3.0 + 1.0j, 2.0 + 0.5j]
     for z in zs:
         res = fam.add(z)
@@ -102,10 +110,10 @@ def test_resolvent_family_identity_and_adjoint():
 
 
 def test_nonreal_z_marches_from_seed():
-    fam = ResolventFamily(ARCTAN, B0, A0, GRID)
+    fam = ResolventFamily(ARCTAN, G0)
     z = 0.3 + 0.7j
     res = fam.add(z)
-    Mf = quantize(ARCTAN, A0, GRID).matrix - z * np.eye(GRID.npoints)
+    Mf = quantize(ARCTAN, G0).matrix - z * np.eye(GRID.npoints)
     dense = np.linalg.inv(Mf)
     rel = np.abs(res.matrix - dense).max() / np.abs(dense).max()
     assert rel <= 1e-7
@@ -113,13 +121,13 @@ def test_nonreal_z_marches_from_seed():
 
 def test_terms_is_the_certified_series_length():
     z, tol = -10.0, SERIES_TOL
-    res = neumann_invert(ARCTAN, z, B0, A0, GRID)
+    res = neumann_invert(ARCTAN, z, G0)
     P = GRID.npoints
     expected = 1 + int(np.ceil(np.log(0.1 * tol / P) / np.log(res.norm_R)))
     assert res.terms == certified_terms(res.norm_R, P) == expected
     # it bounds the count of a partial-sum loop with the same stopping rule
-    Mf = quantize(ARCTAN, A0, GRID).matrix - z * np.eye(P)
-    Q = quantize(_reciprocal_symbol(ARCTAN, z), A0, GRID).matrix
+    Mf = quantize(ARCTAN, G0).matrix - z * np.eye(P)
+    Q = quantize(_reciprocal_symbol(ARCTAN, z), G0).matrix
     R = np.eye(P) - Mf @ Q
     T = np.eye(P)
     for k in range(1, 81):
@@ -133,20 +141,20 @@ def test_terms_is_the_certified_series_length():
 
 def test_divergence_is_raised_without_validation():
     # z = -5 is admissible (z <= inf f - 1), but the generator norm is about 1.6
-    assert norm_Rz(ARCTAN, -5.0, B0, A0, GRID) >= 1.0
+    assert norm_Rz(ARCTAN, -5.0, G0) >= 1.0
     with pytest.raises(DivergenceError, match="operator norm"):
-        neumann_invert(ARCTAN, -5.0, B0, A0, GRID, validate=False)
+        neumann_invert(ARCTAN, -5.0, G0, validate=False)
 
 
 def test_resolvent_on_a_fine_grid_needs_no_convergent_seed():
     # the real z = inf f - 10 has generator norm 2.78 at N = 512, so the
     # family must reach 1 + 1j without a series-convergent real seed
     g = make_grid(1, 20.0, 512)
-    assert norm_Rz(ARCTAN, _sampled_inf(ARCTAN, g) - 10.0, B0, A0, g) >= 1.0
+    assert norm_Rz(ARCTAN, _sampled_inf(ARCTAN, g) - 10.0, Gauge(A0, g)) >= 1.0
     z = 1.0 + 1.0j
-    res = ResolventFamily(ARCTAN, B0, A0, g).add(z)
+    res = ResolventFamily(ARCTAN, Gauge(A0, g)).add(z)
     assert res.residual <= 1e-7
-    Mf = quantize(ARCTAN, A0, g).matrix - z * np.eye(g.npoints)
+    Mf = quantize(ARCTAN, Gauge(A0, g)).matrix - z * np.eye(g.npoints)
     dense = np.linalg.inv(Mf)
     assert np.abs(res.matrix - dense).max() / np.abs(dense).max() <= 1e-10
 
@@ -154,24 +162,24 @@ def test_resolvent_on_a_fine_grid_needs_no_convergent_seed():
 def test_invalid_inputs_raise():
     with pytest.raises(EllipticityError):
         neumann_invert(Symbol.from_expression("x1 + xi1", 1, m=1),
-                       -10.0, B0, A0, GRID)  # not declared real
+                       -10.0, G0)  # not declared real
     vanishing = Symbol.from_expression("cos(xi1)", 1, m=0, real=True)
     with pytest.raises(EllipticityError):
-        neumann_invert(vanishing, -10.0, B0, A0, GRID)
+        neumann_invert(vanishing, -10.0, G0)
     with pytest.raises(DivergenceError):
         # real z above inf(f) - 1 is inadmissible for the series seed
-        neumann_invert(ARCTAN, 0.0, B0, A0, GRID)
+        neumann_invert(ARCTAN, 0.0, G0)
 
 
 def test_resolvent_family_rejects_invalid_symbols_off_the_series():
     # nonreal z skip the series certificate but not the checks on f
     with pytest.raises(EllipticityError, match="real-valued"):
         ResolventFamily(Symbol.from_expression("x1 + xi1", 1, m=1),
-                        B0, A0, GRID).add(1j)
+                        G0).add(1j)
     vanishing = Symbol.from_expression("cos(xi1)", 1, m=0, real=True)
     with pytest.raises(EllipticityError, match="not elliptic"):
-        ResolventFamily(vanishing, B0, A0, GRID).add(1j)
-    res = ResolventFamily(ARCTAN, B0, A0, GRID).add(1j)
+        ResolventFamily(vanishing, G0).add(1j)
+    res = ResolventFamily(ARCTAN, G0).add(1j)
     assert res.terms == 0 and res.norm_R is None
 
 
@@ -179,8 +187,8 @@ def test_affiliated_calculus_matches_eigendecomposition():
     g = make_grid(1, 12.0, 48)
     f = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)
     eta = lambda w: 1.0 / (1.0 + w**2)
-    M = affiliated_calculus(f, A0, g, eta)
-    H = quantize(f, A0, g).matrix
+    M = affiliated_calculus(f, Gauge(A0, g), eta)
+    H = quantize(f, Gauge(A0, g)).matrix
     H = 0.5 * (H + H.conj().T)
     w, V = np.linalg.eigh(H)
     ref = (V * eta(w)) @ V.conj().T
@@ -190,4 +198,4 @@ def test_affiliated_calculus_matches_eigendecomposition():
         lambda x, xi: 1j * np.asarray(x)[..., 0] + 0.0 * np.asarray(xi)[..., 0],
         1, m=0)
     with pytest.raises(ValueError):
-        affiliated_calculus(bad, A0, g, eta, hermiticity_tol=1e-8)
+        affiliated_calculus(bad, Gauge(A0, g), eta, hermiticity_tol=1e-8)

@@ -19,7 +19,7 @@ from magweyl.moyal import (
     moyal_pullback,
     remainder_order,
 )
-from magweyl.quantize import quantize
+from magweyl.quantize import Gauge, quantize
 from magweyl.symbols import Symbol
 
 X0 = np.array([[0.7]])
@@ -69,9 +69,9 @@ def test_momentum_commutator_is_i_times_field():
 def test_position_momentum_commutator_on_states():
     # [Op(x1), Op(xi1)] u = i u for localized band-limited u
     g = make_grid(1, 16.0, 64)
-    A = VectorPotential.zero(1)
-    Mx = quantize(Symbol.from_expression("x1", 1, m=0), A, g).matrix
-    Mxi = quantize(Symbol.from_expression("xi1", 1, m=1), A, g).matrix
+    gauge = Gauge(VectorPotential.zero(1), g)
+    Mx = quantize(Symbol.from_expression("x1", 1, m=0), gauge).matrix
+    Mxi = quantize(Symbol.from_expression("xi1", 1, m=1), gauge).matrix
     u = np.exp(-g.x_nodes**2)
     comm = (Mx @ Mxi - Mxi @ Mx) @ u
     np.testing.assert_allclose(comm, 1j * u, atol=1e-10)
@@ -115,25 +115,24 @@ def test_expansion_constants_are_exact_rationals():
 
 def test_pullback_reproduces_operator_product():
     g = make_grid(2, 8.0, 12)
-    B = MagneticField.constant(2, 0.6)
     A = VectorPotential.from_expressions(2, ["-0.3*x2", "0.3*x1"])
     f = Symbol.from_expression("exp(-xi1^2-xi2^2)*1/(1+x1^2)", 2, m=0)
     h = Symbol.from_expression("exp(-0.5*xi1^2-0.5*xi2^2)*sin(x2)", 2, m=0)
-    prod = moyal_pullback(f, h, B, A, g)
-    M = quantize(prod, A, g).matrix
-    P = quantize(f, A, g).matrix @ quantize(h, A, g).matrix
+    gauge = Gauge(A, g)
+    prod = moyal_pullback(f, h, gauge)
+    M = quantize(prod, gauge).matrix
+    P = quantize(f, gauge).matrix @ quantize(h, gauge).matrix
     np.testing.assert_allclose(M, P, atol=1e-12 * max(1.0, np.abs(P).max()))
 
 
 def test_pullback_is_gauge_independent():
     g = make_grid(2, 8.0, 12)
-    B = MagneticField.constant(2, 0.6)
     A1 = VectorPotential.from_expressions(2, ["-0.3*x2", "0.3*x1"])
     A2 = VectorPotential.from_expressions(2, ["-0.6*x2", "0"])
     f = Symbol.from_expression("exp(-xi1^2-xi2^2)*1/(1+x1^2)", 2, m=0)
     h = Symbol.from_expression("exp(-0.5*xi1^2-0.5*xi2^2)*sin(x2)", 2, m=0)
-    t1 = moyal_pullback(f, h, B, A1, g)
-    t2 = moyal_pullback(f, h, B, A2, g)
+    t1 = moyal_pullback(f, h, Gauge(A1, g))
+    t2 = moyal_pullback(f, h, Gauge(A2, g))
     np.testing.assert_allclose(t1.table, t2.table, atol=1e-10)
 
 
@@ -153,16 +152,16 @@ def test_x_independent_factors_have_no_remainder_without_field():
     # the depth-1 expansion (pointwise product) is already exact
     g = make_grid(1, 12.8, 64)
     B = MagneticField.from_expressions(1, {})
-    A = VectorPotential.zero(1)
+    gauge = Gauge(VectorPotential.zero(1), g)
     f = Symbol.from_expression("jap(xi1)", 1, m=1)
     h = Symbol.from_expression("jap(xi1)^2", 1, m=2)
-    prod = moyal_pullback(f, h, B, A, g)
+    prod = moyal_pullback(f, h, gauge)
     expn = expansion_sum(f, h, B, 1)
     mid = g.N // 2
     xi = g.xi_nodes[:, None]
     x0 = np.zeros_like(xi)
-    direct = quantize(prod, A, g).matrix
-    ref = quantize(Symbol.from_expression("jap(xi1)^3", 1, m=3), A, g).matrix
+    direct = quantize(prod, gauge).matrix
+    ref = quantize(Symbol.from_expression("jap(xi1)^3", 1, m=3), gauge).matrix
     np.testing.assert_allclose(direct, ref, atol=1e-9 * np.abs(ref).max())
     np.testing.assert_allclose(expn.fn(x0, xi), f.fn(x0, xi) * h.fn(x0, xi),
                                atol=1e-12)
@@ -171,17 +170,17 @@ def test_x_independent_factors_have_no_remainder_without_field():
 def test_remainder_order_fit_runs_and_flags_window():
     g = make_grid(1, 12.8, 128)
     B = MagneticField.from_expressions(1, {})
-    A = VectorPotential.zero(1)
+    gauge = Gauge(VectorPotential.zero(1), g)
     f = Symbol.from_expression(
         "(1+0.5*sin(1.3*x1+0.7)*exp(-x1^2))*jap(xi1)", 1, m=1)
     h = Symbol.from_expression(
         "(1-0.3*sin(0.9*x1-0.4)*exp(-x1^2))*jap(xi1)", 1, m=1)
-    fit = remainder_order(f, h, B, A, g, depth=1)
+    fit = remainder_order(f, h, B, gauge, depth=1)
     assert fit.xi_values.min() >= 1.5
     assert np.all(fit.residuals > 0)
     # depth-1 remainder of two order-1 factors decays no faster than the
     # depth-2 remainder of the same pair
-    fit2 = remainder_order(f, h, B, A, g, depth=2)
+    fit2 = remainder_order(f, h, B, gauge, depth=2)
     assert fit2.slope < fit.slope + 0.5
     # on this small grid the default window spans less than a decade and the
     # fit says so

@@ -1,5 +1,6 @@
 """Quantization, dequantization, magnetic translations, kernel calculus."""
 
+import importlib
 import types
 
 import numpy as np
@@ -11,6 +12,8 @@ import magweyl
 from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
 from magweyl.quantize import (
+    Gauge,
+    _symbol_table,
     KernelFunction,
     circulation_matrix,
     dequantize,
@@ -31,7 +34,7 @@ from magweyl.symbols import Symbol, _phase_mesh
 def test_position_symbol_is_multiplication_operator():
     g = make_grid(1, 10.0, 32)
     f = Symbol.from_expression("arctan(x1)", 1, real=True)
-    M = quantize(f, VectorPotential.zero(1), g)
+    M = quantize(f, Gauge(VectorPotential.zero(1), g))
     expect = np.diag(np.arctan(g.x_nodes))
     np.testing.assert_allclose(M.matrix, expect, atol=1e-12)
 
@@ -39,7 +42,7 @@ def test_position_symbol_is_multiplication_operator():
 def test_momentum_symbol_is_fourier_multiplier():
     g = make_grid(1, 10.0, 32)
     f = Symbol.from_expression("xi1^2", 1, m=2, real=True)
-    M = quantize(f, VectorPotential.zero(1), g)
+    M = quantize(f, Gauge(VectorPotential.zero(1), g))
     # eigenvalues are exactly the squared lattice momenta
     vals = np.sort(np.linalg.eigvalsh(M.matrix))
     np.testing.assert_allclose(vals, np.sort(g.xi_nodes**2), atol=1e-10)
@@ -50,9 +53,10 @@ def test_round_trip_exact():
     B = MagneticField.constant(2, 0.6)
     A = VectorPotential.from_expressions(2, ["-0.3*x2", "0.3*x1"])
     f = Symbol.from_expression("xi1^2 + xi2^2 + 1/(1+x1^2)", 2, m=2, real=True)
-    M = quantize(f, A, g)
-    table = dequantize(M, A)
-    M2 = quantize(table, A, g)
+    gauge = Gauge(A, g)
+    M = quantize(f, gauge)
+    table = dequantize(M, gauge)
+    M2 = quantize(table, gauge)
     np.testing.assert_allclose(M2.matrix, M.matrix, atol=1e-12 * np.abs(M.matrix).max())
 
 
@@ -62,8 +66,9 @@ def test_dequantize_table_is_gauge_independent():
     A1 = VectorPotential.from_expressions(2, ["-0.3*x2", "0.3*x1"])
     A2 = VectorPotential.from_expressions(2, ["-0.6*x2", "0"])  # Landau gauge
     f = Symbol.from_expression("xi1^2 + xi2^2", 2, m=2, real=True)
-    t1 = dequantize(quantize(f, A1, g), A1)
-    t2 = dequantize(quantize(f, A2, g), A2)
+    G1, G2 = Gauge(A1, g), Gauge(A2, g)
+    t1 = dequantize(quantize(f, G1), G1)
+    t2 = dequantize(quantize(f, G2), G2)
     np.testing.assert_allclose(t1.table, t2.table, atol=1e-10)
 
 
@@ -79,15 +84,16 @@ def test_gauge_covariance_small():
     from magweyl.magnetics import gauge_shift
     A2 = gauge_shift(A1, grad_psi=grad)
     f = Symbol.from_expression("xi1^2 + xi2^2", 2, m=2, real=True)
-    M1 = quantize(f, A1, g)
-    M2 = quantize(f, A2, g)
+    G1, G2 = Gauge(A1, g), Gauge(A2, g)
+    M1 = quantize(f, G1)
+    M2 = quantize(f, G2)
     phase = np.exp(1j * psi(g.x_flat()))
     conj = phase[:, None] * M1.matrix * np.conj(phase)[None, :]
     res = np.linalg.norm(conj - M2.matrix) / np.linalg.norm(M2.matrix)
     assert res < 1e-9
     # the negative control breaks covariance by orders of magnitude
-    W1 = wrong_quantize(f, A1, g)
-    W2 = wrong_quantize(f, A2, g)
+    W1 = wrong_quantize(f, G1)
+    W2 = wrong_quantize(f, G2)
     wconj = phase[:, None] * W1.matrix * np.conj(phase)[None, :]
     wres = np.linalg.norm(wconj - W2.matrix) / np.linalg.norm(W2.matrix)
     assert wres > 1e-2
@@ -96,7 +102,7 @@ def test_gauge_covariance_small():
 def test_real_symbol_hermitian():
     g = make_grid(1, 12.0, 32)
     f = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)
-    M = quantize(f, VectorPotential.zero(1), g)
+    M = quantize(f, Gauge(VectorPotential.zero(1), g))
     assert M.hermiticity_defect() < 1e-12
 
 
@@ -108,6 +114,39 @@ def test_circulation_matrix_thread_independence():
     np.testing.assert_array_equal(C1, C4)
 
 
+@pytest.mark.parametrize("A", [
+    VectorPotential.from_expressions(2, ["-arctan(x2)", "x1*exp(-x1^2/8)"]),
+    VectorPotential.zero(2),
+], ids=["nonpolynomial", "zero"])
+def test_the_gauge_cache_gives_the_written_out_phase(A, monkeypatch):
+    g = make_grid(2, 8.0, 8)
+    f = Symbol.from_expression("xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2", 2, m=2)
+    C = circulation_matrix(A, g)
+    W = _symbol_table(f, g)
+    quantize_module = importlib.import_module("magweyl.quantize")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return circulation_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(quantize_module, "circulation_matrix", counting)
+    gauge = Gauge(A, g)
+    M = quantize(f, gauge)
+    assert np.array_equal(M.matrix, np.exp(-1j * C) * W)
+    S = dequantize(M, gauge)
+    assert np.array_equal(S.table, np.exp(1j * C) * M.matrix)
+    assert np.array_equal(quantize(S, gauge).matrix, np.exp(-1j * C) * S.table)
+    assert len(calls) == 1
+
+
+def test_dequantize_rejects_a_gauge_on_another_grid():
+    g = make_grid(1, 8.0, 16)
+    M = quantize(Symbol.from_expression("xi1^2", 1, m=2), Gauge(VectorPotential.zero(1), g))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        dequantize(M, Gauge(VectorPotential.zero(1), make_grid(1, 8.0, 32)))
+
+
 def test_magnetic_translation_composition():
     # T(x) T(y) = diag(omega^B(.; x, y)) T(x + y)
     g = make_grid(2, 8.0, 8)
@@ -115,9 +154,10 @@ def test_magnetic_translation_composition():
     A = VectorPotential.from_expressions(2, ["-0.45*x2", "0.45*x1"])
     x = np.array([g.dx, 0.0])
     y = np.array([0.0, 2 * g.dx])
-    Tx = magnetic_translation(A, x, g)
-    Ty = magnetic_translation(A, y, g)
-    Txy = magnetic_translation(A, x + y, g)
+    gauge = Gauge(A, g)
+    Tx = magnetic_translation(gauge, x)
+    Ty = magnetic_translation(gauge, y)
+    Txy = magnetic_translation(gauge, x + y)
     D = translation_cocycle_diagonal(B, x, y, g)
     # restrict to rows where neither shift wraps around the box: the cyclic
     # wrap re-enters at the opposite face, where the straight-segment
@@ -130,7 +170,7 @@ def test_magnetic_translation_composition():
     # unitarity
     np.testing.assert_allclose(Tx @ Tx.conj().T, np.eye(g.npoints), atol=1e-12)
     with pytest.raises(ValueError):
-        magnetic_translation(A, np.array([0.3 * g.dx, 0.0]), g)
+        magnetic_translation(gauge, np.array([0.3 * g.dx, 0.0]))
 
 
 def _gaussian_kernel(grid, seed):
@@ -152,9 +192,10 @@ def test_rep_A_equals_quantize_of_partial_fourier():
     g = make_grid(1, 12.0, 32)
     A = VectorPotential.from_expressions(1, ["arctan(x1)"])
     F = _gaussian_kernel(g, 23)
-    M1 = rep_A(F, A, g).matrix
+    gauge = Gauge(A, g)
+    M1 = rep_A(F, gauge).matrix
     f = partial_fourier(F)
-    M2 = quantize(f, A, g).matrix
+    M2 = quantize(f, gauge).matrix
     # the sampled-symbol path wraps displacements into the box; compare on
     # the band where the unwrapped displacement is the wrapped one
     X = g.x_flat()
@@ -177,19 +218,20 @@ def test_involution_matches_adjoint():
     g = make_grid(1, 12.0, 32)
     A = VectorPotential.from_expressions(1, ["arctan(x1)"])
     F = _gaussian_kernel(g, 47)
-    M = rep_A(F, A, g).matrix
-    Mstar = rep_A(kernel_involution(F), A, g).matrix
+    gauge = Gauge(A, g)
+    M = rep_A(F, gauge).matrix
+    Mstar = rep_A(kernel_involution(F), gauge).matrix
     np.testing.assert_allclose(Mstar, M.conj().T, atol=1e-12 * np.abs(M).max())
 
 
 def test_twisted_product_intertwines_zero_field():
     g = make_grid(1, 12.0, 32)
     B = MagneticField(n=1, components={})
-    A = VectorPotential.zero(1)
+    gauge = Gauge(VectorPotential.zero(1), g)
     F = _gaussian_kernel(g, 5)
     G = _gaussian_kernel(g, 6)
-    P = rep_A(F, A, g).matrix @ rep_A(G, A, g).matrix
-    M = rep_A(twisted_product(F, G, B, g), A, g).matrix
+    P = rep_A(F, gauge).matrix @ rep_A(G, gauge).matrix
+    M = rep_A(twisted_product(F, G, B, g), gauge).matrix
     assert np.abs(M - P).max() / np.abs(P).max() < 1e-8
 
 
@@ -261,7 +303,8 @@ def test_2d_samples_match_the_symbol(text, b):
     A = (VectorPotential.from_expressions(2, [f"{-b / 2}*x2", f"{b / 2}*x1"]) if b
          else VectorPotential.zero(2))
     f = Symbol.from_expression(text, 2, m=2, real=True)
-    S = dequantize(quantize(f, A, g), A)
+    gauge = Gauge(A, g)
+    S = dequantize(quantize(f, gauge), gauge)
     exact = f(*_phase_mesh(g))
     mask = np.broadcast_to(S.interior_mask(0.5), S.values.shape)
     assert np.abs(S.values - exact)[mask].max() <= 1e-10
@@ -323,11 +366,11 @@ def _wrong_case(case):
 def test_wrong_quantize_is_bit_identical_to_its_slab_loop(case):
     g, A, text = _wrong_case(case)
     f = Symbol.from_expression(text, g.n, m=2)
-    assert np.array_equal(wrong_quantize(f, A, g).matrix, _wrong_symbol_table_ref(f, A, g))
+    assert np.array_equal(wrong_quantize(f, Gauge(A, g)).matrix, _wrong_symbol_table_ref(f, A, g))
 
 
 def test_wrong_quantize_without_field_is_quantize():
     g = make_grid(2, 8.0, 12)
     f = Symbol.from_expression("xi1^2 + xi2^2 + arctan(x1)", 2, m=2)
-    A0 = VectorPotential.zero(2)
-    assert np.array_equal(wrong_quantize(f, A0, g).matrix, quantize(f, A0, g).matrix)
+    G0 = Gauge(VectorPotential.zero(2), g)
+    assert np.array_equal(wrong_quantize(f, G0).matrix, quantize(f, G0).matrix)

@@ -5,7 +5,7 @@ import pytest
 
 from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField, VectorPotential
-from magweyl.quantize import quantize
+from magweyl.quantize import Gauge, quantize
 from magweyl.spectral import (
     compare_bulk_vs_essential,
     essential_spectrum,
@@ -25,7 +25,7 @@ WELL_GROUND_STATE = -0.9547799547653671
 def test_multiplication_operator_spectrum_is_sampled_range():
     g = make_grid(1, 12.0, 32)
     f = Symbol.from_expression("arctan(x1)", 1, m=0, real=True)
-    res = spectrum(quantize(f, A0, g))
+    res = spectrum(quantize(f, Gauge(A0, g)))
     np.testing.assert_allclose(res.eigenvalues,
                                np.sort(np.arctan(g.x_nodes)), atol=1e-12)
 
@@ -33,7 +33,7 @@ def test_multiplication_operator_spectrum_is_sampled_range():
 def test_free_operator_spectrum_is_lattice_momenta():
     g = make_grid(1, 12.0, 32)
     f = Symbol.from_expression("xi1^2", 1, m=2, real=True)
-    res = spectrum(quantize(f, A0, g))
+    res = spectrum(quantize(f, Gauge(A0, g)))
     np.testing.assert_allclose(res.eigenvalues, np.sort(g.xi_nodes**2),
                                atol=1e-10)
 
@@ -41,7 +41,7 @@ def test_free_operator_spectrum_is_lattice_momenta():
 def test_harmonic_oscillator_levels():
     g = make_grid(1, 20.0, 128)
     f = Symbol.from_expression("xi1^2 + x1^2", 1, m=2, real=True)
-    res = spectrum(quantize(f, A0, g))
+    res = spectrum(quantize(f, Gauge(A0, g)))
     np.testing.assert_allclose(res.eigenvalues[:8],
                                2.0 * np.arange(8) + 1.0, atol=1e-4)
 
@@ -61,7 +61,7 @@ def test_non_hermitian_rejected_with_measured_defect():
         lambda x, xi: 1j * np.asarray(x)[..., 0] + 0.0 * np.asarray(xi)[..., 0],
         1, m=0)
     with pytest.raises(ValueError, match="asymmetry"):
-        spectrum(quantize(f, A0, g))
+        spectrum(quantize(f, Gauge(A0, g)))
 
 
 def _asymptotic_algebra():
@@ -125,8 +125,8 @@ def test_spectrum_is_gauge_independent():
     f = Symbol.from_expression("xi1^2 + xi2^2 + 1/(1+x1^2)", 2, m=2, real=True)
     A1 = VectorPotential.from_expressions(2, ["-0.3*x2", "0.3*x1"])
     A2 = VectorPotential.from_expressions(2, ["-0.6*x2", "0"])
-    e1 = spectrum(quantize(f, A1, g)).eigenvalues
-    e2 = spectrum(quantize(f, A2, g)).eigenvalues
+    e1 = spectrum(quantize(f, Gauge(A1, g))).eigenvalues
+    e2 = spectrum(quantize(f, Gauge(A2, g))).eigenvalues
     np.testing.assert_allclose(e1, e2, atol=1e-7)
 
 
@@ -137,7 +137,7 @@ def test_small_landau_clusters_near_reference():
     f = Symbol.from_expression("xi1^2 + xi2^2", 2, m=2, real=True)
     A = VectorPotential.from_expressions(2, ["-0.5*x2", "0.5*x1"])
     B = MagneticField.constant(2, b)
-    res = spectrum(quantize(f, A, g), localization=True)
+    res = spectrum(quantize(f, Gauge(A, g)), localization=True)
     loc = res.localization
     keep = loc >= 0.7
     vals = res.eigenvalues[keep]
@@ -154,7 +154,7 @@ def test_landau_window_counts_track_degeneracy():
     b = 1.0
     f = Symbol.from_expression("xi1^2 + xi2^2", 2, m=2, real=True)
     A = VectorPotential.from_expressions(2, ["-0.5*x2", "0.5*x1"])
-    vals = spectrum(quantize(f, A, g)).eigenvalues
+    vals = spectrum(quantize(f, Gauge(A, g))).eigenvalues
     degeneracy = b * g.L**2 / (2.0 * np.pi)
     for k in range(3):
         count = np.sum((vals >= 2 * k * b) & (vals < (2 * k + 2) * b))
@@ -164,7 +164,7 @@ def test_landau_window_counts_track_degeneracy():
 def test_localization_scores_distinguish_bound_states():
     g = make_grid(1, 20.0, 128)
     f = Symbol.from_expression("xi1^2 - 2*exp(-x1^2)", 1, m=2, real=True)
-    res = spectrum(quantize(f, A0, g), localization=True)
+    res = spectrum(quantize(f, Gauge(A0, g)), localization=True)
     # the ground state is interior-localized, a high scattering state is not
     assert res.localization[0] > 0.99
     assert res.localization[-1] < 0.9

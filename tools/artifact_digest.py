@@ -1,0 +1,150 @@
+"""Digest of the magweyl CLI's artifacts over a fixed set of small configs.
+
+Runs ``magweyl.cli.run`` in-process on each config below, each into its own
+temporary directory, and prints one ``<sha256>  <config>/<artifact>`` line
+per artifact, sorted by path.  The exit code is printed as ``exit=<code>``
+on a ``<config>/exit`` line, and any error text is digested as
+``<config>/stderr``.  Python warnings are suppressed, since they name source
+lines.  Two source trees produce the same artifacts exactly when the
+outputs are equal:
+
+    python tools/artifact_digest.py --src /path/to/other/src > other.txt
+    python tools/artifact_digest.py > this.txt
+    diff other.txt this.txt
+
+The configs cover all seven commands in 1D and 2D, with zero, constant and
+non-polynomial fields, an explicit non-polynomial gauge, polynomial and
+non-polynomial gauge-check shifts, converging and divergent inversions,
+error exits and a threaded validate.  Uses the standard library and magweyl
+only; the whole set runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+_XI2 = {"expression": "xi1^2 + xi2^2", "m": 2, "rho": 1, "real": True}
+_XI2_X = {"expression": "xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2", "m": 2, "rho": 1, "real": True}
+_ARCTAN_1D = {"expression": "xi1^2 + arctan(x1)", "m": 2, "rho": 1, "real": True}
+_WELL_1D = {"expression": "xi1^2 - 2*exp(-x1^2)", "m": 2, "rho": 1, "real": True}
+_CONST = {"components": {"12": "0.6"}}
+_NONPOLY = {"components": {"12": "1 + 1/(1+x1^2)"}}
+_EXPLICIT = {"kind": "explicit", "A": ["-arctan(x2)", "x1*exp(-x1^2/8)"]}
+_ORBITS_1D = {"kind": "AsymptoticLimitsPerDirection", "orbits": [
+    {"label": "plus", "kind": "direction", "direction": [1.0]},
+    {"label": "minus", "kind": "direction", "direction": [-1.0]}]}
+
+
+def _grid(n, L, N):
+    return {"n": n, "L": L, "N": N}
+
+
+def _task(command, **keys):
+    return {"command": command, **keys}
+
+
+# name -> (config, --threads)
+CONFIGS = {
+    "quantize-1d-zero": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                          "task": _task("quantize")}, 1),
+    "quantize-2d-const": ({"grid": _grid(2, 8.0, 12), "field": _CONST, "symbol": _XI2_X,
+                           "task": _task("quantize")}, 1),
+    "quantize-2d-nonpoly": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY, "symbol": _XI2_X,
+                             "task": _task("quantize")}, 2),
+    "quantize-2d-explicit": ({"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
+                              "task": _task("quantize")}, 1),
+    "spectrum-1d-zero": ({"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
+                          "task": _task("spectrum")}, 1),
+    "spectrum-2d-const": ({"grid": _grid(2, 12.0, 16), "field": {"components": {"12": "1"}},
+                           "symbol": _XI2, "task": _task("spectrum")}, 1),
+    "spectrum-2d-nonpoly": ({"grid": _grid(2, 10.0, 12), "field": _NONPOLY, "symbol": _XI2,
+                             "task": _task("spectrum")}, 1),
+    "ess-spectrum-1d-arctan": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                                "algebra": _ORBITS_1D, "task": _task("ess-spectrum")}, 1),
+    "ess-spectrum-1d-well": ({"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
+                              "algebra": _ORBITS_1D, "task": _task("ess-spectrum")}, 1),
+    "gauge-check-2d-zero": ({"grid": _grid(2, 8.0, 12), "symbol": _XI2_X,
+                             "gauge": {"kind": "pair", "psi": "0.5*x1*x2"},
+                             "task": _task("gauge-check")}, 1),
+    "gauge-check-2d-poly-psi": ({"grid": _grid(2, 8.0, 12), "field": _CONST, "symbol": _XI2_X,
+                                 "gauge": {"kind": "pair", "psi": "0.3*x1*x2"},
+                                 "task": _task("gauge-check")}, 1),
+    "gauge-check-2d-nonpoly-psi": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY,
+                                    "symbol": _XI2_X,
+                                    "gauge": {"kind": "pair", "psi": "sin(x1)*x2"},
+                                    "task": _task("gauge-check")}, 1),
+    "expand-1d": ({"grid": _grid(1, 20.0, 64),
+                   "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
+                   "symbol2": {"expression": "xi1 + exp(-x1^2)", "m": 1, "rho": 1},
+                   "task": _task("expand", depth=2)}, 1),
+    "expand-2d-empty-window": ({"grid": _grid(2, 8.0, 16), "field": _CONST, "symbol": _XI2,
+                                "symbol2": _XI2, "task": _task("expand", depth=2)}, 1),
+    "invert-1d": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                   "task": _task("invert", z=-10)}, 1),
+    "invert-1d-divergent": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                             "task": _task("invert", z=100.0)}, 1),
+    "invert-2d-const": ({"grid": _grid(2, 8.0, 12), "field": _CONST,
+                         "symbol": {**_XI2, "expression": "xi1^2 + xi2^2 + arctan(x1)"},
+                         "task": _task("invert", z=-20)}, 1),
+    "validate-1d-zero": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                          "task": _task("validate")}, 1),
+    "validate-2d-nonpoly": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY, "symbol": _XI2,
+                             "task": _task("validate", seed=3)}, 1),
+    "validate-2d-nonpoly-threads3": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY,
+                                      "symbol": _XI2, "task": _task("validate", seed=3)}, 3),
+    "validate-2d-explicit": ({"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
+                              "task": _task("validate")}, 1),
+    "bad-gauge-kind": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                        "gauge": {"kind": "nonsense"}, "task": _task("quantize")}, 1),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(cli) -> list[tuple[str, str]]:
+    """(path, digest) for every artifact of every config."""
+    out = []
+    for name, (config, threads) in CONFIGS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            run_dir = Path(tmp) / "out"
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                warnings.simplefilter("ignore")
+                code = cli.run(["--config", str(path), "--out", str(run_dir),
+                                "--threads", str(threads)])
+            out.append((f"{name}/exit", f"exit={code}"))
+            if err.getvalue():
+                out.append((f"{name}/stderr", _sha256(err.getvalue().encode())))
+            for artifact in sorted(run_dir.iterdir()) if run_dir.is_dir() else ():
+                out.append((f"{name}/{artifact.name}", _sha256(artifact.read_bytes())))
+    return sorted(out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="source tree to import magweyl from (default: this checkout's)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from magweyl import cli
+
+    print(f"# magweyl from {Path(cli.__file__).parent}", file=sys.stderr)
+    for path, digest in digests(cli):
+        print(f"{digest}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
