@@ -93,7 +93,8 @@ def _build_grid(config):
             raise ConfigError(f"grid block is missing {key!r}")
     grid = make_grid(int(block["n"]), float(block["L"]), int(block["N"]))
     # a quantization holds four P x P arrays at once: the circulation (8 bytes
-    # an entry), its phase, the kernel table and the operator (16 each)
+    # an entry), its phase, the kernel table and the operator (16 each); the
+    # circulation fill's quadrature temporaries span 32 rows, O(P) bytes
     P = grid.npoints
     need = 56 * P * P
     if need > _MEMORY_BYTES:
@@ -341,6 +342,10 @@ def _cmd_invert(config, out_dir, threads):
     return 0 if result.residual <= tol else 2
 
 
+# validate's thread-independence probe for a zero gauge, by dimension
+_THREAD_PROBES = {1: ["arctan(x1)"], 2: ["-arctan(x2)", "x1*exp(-x1^2/8)"]}
+
+
 def _cmd_validate(config, out_dir, threads):
     grid, B, gauge, f = _context(config, threads)
     seed = int(config["task"]["seed"])
@@ -371,9 +376,17 @@ def _cmd_validate(config, out_dir, threads):
     if f.real:
         checks["hermiticity"] = M.hermiticity_defect()
 
-    # assembly is independent of the thread count: the cached build against a fresh one
-    fresh = circulation_matrix(gauge.A, grid, threads=1 if threads > 1 else 2)
-    checks["thread_independence"] = float(np.abs(gauge.circulation - fresh).max())
+    # assembly is independent of the thread count: the cached build against a
+    # fresh one; a zero gauge never reaches the threaded fill, so two fresh
+    # builds of a fixed non-polynomial probe potential stand in for it
+    A = gauge.A
+    if A.is_zero():
+        A = VectorPotential.from_expressions(grid.n, _THREAD_PROBES[grid.n])
+        built = circulation_matrix(A, grid, threads=threads)
+    else:
+        built = gauge.circulation
+    fresh = circulation_matrix(A, grid, threads=1 if threads > 1 else 2)
+    checks["thread_independence"] = float(np.abs(built - fresh).max())
 
     tolerances = {
         "cocycle_identity": 1e-8,

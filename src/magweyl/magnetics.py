@@ -3,9 +3,11 @@ flux phases, gauge construction and gauge shifts.
 
 A magnetic field in dimension n is an antisymmetric 2-form with components
 B_jk(x); only the j < k components are stored.  In 2D there is a single
-scalar component B_12, and closedness is automatic.  A vector potential is a
-1-form with components A_j(x).  Components are evaluable functions of x
-(arrays of shape (..., n)), typically built from parsed expressions.
+scalar component B_12, and closedness is automatic.  Field components are
+evaluable functions of x (arrays of shape (..., n)), typically built from
+parsed expressions.  A vector potential is a 1-form held as one
+vector-valued callable x -> A(x) of shape (..., n); the transversal gauge
+samples each stored B_jk once per node and uses it for both A_j and A_k.
 
 All parameter integrals (flux over a 2-simplex, the explicit double-integral
 flux formula, circulation along a segment, the transversal gauge) use
@@ -137,48 +139,46 @@ def _max_degree(asts):
 
 @dataclass(frozen=True)
 class VectorPotential:
-    """1-form with evaluable real components A_j, 1 <= j <= n.
+    """1-form A in dimension n, as one vector-valued callable.
 
-    ``degree`` is the total polynomial degree of the components, or None
-    when it is unknown or they are not polynomials.
+    ``fn`` maps points of shape (..., n) to the real values A(x) of shape
+    (..., n).  ``degree`` is the total polynomial degree of the components,
+    or None when it is unknown or they are not polynomials.
     """
 
     n: int
-    components: tuple = ()
+    fn: object = field(repr=False)
     degree: int | None = None
-
-    def __post_init__(self):
-        if len(self.components) != self.n:
-            raise ValueError(f"expected {self.n} components, got {len(self.components)}")
 
     def evaluate(self, x) -> np.ndarray:
         """A(x) for x of shape (..., n); returns shape (..., n)."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape, dtype=float)
-        for j, fn in enumerate(self.components):
-            out[..., j] = fn(x)
-        return out
+        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
     def is_zero(self) -> bool:
         """True only for potentials built by :meth:`zero` (structural check)."""
-        return all(getattr(fn, "_is_zero", False) for fn in self.components)
+        return self.fn is _zero_potential
 
     @staticmethod
     def zero(n: int) -> "VectorPotential":
-        comps = []
-        for _ in range(n):
-            def z(x):
-                return np.zeros(np.asarray(x).shape[:-1])
-
-            z._is_zero = True
-            comps.append(z)
-        return VectorPotential(n=n, components=tuple(comps), degree=0)
+        return VectorPotential(n, _zero_potential, degree=0)
 
     @staticmethod
     def from_expressions(n: int, exprs) -> "VectorPotential":
         asts = [expressions.parse_expression(text, n_dim=n) for text in exprs]
-        return VectorPotential(n=n, components=tuple(_position_callable(ast) for ast in asts),
-                               degree=_max_degree(asts))
+        if len(asts) != n:
+            raise ValueError(f"expected {n} components, got {len(asts)}")
+
+        def fn(x):
+            out = np.empty(x.shape)
+            for j, ast in enumerate(asts):
+                out[..., j] = np.real(expressions.evaluate(ast, x=x))
+            return out
+
+        return VectorPotential(n, fn, degree=_max_degree(asts))
+
+
+def _zero_potential(x):
+    return np.zeros(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +277,30 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
 
     Satisfies dA = B and A(0) = 0; for a constant field B_12 = b in 2D this
     is the symmetric gauge (-b x2 / 2, b x1 / 2).  A has degree B.degree + 1.
+    Each stored integral I_jk = Integral_0^1 ds s B_jk(s x), j < k, is
+    sampled once per point and serves both A_j and A_k, with I_kj = -I_jk.
     """
     if B.is_zero():
         return VectorPotential.zero(B.n)
     sn, sw = _gl_nodes(exact_order(quad, B.degree, weight=1), 0.0, 1.0)
     weights = sw * sn  # include the s factor
 
-    def make_component(k: int):
-        def component(x, k=k):
-            x = np.asarray(x, dtype=float)
-            pts = sn[:, None] * x[..., None, :]  # (..., q, n)
+    def fn(x):
+        pts = sn[:, None] * x[..., None, :]  # (..., q, n)
+        I = {(j, k): np.sum(weights * B.component(j, k)(pts), axis=-1)
+             for j, k in B.components}
+        out = np.empty(x.shape)
+        for k in range(1, B.n + 1):
             acc = np.zeros(x.shape[:-1])
             for j in range(1, B.n + 1):
-                if j == k:
-                    continue
-                if (min(j, k), max(j, k)) not in B.components:
-                    continue
-                vals = B.component(k, j)(pts)  # (..., q)
-                acc = acc - x[..., j - 1] * np.sum(weights * vals, axis=-1)
-            return acc
+                if (k, j) in I:
+                    acc = acc - x[..., j - 1] * I[k, j]
+                elif (j, k) in I:
+                    acc = acc - x[..., j - 1] * -I[j, k]
+            out[..., k - 1] = acc
+        return out
 
-        return component
-
-    return VectorPotential(n=B.n, components=tuple(make_component(k) for k in range(1, B.n + 1)),
-                           degree=None if B.degree is None else B.degree + 1)
+    return VectorPotential(B.n, fn, degree=None if B.degree is None else B.degree + 1)
 
 
 def gauge_shift(A: VectorPotential, grad_psi=None, psi=None, step: float = 1e-5) -> VectorPotential:
@@ -308,8 +308,8 @@ def gauge_shift(A: VectorPotential, grad_psi=None, psi=None, step: float = 1e-5)
 
     Either an analytic gradient ``grad_psi`` (callable x -> shape (..., n))
     is supplied, or ``psi`` (callable x -> shape (...)) is differentiated by
-    central finite differences with step h = step * (1 + |x|).  The result
-    has unknown degree.
+    central finite differences with step h = step * (1 + |x|).  Each
+    evaluation of A' calls the gradient once.  The result has unknown degree.
     """
     if grad_psi is None:
         if psi is None:
@@ -325,15 +325,7 @@ def gauge_shift(A: VectorPotential, grad_psi=None, psi=None, step: float = 1e-5)
                 out[..., j] = (psi(x + h * e) - psi(x - h * e)) / (2.0 * h[..., 0])
             return out
 
-    def make_component(j: int):
-        base = A.components[j]
-
-        def component(x, j=j, base=base):
-            return np.asarray(base(x), dtype=float) + grad_psi(x)[..., j]
-
-        return component
-
-    return VectorPotential(n=A.n, components=tuple(make_component(j) for j in range(A.n)))
+    return VectorPotential(A.n, lambda x: A.evaluate(x) + grad_psi(x))
 
 
 def omega_cocycle(B: MagneticField, q, x, y, quad: FluxQuadrature = DEFAULT_QUAD):

@@ -24,6 +24,9 @@ xi1 # xi2 - xi2 # xi1 = i B_12.
 The phase is the only gauge-dependent ingredient.  :class:`Gauge` owns it:
 it builds the circulation matrix C once and applies e^{-iC} (quantization)
 or e^{+iC} (its inverse); every gauge-dependent function here takes one.
+A reversed segment has the opposite circulation, so C is integrated on its
+upper triangle only, in row blocks that depend on nothing but the number
+of nodes, and the rest is filled from C = -C^T, which holds exactly.
 
 The inverse transform reads the matrix diagonal-by-diagonal: after stripping
 the circulation phase, the diagonal i - j = d holds fcheck(., d*dx) sampled
@@ -138,30 +141,40 @@ def _as_table(other, grid):
 # ---------------------------------------------------------------------------
 
 
+# rows per block of the circulation fill; the blocks depend only on P
+_ROWS = 32
+
+
 def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 1) -> np.ndarray:
     """Circ(A; x_i -> x_j) for every ordered node pair, shape (P, P).
 
-    Rows are processed in fixed-size blocks with a fixed summation order, so
-    the result is bit-identical for any thread count.
+    A reversed segment has the opposite circulation, so only the upper
+    triangle is integrated: fixed blocks of ``_ROWS`` rows, each computing
+    C[a:b, a:] with a fixed summation order, then the strict lower triangle
+    is set to -C^T and the diagonal to 0.  C = -C^T holds exactly, and the
+    result is bit-identical for any thread count.
     """
     P = grid.npoints
     if A is None or A.is_zero():
         return np.zeros((P, P))
     X = grid.x_flat()
     C = np.empty((P, P))
-    block = max(1, (1 << 19) // P)
-    starts = list(range(0, P, block))
+    starts = range(0, P, _ROWS)
 
-    def fill(start):
-        stop = min(start + block, P)
-        C[start:stop] = circulation(A, X[start:stop, None, :], X[None, :, :], DEFAULT_QUAD)
+    def fill(a):
+        C[a:a + _ROWS, a:] = circulation(A, X[a:a + _ROWS, None, :], X[None, a:, :], DEFAULT_QUAD)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, starts))
     else:
-        for start in starts:
-            fill(start)
+        for a in starts:
+            fill(a)
+    for a in starts:
+        b = a + _ROWS
+        D = np.triu(C[a:b, a:b], 1)
+        C[a:b, a:b] = D - D.T
+        C[b:, a:b] = -C[a:b, b:].T
     return C
 
 
@@ -254,10 +267,12 @@ def _symbol_table(f, grid: PhaseSpaceGrid) -> np.ndarray:
     d2 = i2g - j2g
     sign2 = (-1.0) ** d2
     for p1, q1 in enumerate(half):
-        qgrid = np.empty((2 * N - 1,) + xi_mesh.shape[:-1] + (2,))
+        # one point per midpoint; the momentum axes broadcast
+        qgrid = np.empty((2 * N - 1, 1, 1, 2))
         qgrid[..., 0] = q1
         qgrid[..., 1] = half[:, None, None]
-        F = np.asarray(f(qgrid, xi_mesh[None]), dtype=complex)  # (2N-1, N, N)
+        F = np.broadcast_to(np.asarray(f(qgrid, xi_mesh[None]), dtype=complex),
+                            (2 * N - 1, N, N))
         G = sp_fft.ifft2(F, axes=(1, 2))
         for i1 in range(max(0, p1 - N + 1), min(N, p1 + 1)):
             j1 = p1 - i1

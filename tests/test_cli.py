@@ -2,7 +2,9 @@
 
 import dataclasses
 import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +305,44 @@ def test_validate_compares_the_gauge_with_a_fresh_build(tmp_path, monkeypatch, t
     assert checks["thread_independence"] == {"residual": 0.25, "tolerance": 0.0,
                                              "passed": False}
     assert all(c["passed"] for name, c in checks.items() if name != "thread_independence")
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise RuntimeError("the threaded circulation fill was reached")
+
+
+@pytest.mark.parametrize("grid", [{"n": 1, "L": 20.0, "N": 32}, {"n": 2, "L": 8.0, "N": 8}],
+                         ids=["1d", "2d"])
+def test_validate_checks_thread_independence_without_a_field(tmp_path, monkeypatch, grid):
+    # a zero gauge never reaches the thread pool, so validate builds a fixed
+    # probe potential at two thread counts; a broken pool must show
+    symbol = _XI2 if grid["n"] == 2 else _ARCTAN_1D
+    cfg = write_cfg(tmp_path / "cfg.json", {"grid": grid, "symbol": symbol,
+                                            "task": {"command": "validate"}})
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    assert checks["thread_independence"] == {"residual": 0.0, "tolerance": 0.0, "passed": True}
+    monkeypatch.setattr(importlib.import_module("magweyl.quantize"), "ThreadPoolExecutor", _NoPool)
+    with pytest.raises(RuntimeError, match="threaded circulation fill"):
+        run(["--config", cfg, "--out", str(tmp_path / "broken"), "--threads", "2"])
+
+
+def _artifact_digest_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digest.py"
+    spec = importlib.util.spec_from_file_location("artifact_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_the_artifact_digest_tool_runs_every_command_with_pinned_exit_codes():
+    tool = _artifact_digest_tool()
+    assert {cfg["task"]["command"] for cfg, _ in tool.CONFIGS.values()} == set(cli._COMMANDS)
+    exits = {path.split("/")[0]: code for path, code in tool.digests(cli)
+             if path.endswith("/exit")}
+    expect = dict.fromkeys(tool.CONFIGS, "exit=0")
+    expect.update({"bad-gauge-kind": "exit=1", "expand-2d-empty-window": "exit=1",
+                   "invert-1d-divergent": "exit=2"})
+    assert exits == expect

@@ -1,5 +1,7 @@
 """Fields, potentials, fluxes, circulations, and the flux 2-cocycle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -151,10 +153,8 @@ def test_quadrature_order_validation():
 
 
 def _unknown_degree(F):
-    """The same components with the degree forgotten (the nominal rule)."""
-    if isinstance(F, MagneticField):
-        return MagneticField(n=F.n, components=F.components)
-    return VectorPotential(n=F.n, components=F.components)
+    """The same field or potential with the degree forgotten (the nominal rule)."""
+    return dataclasses.replace(F, degree=None)
 
 
 def test_exact_order_rule():
@@ -184,7 +184,7 @@ def test_degree_metadata():
     assert VectorPotential.from_expressions(2, ["x2", "exp(x1)"]).degree is None
     assert gauge_shift(A, grad_psi=lambda x: np.zeros(np.shape(x))).degree is None
     # objects built by hand have unknown degree
-    assert VectorPotential(n=2, components=A.components).degree is None
+    assert VectorPotential(2, A.fn).degree is None
     assert MagneticField(n=2, components=B.components).degree is None
 
 
@@ -243,4 +243,48 @@ def test_non_polynomial_gauge_keeps_the_nominal_rule_bit_for_bit():
     d = y - x
     pts = x[..., None, :] + nodes[:, None] * d[..., None, :]
     expect = np.sum(weights * np.sum(A.evaluate(pts) * d[..., None, :], axis=-1), axis=-1)
-    np.testing.assert_array_equal(circulation_matrix(A, g), expect)
+    C = circulation_matrix(A, g)
+    upper = np.triu_indices(g.npoints, 1)
+    np.testing.assert_array_equal(C[upper], expect[upper])
+    assert np.array_equal(C, -C.T)
+
+
+def _transversal_reference(B, x):
+    """The transversal gauge written out one component at a time:
+    A_k(x) = -sum_j x_j sum_s w_s s B_kj(s x), j in increasing order."""
+    sn, sw = roots_legendre(exact_order(DEFAULT_QUAD, B.degree, weight=1))
+    sn, sw = 0.5 * sn + 0.5, 0.5 * sw
+    pts = sn[:, None] * x[..., None, :]
+    out = np.empty(x.shape)
+    for k in range(1, B.n + 1):
+        acc = np.zeros(x.shape[:-1])
+        for j in range(1, B.n + 1):
+            if j != k and (min(j, k), max(j, k)) in B.components:
+                acc = acc - x[..., j - 1] * np.sum(sw * sn * B.component(k, j)(pts), axis=-1)
+        out[..., k - 1] = acc
+    return out
+
+
+@pytest.mark.parametrize("n, exprs", [
+    (2, {(1, 2): "1 + 1/(1+x1^2)"}),
+    (3, {(1, 2): "1 + x3/(1+x1^2)", (1, 3): "sin(x2)", (2, 3): "0.3*x1*x3 + exp(-x2^2)"}),
+    (3, {(1, 3): "cos(x2)*x1"}),
+])
+def test_transversal_gauge_samples_each_field_component_once_bit_for_bit(n, exprs):
+    B = MagneticField.from_expressions(n, exprs)
+    x = np.random.default_rng(5).uniform(-4.0, 4.0, size=(7, 5, n))
+    assert np.array_equal(transversal_gauge(B).evaluate(x), _transversal_reference(B, x))
+
+
+def test_gauge_shift_calls_the_gradient_once_per_evaluation():
+    A = VectorPotential.from_expressions(2, ["-arctan(x2)", "x1"])
+    calls = []
+
+    def grad_psi(x):
+        calls.append(np.shape(x))
+        return np.stack([np.cos(x[..., 0]) * x[..., 1], np.sin(x[..., 0])], axis=-1)
+
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 6, 2))
+    shifted = gauge_shift(A, grad_psi=grad_psi).evaluate(x)
+    assert calls == [(4, 6, 2)]
+    assert np.array_equal(shifted, A.evaluate(x) + grad_psi(x))

@@ -10,7 +10,13 @@ from scipy import fft as sp_fft
 import magweyl
 
 from magweyl.grid import make_grid
-from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
+from magweyl.magnetics import (
+    DEFAULT_QUAD,
+    MagneticField,
+    VectorPotential,
+    circulation,
+    transversal_gauge,
+)
 from magweyl.quantize import (
     Gauge,
     _symbol_table,
@@ -112,6 +118,34 @@ def test_circulation_matrix_thread_independence():
     C1 = circulation_matrix(A, g, threads=1)
     C4 = circulation_matrix(A, g, threads=4)
     np.testing.assert_array_equal(C1, C4)
+
+
+def _circulation_case(case):
+    # P = 144 and P = 100 are not multiples of the 32-row block
+    g2 = make_grid(2, 10.0, 12)
+    if case == "linear":
+        return g2, VectorPotential.from_expressions(2, ["-0.5*x2", "0.5*x1"])
+    if case == "explicit":
+        return g2, VectorPotential.from_expressions(2, ["-arctan(x2)", "x1*exp(-x1^2/8)"])
+    if case == "transversal":
+        return g2, transversal_gauge(MagneticField.from_expressions(2, {(1, 2): "1 + 1/(1+x1^2)"}))
+    return make_grid(1, 20.0, 100), VectorPotential.from_expressions(1, ["sin(x1)"])
+
+
+@pytest.mark.parametrize("case", ["linear", "explicit", "transversal", "sin1d"])
+def test_circulation_matrix_fills_the_lower_triangle_exactly_from_the_upper(case):
+    g, A = _circulation_case(case)
+    P = g.npoints
+    assert P % importlib.import_module("magweyl.quantize")._ROWS != 0
+    # every ordered pair in one broadcast call
+    X = g.x_flat()
+    expect = circulation(A, X[:, None, :], X[None, :, :], DEFAULT_QUAD)
+    C1, C2, C3 = (circulation_matrix(A, g, threads=t) for t in (1, 2, 3))
+    upper = np.triu_indices(P, 1)
+    assert np.array_equal(C1[upper], expect[upper])
+    assert np.array_equal(C1, -C1.T)
+    assert np.array_equal(np.diag(C1), np.zeros(P))
+    assert np.array_equal(C1, C2) and np.array_equal(C1, C3)
 
 
 @pytest.mark.parametrize("A", [
@@ -308,6 +342,44 @@ def test_2d_samples_match_the_symbol(text, b):
     exact = f(*_phase_mesh(g))
     mask = np.broadcast_to(S.interior_mask(0.5), S.values.shape)
     assert np.abs(S.values - exact)[mask].max() <= 1e-10
+
+
+def _symbol_table_2d_ref(f, grid):
+    """The 2D slab loop with f sampled on the full midpoint x momentum block."""
+    N = grid.N
+    xi_mesh = grid.xi_mesh()
+    half = grid.half_nodes()
+    W = np.empty((grid.npoints, grid.npoints), dtype=complex)
+    i = np.arange(N)
+    i2g, j2g = np.meshgrid(i, i, indexing="ij")
+    p2 = i2g + j2g
+    d2 = i2g - j2g
+    sign2 = (-1.0) ** d2
+    for p1, q1 in enumerate(half):
+        qgrid = np.empty((2 * N - 1, N, N, 2))
+        qgrid[..., 0] = q1
+        qgrid[..., 1] = half[:, None, None]
+        F = np.empty((2 * N - 1, N, N), dtype=complex)
+        F[...] = f(qgrid, xi_mesh[None])  # a constant callable returns a scalar
+        G = sp_fft.ifft2(F, axes=(1, 2))
+        for i1 in range(max(0, p1 - N + 1), min(N, p1 + 1)):
+            j1 = p1 - i1
+            d1 = i1 - j1
+            W[i1 * N:(i1 + 1) * N, j1 * N:(j1 + 1) * N] = (
+                (-1.0) ** d1 * sign2 * G[p2, d1 % N, d2 % N]
+            )
+    return W
+
+
+@pytest.mark.parametrize("f", [
+    Symbol.from_expression("xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2", 2, m=2),
+    Symbol.from_expression("arctan(x1)", 2),
+    Symbol.from_callable(lambda x, xi: np.arctan(x[..., 0]), 2),
+    Symbol.from_callable(lambda x, xi: 2.5, 2),
+], ids=["x-and-xi", "x-only", "x-only-narrow", "constant"])
+def test_symbol_table_samples_each_midpoint_once_bit_for_bit(f):
+    g = make_grid(2, 8.0, 12)
+    assert np.array_equal(_symbol_table(f, g), _symbol_table_2d_ref(f, g))
 
 
 # -- reference wrong quantization: its own slab loop ------------------------
