@@ -15,6 +15,7 @@ error (malformed config, parse failure, non-Hermitian operator, ...).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -86,6 +87,15 @@ def _effective_config(config: dict, seed) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _parsing(where):
+    """Name the config entry and the text of an expression that fails to parse."""
+    try:
+        yield
+    except expressions.ParseError as exc:
+        raise ConfigError(f"{where}: cannot parse {exc.text!r}: {exc}") from None
+
+
 def _build_grid(config):
     block = _require_block(config, "grid")
     for key in ("n", "L", "N"):
@@ -114,7 +124,8 @@ def _build_field(config, n):
             raise ConfigError(
                 f"field component key {key!r} must name an index pair like '12'")
         exprs[(int(digits[0]), int(digits[1]))] = text
-    return MagneticField.from_expressions(n, exprs)
+    with _parsing("field block"):
+        return MagneticField.from_expressions(n, exprs)
 
 
 def _position_expr(text, n):
@@ -132,7 +143,8 @@ def _build_gauge(config, B, n):
         exprs = block.get("A")
         if not exprs or len(exprs) != n:
             raise ConfigError(f"gauge block needs {n} 'A' component expressions")
-        return VectorPotential.from_expressions(n, exprs)
+        with _parsing("gauge block 'A'"):
+            return VectorPotential.from_expressions(n, exprs)
     raise ConfigError(f"unknown gauge kind {kind!r}")
 
 
@@ -140,13 +152,14 @@ def _build_symbol(config, n, block_name="symbol"):
     block = _require_block(config, block_name)
     if "expression" not in block:
         raise ConfigError(f"{block_name} block is missing 'expression'")
-    return Symbol.from_expression(
-        block["expression"], n,
-        m=float(block.get("m", 0.0)),
-        rho=float(block.get("rho", 0.0)),
-        delta=float(block.get("delta", 0.0)),
-        real=bool(block.get("real", False)),
-    )
+    with _parsing(f"{block_name} block"):
+        return Symbol.from_expression(
+            block["expression"], n,
+            m=float(block.get("m", 0.0)),
+            rho=float(block.get("rho", 0.0)),
+            delta=float(block.get("delta", 0.0)),
+            real=bool(block.get("real", False)),
+        )
 
 
 def _build_algebra(config):
@@ -169,7 +182,8 @@ def _psi_pair(config, A, n):
     text = block.get("psi")
     if text is None:
         raise ConfigError("gauge block needs a 'psi' expression for gauge pairs")
-    ast, psi = _position_expr(text, n)
+    with _parsing("gauge block 'psi'"):
+        ast, psi = _position_expr(text, n)
     grads = [ast.diff(f"x{j + 1}") for j in range(n)]
 
     def grad_psi(x):

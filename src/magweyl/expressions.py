@@ -34,7 +34,10 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 class ParseError(ValueError):
-    """Syntax error with the 1-based byte offset and the expected-token set."""
+    """Syntax error with the 1-based byte offset and the expected-token set;
+    :func:`parse_expression` also sets ``text``, the expression parsed."""
+
+    text: str | None = None
 
     def __init__(self, message: str, offset: int, expected=()):
         self.offset = offset + 1
@@ -513,7 +516,11 @@ def parse_expression(text: str, n_dim: int | None = None) -> Node:
     Raises ParseError (with byte offset and expected-token set) on failure.
     If ``n_dim`` is given, variable indices above it are rejected.
     """
-    return _Parser(text, n_dim).parse()
+    try:
+        return _Parser(text, n_dim).parse()
+    except ParseError as exc:
+        exc.text = text
+        raise
 
 
 def degree(node: Node) -> int | None:

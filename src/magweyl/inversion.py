@@ -12,11 +12,14 @@ quantized generator is R = I - M Q, and the series converges when the
 operator norm of R is subunitary, which improves as |z| grows along the
 negative real axis.  By spectral invariance the inverse lies in the algebra,
 so only its matrix is needed, and at matrix level the series telescopes:
-Q sum_k R^k = M^(-1).  The inverse is therefore computed by one solve of
-M against the identity, while ||R|| < 1 is kept as the admissibility
+Q sum_k R^k = M^(-1).  The inverse is therefore computed as one LU inverse
+of M (getrf, then getri), while ||R|| < 1 is kept as the admissibility
 certificate of a real z and reported with the series length it certifies.
-Nonreal z, reached in the paper from a real seed through the resolvent
-identity, are solved directly in the same way, without a certificate.
+||R|| is the square root of the top eigenvalue of the Hermitian Gram
+matrix of R, formed by one rank-P update (zherk): the largest singular
+value to rounding, at about half the cost of an SVD.  Nonreal z, reached
+in the paper from a real seed through the resolvent identity, are inverted
+directly in the same way, without a certificate.
 """
 
 from __future__ import annotations
@@ -81,13 +84,29 @@ class InversionResult:
     matrix: np.ndarray = field(repr=False)  # quantized inverse (gauge of the build)
 
 
+def _shift_diagonal(M: np.ndarray, c: complex) -> np.ndarray:
+    """M + c I, in place."""
+    M.reshape(-1)[::len(M) + 1] += c
+    return M
+
+
 def _series_generator(f: Symbol, z: complex, gauge: Gauge):
     """M_f - z and the operator norm of R_z = I - (M_f - z) Q with
-    Q = quantize(1/(f - z))."""
+    Q = quantize(1/(f - z)).
+
+    The norm is sqrt(lambda_max(G)) for the Gram matrix G of R_z: zherk on
+    the Fortran-ordered view R^T forms R^T conj(R) = conj(R^H R), which has
+    the eigenvalues of R^H R, without copying R.  Q and R are released as
+    soon as their product and G exist."""
     P = gauge.grid.npoints
-    Mf = quantize(f, gauge).matrix - z * np.eye(P)
-    Q = quantize(_reciprocal_symbol(f, z), gauge).matrix
-    return Mf, float(sp_linalg.svdvals(np.eye(P) - Mf @ Q)[0])
+    Mf = _shift_diagonal(quantize(f, gauge).matrix, -z)
+    R = Mf @ quantize(_reciprocal_symbol(f, z), gauge).matrix
+    _shift_diagonal(np.negative(R, out=R), 1.0)
+    G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
+    del R
+    top = sp_linalg.eigh(G, eigvals_only=True, subset_by_index=[P - 1, P - 1],
+                         overwrite_a=True)[0]
+    return Mf, math.sqrt(max(top, 0.0))
 
 
 def norm_Rz(f: Symbol, z: complex, gauge: Gauge) -> float:
@@ -113,8 +132,8 @@ def neumann_invert(f: Symbol, z: complex, gauge: Gauge, validate: bool = True) -
     With ``validate``, f must be real and elliptic and a real z admissible,
     z <= inf f - 1.  Raises :class:`DivergenceError` unless the series
     generator has operator norm below 1; the inverse is then the sum of the
-    series, computed as one solve of M_f - z, exact to rounding.  ``terms``
-    is the series length that norm certifies.
+    series, computed as the LU inverse of M_f - z, exact to rounding.
+    ``terms`` is the series length that norm certifies.
     """
     z = complex(z)
     grid = gauge.grid
@@ -134,20 +153,19 @@ def neumann_invert(f: Symbol, z: complex, gauge: Gauge, validate: bool = True) -
 
 def _solved(Mf_minus_z: np.ndarray, z: complex, terms: int, norm_R: float | None,
             gauge: Gauge) -> InversionResult:
-    """The inverse of M_f - z by one LU solve, dequantized, with its residual."""
-    X = sp_linalg.solve(Mf_minus_z, np.eye(len(Mf_minus_z)))
-    sym = dequantize(MagneticOperator(gauge.grid, X), gauge)
+    """The inverse of M_f - z (getrf, then getri), its residual, then its
+    dequantization."""
+    X = sp_linalg.inv(Mf_minus_z)
     residual = inversion_residual(Mf_minus_z, X, gauge)
+    sym = dequantize(MagneticOperator(gauge.grid, X), gauge)
     return InversionResult(symbol=sym, z=z, terms=terms, residual=residual,
                            norm_R=norm_R, matrix=X)
 
 
 def inversion_residual(Mf_minus_z: np.ndarray, inverse_mat: np.ndarray, gauge: Gauge) -> float:
     """sup over the interior 80% of |dequantize(Mf - z) # inverse - 1|."""
-    res = MagneticOperator(gauge.grid, Mf_minus_z @ inverse_mat - np.eye(len(inverse_mat)))
-    sym = dequantize(res, gauge)
-    mask = np.broadcast_to(sym.interior_mask(), sym.values.shape)
-    return float(np.abs(sym.values[mask]).max())
+    res = MagneticOperator(gauge.grid, _shift_diagonal(Mf_minus_z @ inverse_mat, -1.0))
+    return dequantize(res, gauge).interior_sup()
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +283,8 @@ class ResolventFamily:
             res = neumann_invert(self.f, z, self.gauge)
         else:
             _require_elliptic(self.f, grid)
-            Mf = quantize(self.f, self.gauge).matrix
-            res = _solved(Mf - z * np.eye(grid.npoints), z, 0, None, self.gauge)
+            Mf = _shift_diagonal(quantize(self.f, self.gauge).matrix, -z)
+            res = _solved(Mf, z, 0, None, self.gauge)
         self.entries[key] = res
         return res
 
@@ -277,9 +295,7 @@ class ResolventFamily:
         r1 = self.add(z1)
         r2 = self.add(z2)
         combo = r1.matrix - r2.matrix - (z1 - z2) * (r1.matrix @ r2.matrix)
-        sym = dequantize(MagneticOperator(self.gauge.grid, combo), self.gauge)
-        mask = np.broadcast_to(sym.interior_mask(), sym.values.shape)
-        return float(np.abs(sym.values[mask]).max())
+        return dequantize(MagneticOperator(self.gauge.grid, combo), self.gauge).interior_sup()
 
     def adjoint_symmetry_residual(self, z: complex) -> float:
         """sup_interior |Phi(r_z)^# - Phi(r_zbar)| (involution = conjugate
@@ -287,9 +303,7 @@ class ResolventFamily:
         rz = self.add(z)
         rzb = self.add(np.conj(z))
         adj = SampledSymbol(self.gauge.grid, rz.symbol.table.conj().T)
-        diff = adj - rzb.symbol
-        mask = np.broadcast_to(diff.interior_mask(), diff.values.shape)
-        return float(np.abs(diff.values[mask]).max())
+        return (adj - rzb.symbol).interior_sup()
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,10 @@ class MagneticOperator:
         return MagneticOperator(self.grid, self.matrix @ other.matrix)
 
 
+# centered share of the box, per axis, away from the dequantizer's edge effects
+_INTERIOR = 0.8
+
+
 @dataclass(frozen=True)
 class SampledSymbol:
     """A symbol produced by dequantization.
@@ -103,15 +107,22 @@ class SampledSymbol:
             self._cache["values"] = _table_to_samples(self.table, self.grid)
         return self._cache["values"]
 
-    def interior_mask(self, fraction: float = 0.8) -> np.ndarray:
+    def interior_mask(self, fraction: float = _INTERIOR) -> np.ndarray:
         """Boolean mask over the position axes selecting the centered
         ``fraction`` of the box on each axis (momentum axes broadcast)."""
         g = self.grid
-        keep = np.abs(g.x_nodes) <= fraction * g.L / 2.0
+        keep = _interior_nodes(g, fraction)
         mask = keep
         for _ in range(g.n - 1):
             mask = np.logical_and.outer(mask, keep)
         return mask.reshape((g.N,) * g.n + (1,) * g.n)
+
+    def interior_sup(self) -> float:
+        """sup |values| over :meth:`interior_mask`; only the interior nodes
+        are interpolated, with the stencils and summation order of
+        :attr:`values`, so the result is the same to the bit."""
+        samples = _table_to_samples(self.table, self.grid, _interior_nodes(self.grid, _INTERIOR))
+        return float(np.abs(samples).max())
 
     def __add__(self, other):
         return SampledSymbol(self.grid, self.table + _as_table(other, self.grid))
@@ -123,6 +134,11 @@ class SampledSymbol:
         return SampledSymbol(self.grid, self.table * scalar)
 
     __rmul__ = __mul__
+
+
+def _interior_nodes(grid: PhaseSpaceGrid, fraction: float) -> np.ndarray:
+    """Position nodes of one axis inside the centered ``fraction`` of the box."""
+    return np.abs(grid.x_nodes) <= fraction * grid.L / 2.0
 
 
 def _as_table(other, grid):
@@ -366,13 +382,19 @@ def _interpolate(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out.view(complex)[..., 0]
 
 
-def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Symbol samples f(x_l, xi_k) from a phase-stripped kernel table."""
+def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid, keep=None) -> np.ndarray:
+    """Symbol samples f(x_l, xi_k) from a phase-stripped kernel table, at the
+    position nodes where the boolean ``keep`` (one axis, default all) holds
+    on every axis: shape (K,)*n + (N,)*n for K kept nodes."""
     N, n = grid.N, grid.n
     W = np.asarray(W, dtype=complex)
     ds, rows, weights = _stencils(N)
+    if keep is not None:
+        # gathers take the layout of their index, and _interpolate needs it C-ordered
+        rows, weights = np.ascontiguousarray(rows[:, :, keep]), weights[:, keep]
+    K = rows.shape[2]
     sign = (-1.0) ** ds
-    cs = np.zeros((N,) * n + (N,) * n, dtype=complex)  # [l..., d mod N ...]
+    cs = np.zeros((K,) * n + (N,) * n, dtype=complex)  # [l..., d mod N ...]
     if n == 1:
         vals = _interpolate(W[rows, rows - ds[:, None]], weights)
         cs[:, ds % N] = (sign[:, None] * vals).T
@@ -385,10 +407,10 @@ def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     axis1 = k * N * N + (k - ds[:, None]) % N  # (N_d, N)
     flat = np.ravel(W)
     # the axis-1 stencils read the axis-0 result A[d2, l1, k]
-    reread = (np.arange(len(ds))[:, None, None] * N * N
-              + np.arange(N)[:, None] * N + rows[:, :, None, :])  # (8, N_d, N_l, N_l)
+    reread = (np.arange(len(ds))[:, None, None] * K * N
+              + np.arange(K)[:, None] * N + rows[:, :, None, :])  # (8, N_d, K, K)
     for e, d1 in enumerate(ds):
-        axis0 = (rows[:, e] * N * N + rows[:, e] - d1) * N  # (8, N_l)
+        axis0 = (rows[:, e] * N * N + rows[:, e] - d1) * N  # (8, K)
         A = _interpolate(flat[axis0[:, None, :, None] + axis1[None, :, None, :]],
                          weights[e][:, None, :])
         vals = _interpolate(np.ravel(A)[reread], weights[:, None, :, :])

@@ -165,7 +165,31 @@ def test_bad_expression_is_diagnosed(tmp_path, capsys):
         "task": {"command": "spectrum"},
     })
     assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "sin(x1" in capsys.readouterr().err or True
+    err = capsys.readouterr().err
+    assert "symbol block" in err and "'sin(x1'" in err and "offset 7" in err
+    # every expression of the config is named by its block
+    grid2, xi2 = {"n": 2, "L": 8.0, "N": 8}, {"expression": "xi1^2 + xi2^2", "m": 2}
+    bad = {
+        "symbol2 block": {"grid": grid2, "symbol": xi2, "symbol2": {"expression": "xi1 +"},
+                          "task": {"command": "expand", "depth": 2}},
+        "field block": {"grid": grid2, "symbol": xi2,
+                        "field": {"components": {"12": "1 + (x1"}},
+                        "task": {"command": "quantize"}},
+        "gauge block 'A'": {"grid": grid2, "symbol": xi2,
+                            "gauge": {"kind": "explicit", "A": ["-x2", "x1 *"]},
+                            "task": {"command": "quantize"}},
+        "gauge block 'psi'": {"grid": grid2, "symbol": xi2,
+                              "gauge": {"kind": "pair", "psi": "x1*x2)"},
+                              "task": {"command": "gauge-check"}},
+    }
+    texts = {"symbol2 block": "'xi1 +'", "field block": "'1 + (x1'",
+             "gauge block 'A'": "'x1 *'", "gauge block 'psi'": "'x1*x2)'"}
+    for where, config in bad.items():
+        out = tmp_path / where.replace(" ", "_").replace("'", "")
+        assert run(["--config", write_cfg(tmp_path / "bad.json", config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{where}: cannot parse {texts[where]}" in err
+        assert not (out / "summary.json").exists()
 
 
 def test_unknown_command_rejected(tmp_path, capsys):

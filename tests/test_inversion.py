@@ -1,7 +1,10 @@
 """Certified inversion, regularizers, resolvent families."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from magweyl.grid import make_grid
 from magweyl.inversion import (
@@ -15,18 +18,27 @@ from magweyl.inversion import (
     _sampled_inf,
     build_regularizer,
     certified_terms,
+    inversion_residual,
     neumann_invert,
     norm_Rz,
     order_check_inverse,
 )
-from magweyl.magnetics import VectorPotential
-from magweyl.quantize import Gauge, SampledSymbol, quantize
+from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
+from magweyl.quantize import Gauge, MagneticOperator, SampledSymbol, dequantize, quantize
 from magweyl.symbols import Symbol
 
 GRID = make_grid(1, 20.0, 128)
 A0 = VectorPotential.zero(1)
 G0 = Gauge(A0, GRID)
 ARCTAN = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)
+# the benchmark's invert symbol, zero field
+BUMPS_2D = Symbol.from_expression("xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)", 2,
+                                  m=2, real=True)
+ARCTAN_2D = Symbol.from_expression("xi1^2 + xi2^2 + arctan(x1)", 2, m=2, real=True)
+
+
+def _const_gauge(b, grid):
+    return Gauge(transversal_gauge(MagneticField.constant(2, b)), grid)
 
 
 def test_arctan_inversion_small_z():
@@ -199,3 +211,68 @@ def test_affiliated_calculus_matches_eigendecomposition():
         1, m=0)
     with pytest.raises(ValueError):
         affiliated_calculus(bad, Gauge(A0, g), eta, hermiticity_tol=1e-8)
+
+
+def _svdvals_norm(f, z, gauge):
+    """||R_z|| by the general route: the largest singular value of I - M Q."""
+    P = gauge.grid.npoints
+    Mf = quantize(f, gauge).matrix - z * np.eye(P)
+    Q = quantize(_reciprocal_symbol(f, z), gauge).matrix
+    return float(svdvals(np.eye(P) - Mf @ Q)[0])
+
+
+@pytest.mark.parametrize("case", ["1d", "2d-zero", "2d-const", "1d-nonreal"])
+def test_the_gram_norm_is_the_largest_singular_value(case):
+    f, z, gauge = {
+        "1d": (ARCTAN, -10.0, Gauge(A0, make_grid(1, 20.0, 64))),
+        "2d-zero": (BUMPS_2D, -40.0, Gauge(VectorPotential.zero(2), make_grid(2, 8.0, 16))),
+        "2d-const": (ARCTAN_2D, -20.0, _const_gauge(0.6, make_grid(2, 8.0, 12))),
+        "1d-nonreal": (ARCTAN, -10.0 + 4.0j, Gauge(A0, make_grid(1, 20.0, 64))),
+    }[case]
+    fast, general = norm_Rz(f, z, gauge), _svdvals_norm(f, z, gauge)
+    assert 0.0 < general < 1.0
+    assert fast == pytest.approx(general, rel=1e-13, abs=0.0)
+    P = gauge.grid.npoints
+    assert certified_terms(fast, P) == certified_terms(general, P) > 1
+
+
+def _interior_sup_of_the_values(sym):
+    """sup |values| over the interior mask, from the full sample array."""
+    mask = np.broadcast_to(sym.interior_mask(), sym.values.shape)
+    return float(np.abs(sym.values[mask]).max())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_residuals_are_the_sup_of_the_values_on_the_interior_mask(n):
+    f, z, gauge = ((ARCTAN, -10.0, G0) if n == 1
+                   else (ARCTAN_2D, -20.0, _const_gauge(0.6, make_grid(2, 8.0, 12))))
+    grid, P = gauge.grid, gauge.grid.npoints
+    res = neumann_invert(f, z, gauge)
+    Mf = quantize(f, gauge).matrix - z * np.eye(P)
+    E = MagneticOperator(grid, Mf @ res.matrix - np.eye(P))
+    expected = _interior_sup_of_the_values(dequantize(E, gauge))
+    assert res.residual == inversion_residual(Mf, res.matrix, gauge) == expected
+
+    fam = ResolventFamily(f, gauge)
+    z1, z2 = z, -3.0 + 1.0j
+    r1, r2 = fam.add(z1), fam.add(z2)
+    combo = r1.matrix - r2.matrix - (z1 - z2) * (r1.matrix @ r2.matrix)
+    expected = _interior_sup_of_the_values(dequantize(MagneticOperator(grid, combo), gauge))
+    assert fam.resolvent_equation_residual(z1, z2) == expected
+    rzb = fam.add(np.conj(z2))
+    diff = SampledSymbol(grid, r2.symbol.table.conj().T) - rzb.symbol
+    assert fam.adjoint_symmetry_residual(z2) == _interior_sup_of_the_values(diff)
+
+
+@pytest.mark.parametrize("field", ["zero", "const"])
+def test_neumann_invert_peaks_below_100_p_squared_bytes(field):
+    g = make_grid(2, 12.0, 24)
+    gauge = Gauge(VectorPotential.zero(2), g) if field == "zero" else _const_gauge(0.6, g)
+    tracemalloc.start()
+    try:
+        res = neumann_invert(BUMPS_2D, -40.0, gauge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.terms > 0
+    assert peak <= 100 * g.npoints ** 2

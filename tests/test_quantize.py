@@ -19,6 +19,7 @@ from magweyl.magnetics import (
 )
 from magweyl.quantize import (
     Gauge,
+    SampledSymbol,
     _symbol_table,
     KernelFunction,
     circulation_matrix,
@@ -326,6 +327,23 @@ def test_vectorized_sampler_is_bit_identical_to_the_diagonal_loop(n, N):
     rng = np.random.default_rng(N + 100 * n)
     W = rng.standard_normal((g.npoints,) * 2) + 1j * rng.standard_normal((g.npoints,) * 2)
     assert np.array_equal(_table_to_samples(W, g), _table_to_samples_ref(W, g))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [8, 12, 16])
+def test_interior_samples_are_the_values_on_the_interior_mask_bit_for_bit(n, N):
+    # N <= 12 gives edge diagonals shorter than the 8-point stencil
+    g = make_grid(n, 8.0, N)
+    rng = np.random.default_rng(N + 100 * n + 7)
+    W = rng.standard_normal((g.npoints,) * 2) + 1j * rng.standard_normal((g.npoints,) * 2)
+    S = SampledSymbol(g, W)
+    keep = np.abs(g.x_nodes) <= 0.8 * g.L / 2.0
+    assert 0 < np.count_nonzero(keep) < N
+    inner = _table_to_samples(W, g, keep)
+    assert inner.shape == (np.count_nonzero(keep),) * n + (N,) * n
+    mask = np.broadcast_to(S.interior_mask(), S.values.shape)
+    assert np.array_equal(inner.ravel(), S.values[mask])
+    assert S.interior_sup() == float(np.abs(S.values[mask]).max())
 
 
 @pytest.mark.parametrize("text, b", [

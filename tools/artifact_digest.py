@@ -91,6 +91,10 @@ CONFIGS = {
                    "task": _task("invert", z=-10)}, 1),
     "invert-1d-divergent": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
                              "task": _task("invert", z=100.0)}, 1),
+    "invert-2d-zero": ({"grid": _grid(2, 8.0, 16),
+                        "symbol": {**_XI2, "expression":
+                                   "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)"},
+                        "task": _task("invert", z=-40)}, 1),
     "invert-2d-const": ({"grid": _grid(2, 8.0, 12), "field": _CONST,
                          "symbol": {**_XI2, "expression": "xi1^2 + xi2^2 + arctan(x1)"},
                          "task": _task("invert", z=-20)}, 1),
