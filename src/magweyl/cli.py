@@ -98,10 +98,15 @@ def _parsing(where):
 
 def _build_grid(config):
     block = _require_block(config, "grid")
-    for key in ("n", "L", "N"):
+    values = {}
+    for key, kind in (("n", int), ("L", float), ("N", int)):
         if key not in block:
             raise ConfigError(f"grid block is missing {key!r}")
-    grid = make_grid(int(block["n"]), float(block["L"]), int(block["N"]))
+        try:
+            values[key] = kind(block[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"grid block {key!r} must be a number, got {block[key]!r}") from None
+    grid = make_grid(values["n"], values["L"], values["N"])
     # a quantization holds four P x P arrays at once: the circulation (8 bytes
     # an entry), its phase, the kernel table and the operator (16 each); the
     # circulation fill's quadrature temporaries span 32 rows, O(P) bytes
@@ -166,6 +171,8 @@ def _build_algebra(config):
     block = _require_block(config, "algebra")
     orbits = []
     for spec in block.get("orbits", ()):
+        if "label" not in spec:
+            raise ConfigError(f"algebra orbit {spec!r} is missing 'label'")
         orbits.append(QuasiOrbit(
             label=spec["label"],
             kind=spec.get("kind", "identity"),
@@ -335,6 +342,8 @@ def _cmd_invert(config, out_dir, threads):
     if "z" not in task:
         raise ConfigError("task block needs 'z' for invert")
     z = float(task["z"])
+    if not np.isfinite(z):
+        raise ConfigError(f"task block 'z' must be finite, got {z}")
     tol = float(task.get("tolerance", 1e-6))
     try:
         result = neumann_invert(f, z, gauge)

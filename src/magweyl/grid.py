@@ -15,9 +15,13 @@ Conventions (every 2*pi placement in the package is fixed here):
   conventions this is a unitary map on C^(N^n) whose discrete form reduces
   to an FFT with alternating-sign pre/post factors.  This module only fixes
   the convention.  It is implemented in ``quantize`` alone: by
-  ``_symbol_table`` (symbol -> kernel table, inverted by
+  ``_symbol_table`` (symbol -> kernel table: one gather by the per-axis
+  midpoint index ``i + j`` and difference ``i - j``, inverted by
   ``_table_to_samples``) and by ``partial_fourier`` (kernel -> symbol, with
   ``partial_fourier_inverse``).
+* The interior of the box is the centered ``INTERIOR`` share of each axis
+  (:meth:`PhaseSpaceGrid.interior_nodes`), the one rule for the
+  dequantizer's quarantine and for eigenvector localization.
 * Whenever an integral ``Integral dy ...`` over position (or momentum) space
   appears in another module with the "normalized measure" convention, it is
   discretized as ``(2*pi)^(-n/2) * dx^n * sum(...)`` (resp. with ``dxi``).
@@ -32,6 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# centered share of the box, per axis, counted as interior
+INTERIOR = 0.8
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,18 @@ class PhaseSpaceGrid:
     def x_flat(self) -> np.ndarray:
         """Position lattice flattened to shape (N^n, n), C order."""
         return self.x_mesh().reshape(-1, self.n)
+
+    def interior_nodes(self, fraction: float = INTERIOR) -> np.ndarray:
+        """Boolean mask of the position nodes of one axis with |x| <= fraction*L/2.
+
+        The tolerance keeps the rule symmetric under x -> -x: rounding can put
+        the two nodes of a mirror pair on either side of the bound."""
+        return np.abs(self.x_nodes) <= fraction * self.L / 2.0 + 1e-12
+
+    def interior_mask(self, fraction: float = INTERIOR) -> np.ndarray:
+        """Nodes interior on every axis, shape (N,)*n."""
+        keep = self.interior_nodes(fraction)
+        return keep if self.n == 1 else np.logical_and.outer(keep, keep)
 
     def half_nodes(self) -> np.ndarray:
         """Midpoint half-lattice on one axis: 2N-1 points with spacing dx/2."""

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
-from .quantize import Gauge, MagneticOperator, SampledSymbol, dequantize, quantize
+from .quantize import Gauge, MagneticOperator, SampledSymbol, _xi1_ray, dequantize, quantize
 from .spectral import spectrum
 from .symbols import Symbol, is_elliptic, japanese_bracket
 
@@ -232,21 +232,12 @@ def order_check_inverse(result: SampledSymbol, grid: PhaseSpaceGrid,
     The window is given as fractions of the largest momentum node; it starts
     well away from zero because the |z|-shift flattens the decay at small xi.
     """
-    N, n = grid.N, grid.n
-    xi = grid.xi_nodes
-    keep = (xi >= xi_window[0] * np.max(xi)) & (xi <= xi_window[1] * np.max(xi))
-    if np.count_nonzero(keep) < 2:
-        raise ValueError(
-            f"order fit window xi in [{xi_window[0]}, {xi_window[1]}] * {np.max(xi):.4g} "
-            f"holds {np.count_nonzero(keep)} momentum node(s) at N={N}, L={grid.L}; "
-            f"a fit needs 2 (raise N)")
-    mid = N // 2
-    if n == 1:
-        ray = result.values[mid, :]
-    else:
-        ray = result.values[mid, mid, :, mid]
-    vals = np.maximum(np.abs(ray[keep]), 1e-300)
-    logs = np.log(np.sqrt(1.0 + xi[keep] ** 2))
+    top = np.max(grid.xi_nodes)
+    xi, ray = _xi1_ray(result, xi_window[0] * top, xi_window[1] * top,
+                       f"order fit window xi in [{xi_window[0]}, {xi_window[1]}] * {top:.4g}",
+                       "raise N")
+    vals = np.maximum(np.abs(ray), 1e-300)
+    logs = np.log(np.sqrt(1.0 + xi ** 2))
     slope, _ = np.polyfit(logs, np.log(vals), 1)
     return float(slope)
 

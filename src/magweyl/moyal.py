@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, flux_triangle, gamma_B
-from .quantize import Gauge, SampledSymbol, dequantize, quantize
+from .quantize import Gauge, SampledSymbol, _xi1_ray, dequantize, quantize
 from .symbols import Symbol, japanese_bracket
 
 
@@ -369,26 +369,15 @@ def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge, depth:
     """
     prod = moyal_pullback(f, g, gauge)
     expn = expansion_sum(f, g, B, depth)
-    grid = gauge.grid
-    N, n = grid.N, grid.n
-    mid = N // 2
-    # pullback samples along the positive xi_1 axis at x = 0
-    if n == 1:
-        ray = prod.values[mid, :]
-    else:
-        ray = prod.values[mid, mid, :, mid]
-    xi = grid.xi_nodes
-    keep = (xi >= xi_window[0]) & (xi <= xi_window[1] * np.max(xi))
-    if np.count_nonzero(keep) < 2:
-        raise ValueError(
-            f"remainder fit window xi in [{xi_window[0]}, {xi_window[1]} * {np.max(xi):.4g}] "
-            f"holds {np.count_nonzero(keep)} momentum node(s) at N={N}, L={grid.L}; "
-            f"a fit needs 2 (raise N or lower L)")
-    xi_sel = xi[keep]
+    n = gauge.grid.n
+    top = np.max(gauge.grid.xi_nodes)
+    xi_sel, ray = _xi1_ray(prod, xi_window[0], xi_window[1] * top,
+                           f"remainder fit window xi in [{xi_window[0]}, {xi_window[1]} * {top:.4g}]",
+                           "raise N or lower L")
     pts_xi = np.zeros((len(xi_sel), n))
     pts_xi[:, 0] = xi_sel
     expn_vals = np.asarray(expn.fn(np.zeros((len(xi_sel), n)), pts_xi), dtype=complex)
-    resid = np.abs(ray[keep] - expn_vals)
+    resid = np.abs(ray - expn_vals)
     resid = np.maximum(resid, 1e-300)
     logs = np.log(japanese_bracket(pts_xi))
     slope, intercept = np.polyfit(logs, np.log(resid), 1)

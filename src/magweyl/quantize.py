@@ -2,7 +2,8 @@
 its inverse (a magnetic Wigner transform), the non-covariant "wrong"
 quantization, magnetic translations, the Schroedinger representation of
 kernel functions, the twisted product on kernels, and the partial Fourier
-transform connecting kernels and symbols.
+transform connecting kernels and symbols (these last two are direct lattice
+sums, evaluated in chunks of points by one helper).
 
 Discretization of the quantization formula
 ------------------------------------------
@@ -13,9 +14,11 @@ With row x = x_i and column y = x_j, the matrix is
 where q_ij = (x_i + x_j)/2 (a point of the half-lattice, where symbols are
 evaluated directly), v_ij = x_i - x_j, and fcheck(q, v) is the
 momentum-to-difference transform  dxi^n sum_k e^{i v.xi_k} f(q, xi_k),
-computed by FFT per midpoint.  fcheck is exactly L-periodic in v, which is
-the minimal-image rule for non-decaying kernels; decaying kernels are never
-wrapped because |v| < L on the grid.
+computed by FFT over the momenta at every midpoint and read into the table by
+one gather at the per-axis midpoint index i + j and difference i - j (in 2D
+one midpoint slab at a time, which bounds the memory).  fcheck is exactly
+L-periodic in v, which is the minimal-image rule for non-decaying kernels;
+decaying kernels are never wrapped because |v| < L on the grid.
 
 Sign convention: with this phase, Op^A(xi_j) = -i d_j - A_j, so for B = dA
 (B_12 = d_1 A_2 - d_2 A_1) the momenta satisfy
@@ -49,7 +52,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import linalg as sp_linalg
 
-from .grid import PhaseSpaceGrid
+from .grid import INTERIOR, PhaseSpaceGrid
 from .magnetics import DEFAULT_QUAD, FluxQuadrature, VectorPotential, circulation, omega_cocycle
 
 
@@ -82,10 +85,6 @@ class MagneticOperator:
         return MagneticOperator(self.grid, self.matrix @ other.matrix)
 
 
-# centered share of the box, per axis, away from the dequantizer's edge effects
-_INTERIOR = 0.8
-
-
 @dataclass(frozen=True)
 class SampledSymbol:
     """A symbol produced by dequantization.
@@ -107,21 +106,17 @@ class SampledSymbol:
             self._cache["values"] = _table_to_samples(self.table, self.grid)
         return self._cache["values"]
 
-    def interior_mask(self, fraction: float = _INTERIOR) -> np.ndarray:
-        """Boolean mask over the position axes selecting the centered
-        ``fraction`` of the box on each axis (momentum axes broadcast)."""
+    def interior_mask(self, fraction: float = INTERIOR) -> np.ndarray:
+        """:meth:`PhaseSpaceGrid.interior_mask` over the position axes, with
+        the momentum axes broadcast."""
         g = self.grid
-        keep = _interior_nodes(g, fraction)
-        mask = keep
-        for _ in range(g.n - 1):
-            mask = np.logical_and.outer(mask, keep)
-        return mask.reshape((g.N,) * g.n + (1,) * g.n)
+        return g.interior_mask(fraction).reshape((g.N,) * g.n + (1,) * g.n)
 
     def interior_sup(self) -> float:
         """sup |values| over :meth:`interior_mask`; only the interior nodes
         are interpolated, with the stencils and summation order of
         :attr:`values`, so the result is the same to the bit."""
-        samples = _table_to_samples(self.table, self.grid, _interior_nodes(self.grid, _INTERIOR))
+        samples = _table_to_samples(self.table, self.grid, self.grid.interior_nodes())
         return float(np.abs(samples).max())
 
     def __add__(self, other):
@@ -136,9 +131,19 @@ class SampledSymbol:
     __rmul__ = __mul__
 
 
-def _interior_nodes(grid: PhaseSpaceGrid, fraction: float) -> np.ndarray:
-    """Position nodes of one axis inside the centered ``fraction`` of the box."""
-    return np.abs(grid.x_nodes) <= fraction * grid.L / 2.0
+def _xi1_ray(S: SampledSymbol, lo: float, hi: float, window: str, advice: str):
+    """The samples of S along the positive xi_1 ray at x = 0 with lo <= xi_1 <= hi,
+    as (xi_1 nodes, values); a ValueError naming ``window``, N and L when fewer
+    than the 2 nodes a fit needs lie there."""
+    g = S.grid
+    xi = g.xi_nodes
+    keep = (xi >= lo) & (xi <= hi)
+    if np.count_nonzero(keep) < 2:
+        raise ValueError(f"{window} holds {np.count_nonzero(keep)} momentum node(s) at "
+                         f"N={g.N}, L={g.L}; a fit needs 2 ({advice})")
+    mid = g.N // 2
+    ray = S.values[(mid,) * g.n + (slice(None),) + (mid,) * (g.n - 1)]
+    return xi[keep], ray[keep]
 
 
 def _as_table(other, grid):
@@ -232,70 +237,49 @@ class Gauge:
 # ---------------------------------------------------------------------------
 
 
-def _difference_index_arrays(grid):
-    """Flat-index helpers: per-axis indices for rows/columns."""
-    N, n = grid.N, grid.n
-    flat = np.arange(grid.npoints)
-    if n == 1:
-        return (flat,)
-    return (flat // N, flat % N)
-
-
 def _symbol_table(f, grid: PhaseSpaceGrid) -> np.ndarray:
     """Phase-stripped kernel table W[i, j] = dx^n (2 pi)^-n fcheck(q_ij, v_ij).
 
     All measure factors cancel:  W[i, j] = (-1)^(sum d) ifftn(F_q)[d mod N]
-    with d = i - j per axis and F_q the symbol sampled at midpoint q over the
-    centered momentum lattice.
+    with, per axis, the difference d = i - j and the midpoint index p = i + j
+    of q = half_nodes[p], and F_q the symbol sampled at q over the centered
+    momentum lattice.  Every branch is one gather by (p, d).
     """
     N, n = grid.N, grid.n
     xi_mesh = grid.xi_mesh()
+    i = np.arange(N)
+    p = i[:, None] + i[None, :]
+    d = i[:, None] - i[None, :]
+    sign = (-1.0) ** d
     if getattr(f, "x_independent", False):
-        x0 = np.zeros_like(xi_mesh)
-        F = np.asarray(f(x0, xi_mesh), dtype=complex)
-        G = sp_fft.ifftn(F)
-        idx = _difference_index_arrays(grid)
+        G = sp_fft.ifftn(np.asarray(f(np.zeros_like(xi_mesh), xi_mesh), dtype=complex))
         if n == 1:
-            (i,) = idx
-            d = i[:, None] - i[None, :]
-            return (-1.0) ** d * G[d % N]
-        i1, i2 = idx
-        d1 = i1[:, None] - i1[None, :]
-        d2 = i2[:, None] - i2[None, :]
-        return (-1.0) ** (d1 + d2) * G[d1 % N, d2 % N]
+            return sign * G[d % N]
+        # the signed table S[d1, d2] over d = 1-N .. N-1 (stored at d + N - 1),
+        # read at d1 = i1 - j1 and d2 = i2 - j2 of W[i1 N + i2, j1 N + j2]
+        k = np.arange(1 - N, N)
+        S = (-1.0) ** (k[:, None] + k[None, :]) * G[np.ix_(k % N, k % N)]
+        at = d + N - 1
+        return S[at[:, None, :, None], at[None, :, None, :]].reshape(grid.npoints, -1)
 
     half = grid.half_nodes()
     if n == 1:
-        q = half[:, None, None]  # (2N-1, 1, 1)
-        xi = xi_mesh[None, :, :]  # (1, N, 1)
-        F = np.asarray(f(q, xi), dtype=complex)  # (2N-1, N)
-        G = sp_fft.ifft(F, axis=1)
-        i = np.arange(N)
-        p = i[:, None] + i[None, :]
-        d = i[:, None] - i[None, :]
-        return (-1.0) ** d * G[p, d % N]
+        F = np.asarray(f(half[:, None, None], xi_mesh[None, :, :]), dtype=complex)  # (2N-1, N)
+        return sign * sp_fft.ifft(F, axis=1)[p, d % N]
 
-    # n == 2: process midpoint slabs along the first axis
-    W = np.empty((grid.npoints, grid.npoints), dtype=complex)
-    i = np.arange(N)
-    i2g, j2g = np.meshgrid(i, i, indexing="ij")
-    p2 = i2g + j2g
-    d2 = i2g - j2g
-    sign2 = (-1.0) ** d2
+    # n == 2: one midpoint slab p1 along the first axis at a time bounds the
+    # memory; a slab holds every block (i1, j1 = p1 - i1) of W4[i1, i2, j1, j2]
+    W4 = np.empty((N,) * 4, dtype=complex)
     for p1, q1 in enumerate(half):
-        # one point per midpoint; the momentum axes broadcast
-        qgrid = np.empty((2 * N - 1, 1, 1, 2))
-        qgrid[..., 0] = q1
-        qgrid[..., 1] = half[:, None, None]
+        # one point per midpoint, shape (2N-1, 1, 1, 2); the momentum axes broadcast
+        qgrid = np.stack(np.broadcast_arrays(q1, half[:, None, None]), axis=-1)
         F = np.broadcast_to(np.asarray(f(qgrid, xi_mesh[None]), dtype=complex),
                             (2 * N - 1, N, N))
         G = sp_fft.ifft2(F, axes=(1, 2))
-        for i1 in range(max(0, p1 - N + 1), min(N, p1 + 1)):
-            j1 = p1 - i1
-            d1 = i1 - j1
-            block = (-1.0) ** d1 * sign2 * G[p2, d1 % N, d2 % N]
-            W[i1 * N:(i1 + 1) * N, j1 * N:(j1 + 1) * N] = block
-    return W
+        i1 = np.arange(max(0, p1 - N + 1), min(N, p1 + 1))
+        d1 = (2 * i1 - p1)[:, None, None]
+        W4[i1, :, p1 - i1, :] = (-1.0) ** d1 * sign * G[p, d1 % N, d % N]
+    return W4.reshape(grid.npoints, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +422,8 @@ def magnetic_translation(gauge: Gauge, y) -> np.ndarray:
     X = g.x_flat()
     phases = gauge.segment_phase(X, X + y)
     # column index of x + y under cyclic wrap
-    idx = _difference_index_arrays(g)
-    N = g.N
-    if g.n == 1:
-        (i,) = idx
-        cols = (i + steps[0]) % N
-    else:
-        i1, i2 = idx
-        cols = ((i1 + steps[0]) % N) * N + (i2 + steps[1]) % N
+    shifted = np.indices((g.N,) * g.n).reshape(g.n, -1) + steps[:, None]
+    cols = np.ravel_multi_index(tuple(shifted), (g.N,) * g.n, mode="wrap")
     T = np.zeros((g.npoints, g.npoints), dtype=complex)
     T[np.arange(g.npoints), cols] = phases
     return T
@@ -509,6 +487,28 @@ def rep_A(F: KernelFunction, gauge: Gauge) -> MagneticOperator:
     return MagneticOperator(grid, gauge.attach(scale * vals))
 
 
+def _lattice_sum(summand, grid: PhaseSpaceGrid, budget: int, scale: float):
+    """The function (a, b) -> scale * sum over a lattice of N^n nodes of
+    summand(a, b), for points a, b of shape (..., n) that broadcast together.
+    ``summand`` maps flat (K, n) points to (K, N^n) terms; it runs on chunks
+    of about ``budget`` terms."""
+    n = grid.n
+    chunk = max(1, budget // grid.npoints)
+
+    def fn(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        a = np.broadcast_to(a, shape + (n,)).reshape(-1, n)
+        b = np.broadcast_to(b, shape + (n,)).reshape(-1, n)
+        out = np.zeros(len(a), dtype=complex)
+        for start in range(0, len(a), chunk):
+            sl = slice(start, start + chunk)
+            out[sl] = scale * np.sum(summand(a[sl], b[sl]), axis=1)
+        return out.reshape(shape)
+
+    return fn
+
+
 def partial_fourier(F: KernelFunction):
     """Symbol (as a Symbol-compatible callable object) from a kernel:
 
@@ -521,22 +521,11 @@ def partial_fourier(F: KernelFunction):
     vlat = F.difference_lattice().reshape(-1, g.n)
     scale = g.dx**g.n / (2.0 * np.pi) ** (g.n / 2.0)
 
-    def fn(x, xi, F=F, vlat=vlat, scale=scale):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-        x = np.broadcast_to(x, shape + (g.n,)).reshape(-1, g.n)
-        xi = np.broadcast_to(xi, shape + (g.n,)).reshape(-1, g.n)
-        out = np.zeros(len(x), dtype=complex)
-        chunk = max(1, (1 << 22) // max(len(vlat), 1))
-        for start in range(0, len(x), chunk):
-            sl = slice(start, min(start + chunk, len(x)))
-            phases = np.exp(1j * xi[sl] @ vlat.T)  # (chunk, N^n)
-            vals = F.fn(x[sl, None, :], vlat[None, :, :])
-            out[sl] = scale * np.sum(phases * vals, axis=1)
-        return out.reshape(shape)
+    def summand(x, xi):
+        return np.exp(1j * xi @ vlat.T) * F.fn(x[:, None, :], vlat[None, :, :])
 
-    return Symbol.from_callable(fn, n=g.n, m=0.0, rho=0.0, delta=0.0)
+    return Symbol.from_callable(_lattice_sum(summand, g, 1 << 22, scale),
+                                n=g.n, m=0.0, rho=0.0, delta=0.0)
 
 
 def partial_fourier_inverse(f, grid: PhaseSpaceGrid) -> KernelFunction:
@@ -546,22 +535,10 @@ def partial_fourier_inverse(f, grid: PhaseSpaceGrid) -> KernelFunction:
     xilat = g.xi_mesh().reshape(-1, g.n)
     scale = g.dxi**g.n / (2.0 * np.pi) ** (g.n / 2.0)
 
-    def fn(q, v, f=f, xilat=xilat, scale=scale):
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        shape = np.broadcast_shapes(q.shape[:-1], v.shape[:-1])
-        q = np.broadcast_to(q, shape + (g.n,)).reshape(-1, g.n)
-        v = np.broadcast_to(v, shape + (g.n,)).reshape(-1, g.n)
-        out = np.zeros(len(q), dtype=complex)
-        chunk = max(1, (1 << 22) // max(len(xilat), 1))
-        for start in range(0, len(q), chunk):
-            sl = slice(start, min(start + chunk, len(q)))
-            phases = np.exp(-1j * v[sl] @ xilat.T)
-            vals = f(q[sl, None, :], xilat[None, :, :])
-            out[sl] = scale * np.sum(phases * vals, axis=1)
-        return out.reshape(shape)
+    def summand(q, v):
+        return np.exp(-1j * v @ xilat.T) * f(q[:, None, :], xilat[None, :, :])
 
-    return KernelFunction(grid, fn)
+    return KernelFunction(grid, _lattice_sum(summand, g, 1 << 22, scale))
 
 
 def twisted_product(F: KernelFunction, G: KernelFunction, B, grid: PhaseSpaceGrid,
@@ -582,27 +559,12 @@ def twisted_product(F: KernelFunction, G: KernelFunction, B, grid: PhaseSpaceGri
     scale = g.dx**g.n / (2.0 * np.pi) ** (g.n / 2.0)
     zero_field = B is None or B.is_zero()
 
-    def fn(q, v, F=F, G=G, wlat=wlat, scale=scale):
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        shape = np.broadcast_shapes(q.shape[:-1], v.shape[:-1])
-        q = np.broadcast_to(q, shape + (g.n,)).reshape(-1, g.n)
-        v = np.broadcast_to(v, shape + (g.n,)).reshape(-1, g.n)
-        out = np.zeros(len(q), dtype=complex)
-        chunk = max(1, (1 << 18) // max(len(wlat), 1))
-        for start in range(0, len(q), chunk):
-            sl = slice(start, min(start + chunk, len(q)))
-            qs = q[sl, None, :]
-            vs = v[sl, None, :]
-            w = wlat[None, :, :]
-            fvals = F.fn(qs + 0.5 * (w - vs), w)
-            gvals = G.fn(qs + 0.5 * w, vs - w)
-            if zero_field:
-                phase = 1.0
-            else:
-                phase = omega_cocycle(B, qs - 0.5 * vs, np.broadcast_to(w, fvals.shape + (g.n,)),
-                                      vs - w, quad)
-            out[sl] = scale * np.sum(fvals * gvals * phase, axis=1)
-        return out.reshape(shape)
+    def summand(q, v):
+        qs, vs, w = q[:, None, :], v[:, None, :], wlat[None, :, :]
+        fvals = F.fn(qs + 0.5 * (w - vs), w)
+        gvals = G.fn(qs + 0.5 * w, vs - w)
+        phase = 1.0 if zero_field else omega_cocycle(
+            B, qs - 0.5 * vs, np.broadcast_to(w, fvals.shape + (g.n,)), vs - w, quad)
+        return fvals * gvals * phase
 
-    return KernelFunction(grid, fn)
+    return KernelFunction(grid, _lattice_sum(summand, g, 1 << 18, scale))

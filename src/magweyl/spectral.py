@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sp_linalg
-from scipy import optimize as sp_optimize
 
 from .grid import PhaseSpaceGrid
 from .magnetics import MagneticField, transversal_gauge
@@ -45,11 +44,6 @@ __all__ = [
     "essential_spectrum",
     "compare_bulk_vs_essential",
 ]
-
-# fraction (per axis) of the position box counted as "interior" when scoring
-# eigenvector localization
-_INTERIOR_FRACTION = 0.8
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -75,12 +69,6 @@ class SpectrumResult:
         if np.any(np.diff(vals) < 0):
             raise ValueError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", vals)
-
-
-def _interior_mask(grid: PhaseSpaceGrid) -> np.ndarray:
-    """Flat boolean mask of position nodes inside the interior 80% box."""
-    half = _INTERIOR_FRACTION * grid.L / 2.0
-    return np.all(np.abs(grid.x_flat()) <= half + 1e-12, axis=1)
 
 
 def spectrum(M: MagneticOperator, hermiticity_tol: float = 1e-8,
@@ -112,7 +100,7 @@ def spectrum(M: MagneticOperator, hermiticity_tol: float = 1e-8,
         vecs = None
     scores = None
     if localization:
-        mask = _interior_mask(M.grid)
+        mask = M.grid.interior_mask().ravel()
         mass = np.abs(vecs) ** 2
         scores = mass[mask].sum(axis=0) / mass.sum(axis=0)
     return SpectrumResult(grid=M.grid, eigenvalues=vals,
@@ -198,6 +186,8 @@ def _continuum_range(f: Symbol, grid: PhaseSpaceGrid):
     free) from the best node and its neighbors; ellipticity with m > 0 makes
     the function coercive, so the global minimum is attained.
     """
+    from scipy import optimize as sp_optimize
+
     mesh = grid.xi_mesh().reshape(-1, f.n)
     x0 = np.zeros((1, f.n))
     sampled = np.real(f.fn(np.broadcast_to(x0, mesh.shape), mesh))

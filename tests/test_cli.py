@@ -288,6 +288,27 @@ def test_ess_spectrum_rejects_a_malformed_gauge_block(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+_MALFORMED = {
+    "orbit-without-label": (dict(_TINY_RUNS["ess-spectrum"][0], algebra={"orbits": [
+        {"kind": "direction", "direction": [1.0]}]}), "'label'"),
+    "grid-N-not-a-number": (dict(_TINY_RUNS["spectrum"][0],
+                                 grid={"n": 1, "L": 20.0, "N": [64]}), "'N'"),
+    "z-not-finite": (dict(_TINY_RUNS["invert"][0],
+                          task={"command": "invert", "z": float("nan")}), "'z' must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys, name):
+    cfg, key = _MALFORMED[name]
+    out = tmp_path / "out"
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not (out / "summary.json").exists()
+
+
 def test_shifted_gauge_of_a_polynomial_psi_has_a_degree():
     grid = make_grid(2, 12.0, 12)
     A = transversal_gauge(MagneticField.constant(2, 0.7))

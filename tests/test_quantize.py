@@ -389,15 +389,51 @@ def _symbol_table_2d_ref(f, grid):
     return W
 
 
+def _symbol_table_ref(f, grid):
+    """The per-branch table: P x P difference arrays and (-1.0) ** d powers
+    for x-independent symbols and in 1D, the 2D slab loop otherwise."""
+    N, n = grid.N, grid.n
+    xi_mesh = grid.xi_mesh()
+    flat = np.arange(grid.npoints)
+    if f.x_independent:
+        G = sp_fft.ifftn(np.asarray(f(np.zeros_like(xi_mesh), xi_mesh), dtype=complex))
+        if n == 1:
+            d = flat[:, None] - flat[None, :]
+            return (-1.0) ** d * G[d % N]
+        i1, i2 = flat // N, flat % N
+        d1 = i1[:, None] - i1[None, :]
+        d2 = i2[:, None] - i2[None, :]
+        return (-1.0) ** (d1 + d2) * G[d1 % N, d2 % N]
+    if n == 2:
+        return _symbol_table_2d_ref(f, grid)
+    F = np.asarray(f(grid.half_nodes()[:, None, None], xi_mesh[None, :, :]), dtype=complex)
+    G = sp_fft.ifft(F, axis=1)
+    i = np.arange(N)
+    p = i[:, None] + i[None, :]
+    d = i[:, None] - i[None, :]
+    return (-1.0) ** d * G[p, d % N]
+
+
 @pytest.mark.parametrize("f", [
     Symbol.from_expression("xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2", 2, m=2),
     Symbol.from_expression("arctan(x1)", 2),
     Symbol.from_callable(lambda x, xi: np.arctan(x[..., 0]), 2),
     Symbol.from_callable(lambda x, xi: 2.5, 2),
-], ids=["x-and-xi", "x-only", "x-only-narrow", "constant"])
+    Symbol.from_expression("xi1^2 + 0.5*xi2^2 + sin(xi1*xi2)", 2, m=2),
+], ids=["x-and-xi", "x-only", "x-only-narrow", "constant", "xi-only"])
 def test_symbol_table_samples_each_midpoint_once_bit_for_bit(f):
     g = make_grid(2, 8.0, 12)
-    assert np.array_equal(_symbol_table(f, g), _symbol_table_2d_ref(f, g))
+    assert np.array_equal(_symbol_table(f, g), _symbol_table_ref(f, g))
+
+
+@pytest.mark.parametrize("text", ["xi1^2 + sin(xi1)", "xi1^2 + arctan(x1)*xi1 + exp(-x1^2)"],
+                         ids=["xi-only", "x-and-xi"])
+@pytest.mark.parametrize("N", [12, 32])
+def test_1d_symbol_table_is_bit_identical_to_the_branch_reference(text, N):
+    g = make_grid(1, 10.0, N)
+    f = Symbol.from_expression(text, 1, m=2)
+    assert f.x_independent == ("x1" not in text)
+    assert np.array_equal(_symbol_table(f, g), _symbol_table_ref(f, g))
 
 
 # -- reference wrong quantization: its own slab loop ------------------------
@@ -464,3 +500,53 @@ def test_wrong_quantize_without_field_is_quantize():
     f = Symbol.from_expression("xi1^2 + xi2^2 + arctan(x1)", 2, m=2)
     G0 = Gauge(VectorPotential.zero(2), g)
     assert np.array_equal(wrong_quantize(f, G0).matrix, quantize(f, G0).matrix)
+
+
+# -- chunked lattice sums ---------------------------------------------------
+
+
+def _sums_in_chunks(case):
+    """(kernel or symbol callable, points a, points b): more points than one
+    chunk of the lattice sum holds."""
+    rng = np.random.default_rng(7)
+    if case == "partial_fourier":  # 1024 points per chunk
+        g = make_grid(2, 12.0, 64)
+        fn = partial_fourier(_gaussian_kernel(g, 3)).fn
+        count = (1 << 22) // g.npoints + 5
+    elif case == "partial_fourier_inverse":
+        g = make_grid(2, 12.0, 64)
+        f = Symbol.from_expression("exp(-xi1^2 - xi2^2) * (1 + arctan(x1))", 2)
+        fn = partial_fourier_inverse(f, g).fn
+        count = (1 << 22) // g.npoints + 5
+    else:  # twisted products, 1024 points per chunk
+        g = make_grid(2, 8.0, 16)
+        B = (MagneticField(n=2, components={}) if case == "twisted_zero"
+             else MagneticField.from_expressions(2, {(1, 2): "1 + 1/(1+x1^2)"}))
+        fn = twisted_product(_gaussian_kernel(g, 4), _gaussian_kernel(g, 5), B, g).fn
+        count = (1 << 18) // g.npoints + 5
+    return fn, rng.uniform(-2.0, 2.0, (count, 2)), rng.uniform(-2.0, 2.0, (count, 2))
+
+
+@pytest.mark.parametrize("case", ["partial_fourier", "partial_fourier_inverse",
+                                  "twisted_zero", "twisted_nonpolynomial"])
+def test_lattice_sums_over_several_chunks_match_the_sums_point_by_point(case):
+    fn, a, b = _sums_in_chunks(case)
+    batch = fn(a, b)
+    assert batch.shape == (len(a),)
+    assert np.array_equal(batch, [fn(a[k], b[k]) for k in range(len(a))])
+    # the point axes broadcast against each other
+    assert np.array_equal(fn(a[:3, None, :], b[None, :4, :])[2, 3], fn(a[2], b[3]))
+
+
+# -- interior -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, N", [(1, 20), (1, 40), (1, 80), (1, 160), (2, 20), (2, 40)])
+def test_the_interior_mask_is_symmetric_under_reflection(n, N):
+    # at L = 7.3 rounding puts x = -0.4 L and x = +0.4 L on either side of
+    # the bound 0.4 L; node 0 (x = -L/2) has no mirror node
+    g = make_grid(n, 7.3, N)
+    S = SampledSymbol(g, np.eye(g.npoints))
+    mask = S.interior_mask().reshape((N,) * n)[(slice(1, None),) * n]
+    assert np.array_equal(mask, np.flip(mask))
+    assert 0 < np.count_nonzero(mask) < (N - 1) ** n

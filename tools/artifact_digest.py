@@ -14,8 +14,9 @@ outputs are equal:
 
 The configs cover all seven commands in 1D and 2D, with zero, constant and
 non-polynomial fields, an explicit non-polynomial gauge, polynomial and
-non-polynomial gauge-check shifts, converging and divergent inversions,
-error exits and a threaded validate.  Uses the standard library and magweyl
+non-polynomial gauge-check shifts, converging and divergent inversions (one
+at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
+on either side of the interior bound), error exits and a threaded validate.  Uses the standard library and magweyl
 only; the whole set runs in a few seconds.
 """
 
@@ -89,6 +90,8 @@ CONFIGS = {
                                 "symbol2": _XI2, "task": _task("expand", depth=2)}, 1),
     "invert-1d": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
                    "task": _task("invert", z=-10)}, 1),
+    "invert-1d-mirror-edge": ({"grid": _grid(1, 7.3, 20), "symbol": _ARCTAN_1D,
+                               "task": _task("invert", z=-10)}, 1),
     "invert-1d-divergent": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
                              "task": _task("invert", z=100.0)}, 1),
     "invert-2d-zero": ({"grid": _grid(2, 8.0, 16),
