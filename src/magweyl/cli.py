@@ -60,6 +60,20 @@ _COMMANDS = ("quantize", "spectrum", "ess-spectrum", "gauge-check",
 # physical memory in bytes, the budget a dense grid must fit in
 _MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
+# peak bytes of each command per P^2 (P = N^n points), as traced by
+# tests/test_cli.py at 2D L=12 N=24 with a zero and a non-polynomial field;
+# the O(P) work of the circulation fill is a larger share of a peak there
+# than on larger grids, so the figures bound those from above
+_PEAK_P2 = {"quantize": 43, "spectrum": 42, "ess-spectrum": 42, "gauge-check": 64,
+            "expand": 57, "invert": 76, "validate": 80}
+
+# rows per block of validate's entrywise maxima
+_BLOCK_ROWS = 64
+
+_MISSING = object()
+_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
+          list: "a list", dict: "an object"}
+
 
 def _require_block(config: dict, name: str) -> dict:
     if name not in config:
@@ -70,11 +84,31 @@ def _require_block(config: dict, name: str) -> dict:
     return block
 
 
+def _value(block: dict, where: str, key: str, kind, default=_MISSING):
+    """``block[key]`` as ``kind`` (``float`` and ``int`` convert, the other
+    kinds must match), or ``default`` when the key is absent; a ConfigError
+    that names ``where`` and the key when it is missing or cannot be read."""
+    if key not in block:
+        if default is _MISSING:
+            raise ConfigError(f"{where} is missing {key!r}")
+        return default
+    value = block[key]
+    if kind in (float, int):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            return kind(value)
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"{where} {key!r} must be {_KINDS[kind]}, got {value!r}")
+
+
 def _effective_config(config: dict, seed) -> dict:
     """Fill defaults; the result is itself a complete, runnable config."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object of named blocks")
     eff = copy.deepcopy(config)
     for name, block in _DEFAULTS.items():
-        eff.setdefault(name, {})
+        if not isinstance(eff.setdefault(name, {}), dict):
+            raise ConfigError(f"config block {name!r} must be an object")
         for key, val in block.items():
             eff[name].setdefault(key, copy.deepcopy(val))
     if seed is not None:
@@ -98,37 +132,30 @@ def _parsing(where):
 
 def _build_grid(config):
     block = _require_block(config, "grid")
-    values = {}
-    for key, kind in (("n", int), ("L", float), ("N", int)):
-        if key not in block:
-            raise ConfigError(f"grid block is missing {key!r}")
-        try:
-            values[key] = kind(block[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"grid block {key!r} must be a number, got {block[key]!r}") from None
-    grid = make_grid(values["n"], values["L"], values["N"])
-    # a quantization holds four P x P arrays at once: the circulation (8 bytes
-    # an entry), its phase, the kernel table and the operator (16 each); the
-    # circulation fill's quadrature temporaries span 32 rows, O(P) bytes
+    grid = make_grid(*(_value(block, "grid block", key, kind)
+                       for key, kind in (("n", int), ("L", float), ("N", int))))
+    # the command's traced peak, in bytes per P^2: its operator (16 bytes an
+    # entry), the circulation (8) and at most a few P x P work arrays
+    command = config["task"]["command"]
     P = grid.npoints
-    need = 56 * P * P
+    need = _PEAK_P2[command] * P * P
     if need > _MEMORY_BYTES:
         raise ConfigError(
-            f"grid n={grid.n}, N={grid.N} has P={P} points; dense storage needs "
-            f"about {need / 2**30:.1f} GiB (56*P^2 bytes), more than the "
-            f"{_MEMORY_BYTES / 2**30:.1f} GiB of physical memory")
+            f"grid n={grid.n}, N={grid.N} has P={P} points; {command} needs "
+            f"about {need / 2**30:.1f} GiB ({_PEAK_P2[command]}*P^2 bytes), more "
+            f"than the {_MEMORY_BYTES / 2**30:.1f} GiB of physical memory")
     return grid
 
 
 def _build_field(config, n):
-    block = config.get("field", {})
+    components = _value(config["field"], "field block", "components", dict)
     exprs = {}
-    for key, text in block.get("components", {}).items():
+    for key in components:
         digits = key.replace(",", "")
         if len(digits) != 2 or not digits.isdigit():
             raise ConfigError(
                 f"field component key {key!r} must name an index pair like '12'")
-        exprs[(int(digits[0]), int(digits[1]))] = text
+        exprs[(int(digits[0]), int(digits[1]))] = _value(components, "field component", key, str)
     with _parsing("field block"):
         return MagneticField.from_expressions(n, exprs)
 
@@ -139,14 +166,14 @@ def _position_expr(text, n):
 
 
 def _build_gauge(config, B, n):
-    block = config.get("gauge", _DEFAULTS["gauge"])
-    kind = block.get("kind", "transversal")
+    block = config["gauge"]
+    kind = _value(block, "gauge block", "kind", str)
     if kind in ("transversal", "pair"):
         # a pair's base gauge; gauge-check applies the psi shift
         return transversal_gauge(B)
     if kind == "explicit":
-        exprs = block.get("A")
-        if not exprs or len(exprs) != n:
+        exprs = _value(block, "gauge block", "A", list, [])
+        if len(exprs) != n or not all(isinstance(text, str) for text in exprs):
             raise ConfigError(f"gauge block needs {n} 'A' component expressions")
         with _parsing("gauge block 'A'"):
             return VectorPotential.from_expressions(n, exprs)
@@ -155,38 +182,35 @@ def _build_gauge(config, B, n):
 
 def _build_symbol(config, n, block_name="symbol"):
     block = _require_block(config, block_name)
-    if "expression" not in block:
-        raise ConfigError(f"{block_name} block is missing 'expression'")
-    with _parsing(f"{block_name} block"):
-        return Symbol.from_expression(
-            block["expression"], n,
-            m=float(block.get("m", 0.0)),
-            rho=float(block.get("rho", 0.0)),
-            delta=float(block.get("delta", 0.0)),
-            real=bool(block.get("real", False)),
-        )
+    where = f"{block_name} block"
+    text = _value(block, where, "expression", str)
+    classes = {key: _value(block, where, key, float, 0.0) for key in ("m", "rho", "delta")}
+    real = _value(block, where, "real", bool, False)
+    with _parsing(where):
+        return Symbol.from_expression(text, n, real=real, **classes)
 
 
 def _build_algebra(config):
     block = _require_block(config, "algebra")
     orbits = []
-    for spec in block.get("orbits", ()):
-        if "label" not in spec:
-            raise ConfigError(f"algebra orbit {spec!r} is missing 'label'")
+    for spec in _value(block, "algebra block", "orbits", list, []):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"algebra orbit {spec!r} must be an object")
+        where = f"algebra orbit {spec!r}"
         orbits.append(QuasiOrbit(
-            label=spec["label"],
-            kind=spec.get("kind", "identity"),
-            direction=tuple(spec.get("direction", ())),
-            shift=tuple(spec.get("shift", ())),
+            label=_value(spec, where, "label", str),
+            kind=_value(spec, where, "kind", str, "identity"),
+            direction=tuple(_value(spec, where, "direction", list, [])),
+            shift=tuple(_value(spec, where, "shift", list, [])),
         ))
-    return CoefficientAlgebra(kind=block.get("kind", "ConstantCoefficients"),
+    return CoefficientAlgebra(kind=_value(block, "algebra block", "kind", str,
+                                          "ConstantCoefficients"),
                               quasi_orbits=tuple(orbits))
 
 
 def _psi_pair(config, A, n):
     """For gauge pairs: (psi callable, shifted potential with exact grad)."""
-    block = config.get("gauge", {})
-    text = block.get("psi")
+    text = _value(config.get("gauge", {}), "gauge block", "psi", str, None)
     if text is None:
         raise ConfigError("gauge block needs a 'psi' expression for gauge pairs")
     with _parsing("gauge block 'psi'"):
@@ -205,6 +229,15 @@ def _psi_pair(config, A, n):
     d = expressions.degree(ast)
     degree = None if A.degree is None or d is None else max(A.degree, d - 1)
     return psi, dataclasses.replace(gauge_shift(A, grad_psi=grad_psi), degree=degree)
+
+
+def _eigenvalue_format(config):
+    fmt = _value(config["output"], "output block", "eigenvalue_format", str)
+    try:
+        format(0.0, fmt)
+    except ValueError as exc:
+        raise ConfigError(f"output block 'eigenvalue_format' {fmt!r}: {exc}") from None
+    return fmt
 
 
 def _context(config, threads):
@@ -255,7 +288,7 @@ def _cmd_quantize(config, out_dir, threads):
 
 def _cmd_spectrum(config, out_dir, threads):
     grid, B, gauge, f = _context(config, threads)
-    fmt = config["output"]["eigenvalue_format"]
+    fmt = _eigenvalue_format(config)
     M = quantize(f, gauge)
     res = spectrum(M)
     _write_eigenvalues(out_dir, res.eigenvalues, fmt)
@@ -272,10 +305,10 @@ def _cmd_spectrum(config, out_dir, threads):
 def _cmd_ess_spectrum(config, out_dir, threads):
     grid, B, _, f = _context(config, threads)
     algebra = _build_algebra(config)
-    merge_tol = config["task"].get("merge_tol")
+    merge_tol = _value(config["task"], "task block", "merge_tol", float, None)
+    fmt = _eigenvalue_format(config)
     res = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol,
                              threads=threads)
-    fmt = config["output"]["eigenvalue_format"]
     for label in sorted(res.orbit_spectra):
         _write_eigenvalues(out_dir, res.orbit_spectra[label].eigenvalues, fmt,
                            name=f"eigenvalues_{label}.csv")
@@ -294,13 +327,16 @@ def _cmd_gauge_check(config, out_dir, threads):
     grid, B, gauge1, f = _context(config, threads)
     psi, A2 = _psi_pair(config, gauge1.A, grid.n)
     gauge2 = Gauge(A2, grid, threads)
-    tol = float(config["task"].get("tolerance", 1e-6))
+    tol = _value(config["task"], "task block", "tolerance", float, 1e-6)
     phase = np.exp(1j * np.asarray(psi(grid.x_flat()), dtype=float))
 
     def covariance(quantizer):
+        # e^{i psi(x)} M1 e^{-i psi(y)} - M2, formed in M1's storage
         M1, M2 = quantizer(f, gauge1).matrix, quantizer(f, gauge2).matrix
-        conjugated = (phase[:, None] * M1) * np.conj(phase)[None, :]
-        return float(np.linalg.norm(conjugated - M2) / max(np.linalg.norm(M2), 1e-300))
+        np.multiply(phase[:, None], M1, out=M1)
+        np.multiply(M1, np.conj(phase)[None, :], out=M1)
+        np.subtract(M1, M2, out=M1)
+        return float(np.linalg.norm(M1) / max(np.linalg.norm(M2), 1e-300))
 
     residual = covariance(quantize)
     wrong_residual = covariance(wrong_quantize)
@@ -317,7 +353,7 @@ def _cmd_gauge_check(config, out_dir, threads):
 def _cmd_expand(config, out_dir, threads):
     grid, B, gauge, f = _context(config, threads)
     g = _build_symbol(config, grid.n, block_name="symbol2")
-    depth = int(config["task"].get("depth", 2))
+    depth = _value(config["task"], "task block", "depth", int, 2)
     x = grid.x_mesh()
     xi = grid.xi_mesh()
     sup_values = {}
@@ -339,12 +375,10 @@ def _cmd_expand(config, out_dir, threads):
 def _cmd_invert(config, out_dir, threads):
     grid, B, gauge, f = _context(config, threads)
     task = config["task"]
-    if "z" not in task:
-        raise ConfigError("task block needs 'z' for invert")
-    z = float(task["z"])
+    z = _value(task, "task block", "z", float)
     if not np.isfinite(z):
         raise ConfigError(f"task block 'z' must be finite, got {z}")
-    tol = float(task.get("tolerance", 1e-6))
+    tol = _value(task, "task block", "tolerance", float, 1e-6)
     try:
         result = neumann_invert(f, z, gauge)
     except DivergenceError as exc:
@@ -365,13 +399,21 @@ def _cmd_invert(config, out_dir, threads):
     return 0 if result.residual <= tol else 2
 
 
+def _blockwise_max(block_values, P: int) -> float:
+    """The largest entry of the P x P array whose rows r are
+    ``block_values(r)``, formed one block of ``_BLOCK_ROWS`` rows at a time;
+    max is exact, so this is the whole-array maximum to the bit."""
+    return float(np.max([block_values(slice(a, a + _BLOCK_ROWS)).max()
+                         for a in range(0, P, _BLOCK_ROWS)]))
+
+
 # validate's thread-independence probe for a zero gauge, by dimension
 _THREAD_PROBES = {1: ["arctan(x1)"], 2: ["-arctan(x2)", "x1*exp(-x1^2/8)"]}
 
 
 def _cmd_validate(config, out_dir, threads):
     grid, B, gauge, f = _context(config, threads)
-    seed = int(config["task"]["seed"])
+    seed = _value(config["task"], "task block", "seed", int)
     rng = np.random.default_rng(seed)
     checks = {}
 
@@ -390,14 +432,16 @@ def _cmd_validate(config, out_dir, threads):
 
     # quantize/dequantize round trip
     M = quantize(f, gauge)
-    table = dequantize(M, gauge)
-    M2 = quantize(table, gauge)
-    checks["round_trip"] = float(np.abs(M2.matrix - M.matrix).max()
-                                 / max(np.abs(M.matrix).max(), 1e-300))
+    M2 = quantize(dequantize(M, gauge), gauge).matrix
+    m = M.matrix
+    checks["round_trip"] = (_blockwise_max(lambda r: np.abs(M2[r] - m[r]), len(m))
+                            / max(_blockwise_max(lambda r: np.abs(m[r]), len(m)), 1e-300))
+    del M2
 
     # real symbol quantizes to a Hermitian operator
     if f.real:
         checks["hermiticity"] = M.hermiticity_defect()
+    del M, m
 
     # assembly is independent of the thread count: the cached build against a
     # fresh one; a zero gauge never reaches the threaded fill, so two fresh
@@ -409,7 +453,8 @@ def _cmd_validate(config, out_dir, threads):
     else:
         built = gauge.circulation
     fresh = circulation_matrix(A, grid, threads=1 if threads > 1 else 2)
-    checks["thread_independence"] = float(np.abs(built - fresh).max())
+    checks["thread_independence"] = _blockwise_max(lambda r: np.abs(built[r] - fresh[r]),
+                                                   len(fresh))
 
     tolerances = {
         "cocycle_identity": 1e-8,

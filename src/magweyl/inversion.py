@@ -163,9 +163,10 @@ def _solved(Mf_minus_z: np.ndarray, z: complex, terms: int, norm_R: float | None
 
 
 def inversion_residual(Mf_minus_z: np.ndarray, inverse_mat: np.ndarray, gauge: Gauge) -> float:
-    """sup over the interior 80% of |dequantize(Mf - z) # inverse - 1|."""
-    res = MagneticOperator(gauge.grid, _shift_diagonal(Mf_minus_z @ inverse_mat, -1.0))
-    return dequantize(res, gauge).interior_sup()
+    """sup over the interior 80% of |dequantize(Mf - z) # inverse - 1|; the
+    product is stripped of its phase in place."""
+    res = _shift_diagonal(Mf_minus_z @ inverse_mat, -1.0)
+    return SampledSymbol(gauge.grid, gauge.strip(res)).interior_sup()
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +287,7 @@ class ResolventFamily:
         r1 = self.add(z1)
         r2 = self.add(z2)
         combo = r1.matrix - r2.matrix - (z1 - z2) * (r1.matrix @ r2.matrix)
-        return dequantize(MagneticOperator(self.gauge.grid, combo), self.gauge).interior_sup()
+        return SampledSymbol(self.gauge.grid, self.gauge.strip(combo)).interior_sup()
 
     def adjoint_symmetry_residual(self, z: complex) -> float:
         """sup_interior |Phi(r_z)^# - Phi(r_zbar)| (involution = conjugate

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, flux_triangle, gamma_B
-from .quantize import Gauge, SampledSymbol, _xi1_ray, dequantize, quantize
+from .quantize import Gauge, SampledSymbol, _xi1_ray, quantize
 from .symbols import Symbol, japanese_bracket
 
 
@@ -45,7 +45,8 @@ def moyal_pullback(f, g, gauge: Gauge) -> SampledSymbol:
     matrix product exactly and the result does not depend on the chosen
     gauge of the field.
     """
-    return dequantize(quantize(f, gauge) @ quantize(g, gauge), gauge)
+    product = (quantize(f, gauge) @ quantize(g, gauge)).matrix
+    return SampledSymbol(gauge.grid, gauge.strip(product))
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ xi1 # xi2 - xi2 # xi1 = i B_12.
 
 The phase is the only gauge-dependent ingredient.  :class:`Gauge` owns it:
 it builds the circulation matrix C once and applies e^{-iC} (quantization)
-or e^{+iC} (its inverse); every gauge-dependent function here takes one.
-A reversed segment has the opposite circulation, so C is integrated on its
-upper triangle only, in row blocks that depend on nothing but the number
-of nodes, and the rest is filled from C = -C^T, which holds exactly.
+or e^{+iC} (its inverse) in place, one block of rows at a time, so the
+complex phase is never held whole; every gauge-dependent function here
+takes one.  A reversed segment has the opposite circulation, so C is
+integrated on its upper triangle only, in row blocks that depend on nothing
+but the number of nodes, and the rest is filled from C = -C^T, which holds
+exactly.
 
 The inverse transform reads the matrix diagonal-by-diagonal: after stripping
 the circulation phase, the diagonal i - j = d holds fcheck(., d*dx) sampled
@@ -77,7 +79,10 @@ class MagneticOperator:
     def hermiticity_defect(self) -> float:
         """Relative Frobenius distance to the Hermitian part."""
         m = self.matrix
-        return float(np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1e-300))
+        # m - m^H in one C-ordered work array, so the norm sums in row order
+        diff = np.conjugate(m.T, out=np.empty(m.shape, dtype=complex))
+        np.subtract(m, diff, out=diff)
+        return float(np.linalg.norm(diff) / max(np.linalg.norm(m), 1e-300))
 
     def __matmul__(self, other: "MagneticOperator") -> "MagneticOperator":
         if other.grid != self.grid:
@@ -163,7 +168,9 @@ def _as_table(other, grid):
 
 
 # rows per block of the circulation fill; the blocks depend only on P
-_ROWS = 32
+_ROWS = 8
+# rows per block of the in-place phase application
+_PHASE_ROWS = 64
 
 
 def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 1) -> np.ndarray:
@@ -203,7 +210,9 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
 class Gauge:
     """A vector potential A on a grid, the one owner of the circulation phase:
     the real matrix C = :func:`circulation_matrix` is built on first use, with
-    ``threads`` workers, and kept; the complex phase is never held."""
+    ``threads`` workers, and kept.  :meth:`attach` and :meth:`strip` overwrite
+    their argument, one block of ``_PHASE_ROWS`` rows at a time, so the complex
+    phase is never held whole; a zero C leaves the argument as it is."""
 
     A: VectorPotential
     grid: PhaseSpaceGrid
@@ -217,15 +226,22 @@ class Gauge:
             self._cache["C"] = circulation_matrix(self.A, self.grid, threads=self.threads)
         return self._cache["C"]
 
-    def attach(self, W: np.ndarray) -> np.ndarray:
-        """e^{-iC} W, entrywise: a phase-stripped table to its operator."""
+    def _apply(self, sign: complex, W: np.ndarray) -> np.ndarray:
         C = self.circulation
-        return np.exp(-1j * C) * W if C.any() else W.copy()
+        if C.any():
+            for a in range(0, len(W), _PHASE_ROWS):
+                rows = slice(a, a + _PHASE_ROWS)
+                # the phase first: W[rows] *= phase rounds differently
+                np.multiply(np.exp(sign * C[rows]), W[rows], out=W[rows])
+        return W
+
+    def attach(self, W: np.ndarray) -> np.ndarray:
+        """e^{-iC} W, entrywise, in place: a phase-stripped table to its operator."""
+        return self._apply(-1j, W)
 
     def strip(self, M: np.ndarray) -> np.ndarray:
-        """e^{+iC} M, entrywise: an operator to its phase-stripped table."""
-        C = self.circulation
-        return np.exp(1j * C) * M if C.any() else M.copy()
+        """e^{+iC} M, entrywise, in place: an operator to its phase-stripped table."""
+        return self._apply(1j, M)
 
     def segment_phase(self, x, y) -> np.ndarray:
         """e^{-i Circ(A; x -> y)} for batched endpoints of shape (..., n)."""
@@ -290,7 +306,13 @@ def _symbol_table(f, grid: PhaseSpaceGrid) -> np.ndarray:
 def quantize(f, gauge: Gauge) -> MagneticOperator:
     """Gauge-covariant quantization of a symbol (or SampledSymbol)."""
     grid = gauge.grid
-    W = _as_table(f, grid) if isinstance(f, SampledSymbol) else _symbol_table(f, grid)
+    # build (or fetch) C before the table, so that the work arrays of the
+    # circulation fill and the table are never held together
+    gauge.circulation
+    if isinstance(f, SampledSymbol):
+        W = np.array(_as_table(f, grid), dtype=complex)  # a copy: attach overwrites it
+    else:
+        W = _symbol_table(f, grid)
     return MagneticOperator(grid, gauge.attach(W))
 
 
@@ -314,7 +336,7 @@ def dequantize(M: MagneticOperator, gauge: Gauge) -> SampledSymbol:
     """
     if M.grid != gauge.grid:
         raise ValueError("grid mismatch")
-    return SampledSymbol(M.grid, gauge.strip(M.matrix))
+    return SampledSymbol(M.grid, gauge.strip(M.matrix.copy()))
 
 
 # -- diagonal interpolation (table -> symbol samples) -----------------------
@@ -382,7 +404,7 @@ def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid, keep=None) -> np.ndar
     if n == 1:
         vals = _interpolate(W[rows, rows - ds[:, None]], weights)
         cs[:, ds % N] = (sign[:, None] * vals).T
-        return sp_fft.fft(cs, axis=1)
+        return sp_fft.fft(cs, axis=1, overwrite_x=True)
     # The pair (d1, d2) reads the diagonal W[i1 N + i2, (i1 - d1) N + i2 - d2]
     # at flat offset (i1 N^2 + i1 - d1) N + i2 N^2 + (i2 - d2).  Offsets of
     # every i2 of every d2 are gathered; those off the read set wrap and are
@@ -399,7 +421,7 @@ def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid, keep=None) -> np.ndar
                          weights[e][:, None, :])
         vals = _interpolate(np.ravel(A)[reread], weights[:, None, :, :])
         cs[:, :, d1 % N, ds % N] = np.moveaxis(sign[e] * sign[:, None, None] * vals, 0, -1)
-    return sp_fft.fft2(cs, axes=(2, 3))
+    return sp_fft.fft2(cs, axes=(2, 3), overwrite_x=True)
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,17 @@ def spectrum(M: MagneticOperator, hermiticity_tol: float = 1e-8,
         raise ValueError(
             f"operator is not Hermitian: relative asymmetry {defect:.3e} "
             f"exceeds tolerance {hermiticity_tol:.1e}")
-    herm = 0.5 * (M.matrix + M.matrix.conj().T)
+    # 0.5 (M + M^H), formed in one Fortran-ordered array that eigh then
+    # overwrites instead of copying
+    m = M.matrix
+    herm = np.conjugate(m.T, out=np.empty(m.shape, dtype=complex, order="F"))
+    np.add(m, herm, out=herm)
+    np.multiply(0.5, herm, out=herm)
     need_vectors = localization or keep_vectors
     if need_vectors:
-        vals, vecs = sp_linalg.eigh(herm)
+        vals, vecs = sp_linalg.eigh(herm, overwrite_a=True)
     else:
-        vals = sp_linalg.eigh(herm, eigvals_only=True)
+        vals = sp_linalg.eigh(herm, eigvals_only=True, overwrite_a=True)
         vecs = None
     scores = None
     if localization:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,16 +270,77 @@ def test_every_command_reruns_from_its_effective_config_to_the_same_bytes(tmp_pa
 
 
 def test_a_grid_too_large_for_memory_is_diagnosed(tmp_path, capsys, monkeypatch):
-    # a small budget on a small grid: P = 64 needs 56 * 64^2 bytes
-    monkeypatch.setattr(cli, "_MEMORY_BYTES", 56 * 64 * 64 - 1)
+    # a small budget on a small grid (P = 64), measured by the command's own multiple
+    need = cli._PEAK_P2["quantize"] * 64 * 64
+    assert cli._PEAK_P2["validate"] > cli._PEAK_P2["quantize"]
+    monkeypatch.setattr(cli, "_MEMORY_BYTES", need - 1)
     cfg, _ = _TINY_RUNS["quantize"]
     out = tmp_path / "out"
     assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "n=2" in err and "N=8" in err and "P=64" in err and "memory" in err
+    assert "quantize" in err and f"{cli._PEAK_P2['quantize']}*P^2" in err
     assert not (out / "summary.json").exists()
-    monkeypatch.setattr(cli, "_MEMORY_BYTES", 56 * 64 * 64)
+    # quantize fits its budget exactly; validate, on the same grid, does not
+    monkeypatch.setattr(cli, "_MEMORY_BYTES", need)
     assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 0
+    cfg, _ = _TINY_RUNS["validate"]
+    out = tmp_path / "validate"
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "P=64" in err and "validate" in err and f"{cli._PEAK_P2['validate']}*P^2" in err
+    assert not (out / "summary.json").exists()
+
+
+def test_validate_maxima_by_row_blocks_are_the_whole_array_maxima():
+    # P = 150 rows: two full blocks and a partial one, which holds the maximum
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-1.0, 1.0, size=(150, 150))
+    a[149, 3] = 2.0
+    assert cli._blockwise_max(lambda r: np.abs(a[r]), len(a)) == np.abs(a).max() == 2.0
+    a[140, 0] = np.nan
+    assert np.isnan(cli._blockwise_max(lambda r: np.abs(a[r]), len(a)))
+
+
+_FIELDS = {"zero": {}, "nonpoly": {"components": {"12": "1 + 0.5/(1+x1^2)"}}}
+_BUMPS_2D = {"expression": "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)",
+             "m": 2, "rho": 1, "real": True}
+_PEAK_RUNS = {
+    "quantize": {"task": {"command": "quantize"}},
+    "spectrum": {"task": {"command": "spectrum"}},
+    "ess-spectrum": {"algebra": {"kind": "AsymptoticLimitsPerDirection", "orbits": [
+                         {"label": "plus", "kind": "direction", "direction": [1.0, 0.0]}]},
+                     "task": {"command": "ess-spectrum"}},
+    "gauge-check": {"gauge": {"kind": "pair", "psi": "sin(x1)*x2"},
+                    "task": {"command": "gauge-check"}},
+    "invert": {"task": {"command": "invert", "z": -40}},
+    "validate": {"task": {"command": "validate"}},
+    # the remainder fit needs two momenta in its window, which 2D L=12 N=24 lacks
+    "expand": {"grid": {"n": 2, "L": 4.0, "N": 32},
+               "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
+               "symbol2": {"expression": "xi2 + exp(-x2^2)", "m": 1, "rho": 1},
+               "task": {"command": "expand", "depth": 2}},
+}
+
+
+@pytest.mark.filterwarnings("ignore:remainder fit window")
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+@pytest.mark.parametrize("command", sorted(_PEAK_RUNS))
+def test_each_command_peaks_within_the_multiple_of_p_squared_it_is_refused_by(
+        tmp_path, command, field):
+    # the traced peak of a whole CLI run, against the multiple _build_grid enforces
+    cfg = {"grid": {"n": 2, "L": 12.0, "N": 24}, "field": _FIELDS[field],
+           "symbol": _BUMPS_2D, **_PEAK_RUNS[command]}
+    P = cfg["grid"]["N"] ** 2
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    tracemalloc.start()
+    try:
+        code = run(["--config", path, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == (2 if command == "gauge-check" else 0)
+    assert peak <= cli._PEAK_P2[command] * P ** 2
 
 
 def test_ess_spectrum_rejects_a_malformed_gauge_block(tmp_path, capsys):
@@ -295,6 +357,17 @@ _MALFORMED = {
                                  grid={"n": 1, "L": 20.0, "N": [64]}), "'N'"),
     "z-not-finite": (dict(_TINY_RUNS["invert"][0],
                           task={"command": "invert", "z": float("nan")}), "'z' must be finite"),
+    "z-a-list": (dict(_TINY_RUNS["invert"][0], task={"command": "invert", "z": [1]}), "'z'"),
+    "m-a-list": (dict(_TINY_RUNS["spectrum"][0], symbol={"expression": "x1^2 + xi1^2",
+                                                         "m": [2], "real": True}), "'m'"),
+    "field-components-a-list": (dict(_TINY_RUNS["spectrum"][0],
+                                     field={"components": ["12"]}), "'components'"),
+    "task-a-list": (dict(_TINY_RUNS["spectrum"][0], task=["spectrum"]), "'task'"),
+    "merge-tol-not-a-number": (dict(_TINY_RUNS["ess-spectrum"][0],
+                                    task={"command": "ess-spectrum", "merge_tol": "x"}),
+                               "'merge_tol'"),
+    "gauge-A-a-number": (dict(_TINY_RUNS["quantize"][0], gauge={"kind": "explicit", "A": 5}),
+                         "'A'"),
 }
 
 
@@ -305,6 +378,7 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys, name):
     assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert key in err
     assert not (out / "summary.json").exists()
 
@@ -384,10 +458,14 @@ def _artifact_digest_tool():
 
 def test_the_artifact_digest_tool_runs_every_command_with_pinned_exit_codes():
     tool = _artifact_digest_tool()
-    assert {cfg["task"]["command"] for cfg, _ in tool.CONFIGS.values()} == set(cli._COMMANDS)
+    commands = {cfg["task"]["command"] for cfg, _ in tool.CONFIGS.values()
+                if isinstance(cfg["task"], dict)}
+    assert commands == set(cli._COMMANDS)
     exits = {path.split("/")[0]: code for path, code in tool.digests(cli)
              if path.endswith("/exit")}
     expect = dict.fromkeys(tool.CONFIGS, "exit=0")
     expect.update({"bad-gauge-kind": "exit=1", "expand-2d-empty-window": "exit=1",
                    "invert-1d-divergent": "exit=2"})
+    expect.update(dict.fromkeys(["bad-z-list", "bad-m-list", "bad-field-components-list",
+                                 "bad-task-list", "bad-merge-tol", "bad-gauge-A"], "exit=1"))
     assert exits == expect

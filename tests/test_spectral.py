@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as sp_linalg
 
 from magweyl.grid import make_grid
-from magweyl.magnetics import MagneticField, VectorPotential
+from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
 from magweyl.quantize import Gauge, quantize
 from magweyl.spectral import (
     compare_bulk_vs_essential,
@@ -20,6 +21,29 @@ B0 = MagneticField.from_expressions(1, {})
 # ground-state energy of -u'' - 2 e^{-x^2} u, frozen from an independent
 # shooting computation (solve_ivp from the decaying tail, bisection on u'(0))
 WELL_GROUND_STATE = -0.9547799547653671
+
+
+@pytest.mark.parametrize("keep_vectors", [False, True])
+def test_spectrum_solves_the_written_out_hermitian_part_and_keeps_its_input(keep_vectors):
+    # eigh works on a Fortran-ordered Hermitian part that it may overwrite;
+    # the operator is untouched and every number is the written-out one's
+    g = make_grid(2, 8.0, 12)
+    B = MagneticField.from_expressions(2, {(1, 2): "1 + 1/(1+x1^2)"})
+    f = Symbol.from_expression("xi1^2 + xi2^2 + arctan(x1)", 2, m=2, real=True)
+    M = quantize(f, Gauge(transversal_gauge(B), g))
+    m = M.matrix.copy()
+    res = spectrum(M, keep_vectors=keep_vectors)
+    assert np.array_equal(M.matrix, m)
+    herm = 0.5 * (m + m.conj().T)
+    if keep_vectors:
+        vals, vecs = sp_linalg.eigh(herm)
+        assert np.array_equal(res.eigenvectors, vecs)
+    else:
+        vals = sp_linalg.eigh(herm, eigvals_only=True)
+    assert np.array_equal(res.eigenvalues, vals)
+    defect = np.linalg.norm(m - m.conj().T) / np.linalg.norm(m)
+    assert res.hermiticity_defect == defect == M.hermiticity_defect()
+    assert defect > 0.0
 
 
 def test_multiplication_operator_spectrum_is_sampled_range():

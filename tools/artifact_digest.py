@@ -16,8 +16,12 @@ The configs cover all seven commands in 1D and 2D, with zero, constant and
 non-polynomial fields, an explicit non-polynomial gauge, polynomial and
 non-polynomial gauge-check shifts, converging and divergent inversions (one
 at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
-on either side of the interior bound), error exits and a threaded validate.  Uses the standard library and magweyl
-only; the whole set runs in a few seconds.
+on either side of the interior bound), a 1D explicit gauge on P = 100
+nodes (a partial last block of the circulation fill and of the phase),
+malformed configs, error exits and a threaded validate.  An exception that
+escapes ``run`` is recorded as ``exit=raised <type>``, so a tree that raises
+can still be compared with one that diagnoses.  Uses the standard library
+and magweyl only; the whole set runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ CONFIGS = {
                            "symbol": _XI2, "task": _task("spectrum")}, 1),
     "spectrum-2d-nonpoly": ({"grid": _grid(2, 10.0, 12), "field": _NONPOLY, "symbol": _XI2,
                              "task": _task("spectrum")}, 1),
+    "spectrum-1d-explicit-partial": ({"grid": _grid(1, 20.0, 100), "symbol": _WELL_1D,
+                                      "gauge": {"kind": "explicit", "A": ["arctan(x1)"]},
+                                      "task": _task("spectrum")}, 1),
     "ess-spectrum-1d-arctan": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
                                 "algebra": _ORBITS_1D, "task": _task("ess-spectrum")}, 1),
     "ess-spectrum-1d-well": ({"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
@@ -111,6 +118,19 @@ CONFIGS = {
                               "task": _task("validate")}, 1),
     "bad-gauge-kind": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
                         "gauge": {"kind": "nonsense"}, "task": _task("quantize")}, 1),
+    "bad-z-list": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                    "task": _task("invert", z=[1])}, 1),
+    "bad-m-list": ({"grid": _grid(1, 20.0, 32), "symbol": {**_ARCTAN_1D, "m": [2]},
+                    "task": _task("spectrum")}, 1),
+    "bad-field-components-list": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                                   "field": {"components": ["12"]},
+                                   "task": _task("spectrum")}, 1),
+    "bad-task-list": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                       "task": ["spectrum"]}, 1),
+    "bad-merge-tol": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                       "algebra": _ORBITS_1D, "task": _task("ess-spectrum", merge_tol="x")}, 1),
+    "bad-gauge-A": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                     "gauge": {"kind": "explicit", "A": 5}, "task": _task("quantize")}, 1),
 }
 
 
@@ -129,8 +149,11 @@ def digests(cli) -> list[tuple[str, str]]:
             err = io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stderr(err):
                 warnings.simplefilter("ignore")
-                code = cli.run(["--config", str(path), "--out", str(run_dir),
-                                "--threads", str(threads)])
+                try:
+                    code = cli.run(["--config", str(path), "--out", str(run_dir),
+                                    "--threads", str(threads)])
+                except Exception as exc:
+                    code = f"raised {type(exc).__name__}"
             out.append((f"{name}/exit", f"exit={code}"))
             if err.getvalue():
                 out.append((f"{name}/stderr", _sha256(err.getvalue().encode())))
