@@ -19,6 +19,7 @@ import contextlib
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -62,10 +63,11 @@ _MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 # peak bytes of each command per P^2 (P = N^n points), as traced by
 # tests/test_cli.py at 2D L=12 N=24 with a zero and a non-polynomial field;
-# the O(P) work of the circulation fill is a larger share of a peak there
-# than on larger grids, so the figures bound those from above
-_PEAK_P2 = {"quantize": 43, "spectrum": 42, "ess-spectrum": 42, "gauge-check": 64,
-            "expand": 57, "invert": 76, "validate": 80}
+# the work arrays of the circulation fill are bounded by a constant per
+# thread, a larger share of a peak there than on larger grids, so the
+# figures bound those from above
+_PEAK_P2 = {"quantize": 43, "spectrum": 42, "ess-spectrum": 42, "gauge-check": 61,
+            "expand": 57, "invert": 76, "validate": 61}
 
 # rows per block of validate's entrywise maxima
 _BLOCK_ROWS = 64
@@ -85,20 +87,42 @@ def _require_block(config: dict, name: str) -> dict:
 
 
 def _value(block: dict, where: str, key: str, kind, default=_MISSING):
-    """``block[key]`` as ``kind`` (``float`` and ``int`` convert, the other
-    kinds must match), or ``default`` when the key is absent; a ConfigError
-    that names ``where`` and the key when it is missing or cannot be read."""
+    """``block[key]`` as ``kind``, or ``default`` when the key is absent; a
+    ConfigError that names ``where`` and the key when it is missing or cannot
+    be read.  ``float`` and ``int`` take a number or a numeric string, never
+    a boolean, and it must be finite (and integral for ``int``); the other
+    kinds must match."""
     if key not in block:
         if default is _MISSING:
             raise ConfigError(f"{where} is missing {key!r}")
         return default
     value = block[key]
     if kind in (float, int):
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
-            return kind(value)
+        number = None
+        if not isinstance(value, bool):
+            with contextlib.suppress(TypeError, ValueError, OverflowError):
+                number = float(value)
+        if number is not None:
+            if not math.isfinite(number):
+                raise ConfigError(f"{where} {key!r} must be finite, got {value!r}")
+            if kind is float:
+                return number
+            if number.is_integer():
+                return value if isinstance(value, int) else int(number)
     elif isinstance(value, kind):
         return value
     raise ConfigError(f"{where} {key!r} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _vector(block: dict, where: str, key: str, n: int, required: bool) -> tuple:
+    """``block[key]`` as n finite numbers (see :func:`_value`); () when the
+    key is absent and not ``required``."""
+    values = _value(block, where, key, list, _MISSING if required else None)
+    if values is None:
+        return ()
+    if len(values) != n:
+        raise ConfigError(f"{where} {key!r} must have {n} entries, got {values!r}")
+    return tuple(_value({key: v}, where, key, float) for v in values)
 
 
 def _effective_config(config: dict, seed) -> dict:
@@ -122,18 +146,23 @@ def _effective_config(config: dict, seed) -> dict:
 
 
 @contextlib.contextmanager
-def _parsing(where):
-    """Name the config entry and the text of an expression that fails to parse."""
+def _naming(where):
+    """Name the config entry of a value the library rejects: the text of an
+    expression that fails to parse, or the library's own diagnostic."""
     try:
         yield
     except expressions.ParseError as exc:
         raise ConfigError(f"{where}: cannot parse {exc.text!r}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _build_grid(config):
     block = _require_block(config, "grid")
-    grid = make_grid(*(_value(block, "grid block", key, kind)
-                       for key, kind in (("n", int), ("L", float), ("N", int))))
+    n, L, N = (_value(block, "grid block", key, kind)
+               for key, kind in (("n", int), ("L", float), ("N", int)))
+    with _naming("grid block"):
+        grid = make_grid(n, L, N)
     # the command's traced peak, in bytes per P^2: its operator (16 bytes an
     # entry), the circulation (8) and at most a few P x P work arrays
     command = config["task"]["command"]
@@ -152,11 +181,12 @@ def _build_field(config, n):
     exprs = {}
     for key in components:
         digits = key.replace(",", "")
-        if len(digits) != 2 or not digits.isdigit():
-            raise ConfigError(
-                f"field component key {key!r} must name an index pair like '12'")
-        exprs[(int(digits[0]), int(digits[1]))] = _value(components, "field component", key, str)
-    with _parsing("field block"):
+        pair = (int(digits[0]), int(digits[1])) if len(digits) == 2 and digits.isdigit() else None
+        if pair is None or not 1 <= pair[0] < pair[1] <= n:
+            raise ConfigError(f"field block 'components' key {key!r} must name an "
+                              f"index pair j < k of 1..{n}, like '12'")
+        exprs[pair] = _value(components, "field component", key, str)
+    with _naming("field block"):
         return MagneticField.from_expressions(n, exprs)
 
 
@@ -175,7 +205,7 @@ def _build_gauge(config, B, n):
         exprs = _value(block, "gauge block", "A", list, [])
         if len(exprs) != n or not all(isinstance(text, str) for text in exprs):
             raise ConfigError(f"gauge block needs {n} 'A' component expressions")
-        with _parsing("gauge block 'A'"):
+        with _naming("gauge block 'A'"):
             return VectorPotential.from_expressions(n, exprs)
     raise ConfigError(f"unknown gauge kind {kind!r}")
 
@@ -186,26 +216,31 @@ def _build_symbol(config, n, block_name="symbol"):
     text = _value(block, where, "expression", str)
     classes = {key: _value(block, where, key, float, 0.0) for key in ("m", "rho", "delta")}
     real = _value(block, where, "real", bool, False)
-    with _parsing(where):
+    with _naming(where):
         return Symbol.from_expression(text, n, real=real, **classes)
 
 
-def _build_algebra(config):
+def _build_algebra(config, n):
     block = _require_block(config, "algebra")
     orbits = []
     for spec in _value(block, "algebra block", "orbits", list, []):
         if not isinstance(spec, dict):
-            raise ConfigError(f"algebra orbit {spec!r} must be an object")
+            raise ConfigError(f"algebra block 'orbits' entry {spec!r} must be an object")
         where = f"algebra orbit {spec!r}"
-        orbits.append(QuasiOrbit(
-            label=_value(spec, where, "label", str),
-            kind=_value(spec, where, "kind", str, "identity"),
-            direction=tuple(_value(spec, where, "direction", list, [])),
-            shift=tuple(_value(spec, where, "shift", list, [])),
-        ))
-    return CoefficientAlgebra(kind=_value(block, "algebra block", "kind", str,
-                                          "ConstantCoefficients"),
-                              quasi_orbits=tuple(orbits))
+        label = _value(spec, where, "label", str)
+        kind = _value(spec, where, "kind", str, "identity")
+        if kind not in QuasiOrbit.KINDS:
+            raise ConfigError(f"{where} 'kind' must be one of {', '.join(QuasiOrbit.KINDS)}")
+        direction = _vector(spec, where, "direction", n, required=kind == "direction")
+        if kind == "direction" and not any(direction):
+            raise ConfigError(f"{where} 'direction' must be nonzero")
+        shift = _vector(spec, where, "shift", n, required=kind == "translate")
+        orbits.append(QuasiOrbit(label=label, kind=kind, direction=direction, shift=shift))
+    if not orbits:
+        raise ConfigError("algebra block 'orbits' must list at least one quasi-orbit")
+    kind = _value(block, "algebra block", "kind", str, "ConstantCoefficients")
+    with _naming("algebra block"):
+        return CoefficientAlgebra(kind=kind, quasi_orbits=tuple(orbits))
 
 
 def _psi_pair(config, A, n):
@@ -213,7 +248,7 @@ def _psi_pair(config, A, n):
     text = _value(config.get("gauge", {}), "gauge block", "psi", str, None)
     if text is None:
         raise ConfigError("gauge block needs a 'psi' expression for gauge pairs")
-    with _parsing("gauge block 'psi'"):
+    with _naming("gauge block 'psi'"):
         ast, psi = _position_expr(text, n)
     grads = [ast.diff(f"x{j + 1}") for j in range(n)]
 
@@ -304,7 +339,7 @@ def _cmd_spectrum(config, out_dir, threads):
 
 def _cmd_ess_spectrum(config, out_dir, threads):
     grid, B, _, f = _context(config, threads)
-    algebra = _build_algebra(config)
+    algebra = _build_algebra(config, grid.n)
     merge_tol = _value(config["task"], "task block", "merge_tol", float, None)
     fmt = _eigenvalue_format(config)
     res = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol,
@@ -376,8 +411,6 @@ def _cmd_invert(config, out_dir, threads):
     grid, B, gauge, f = _context(config, threads)
     task = config["task"]
     z = _value(task, "task block", "z", float)
-    if not np.isfinite(z):
-        raise ConfigError(f"task block 'z' must be finite, got {z}")
     tol = _value(task, "task block", "tolerance", float, 1e-6)
     try:
         result = neumann_invert(f, z, gauge)

@@ -62,7 +62,7 @@ class PhaseSpaceGrid:
 
     def __post_init__(self):
         if self.n not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.n}")
+            raise ValueError(f"dimension n must be 1 or 2, got {self.n}")
         if self.N < 4 or self.N % 4 != 0:
             raise ValueError(f"N must be a multiple of 4, >= 4, got {self.N}")
         if not self.L > 0:

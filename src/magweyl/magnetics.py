@@ -17,6 +17,13 @@ fields and potentials of known polynomial ``degree`` (set by the expression
 constructors, the constant field, the zero potential and the transversal
 gauge) are integrated with the smallest exact rule (:func:`exact_order`),
 and data of unknown degree with ``order`` nodes.
+
+The quadrature points of the circulation and the transversal gauge are
+stored coordinate-major, shape (n, q, ...), and an evaluator gets the view
+``np.moveaxis(pts, 0, -1)``, so each coordinate x_j it reads is contiguous;
+the expression potentials and the transversal gauge return their values in
+the same layout.  Sums over the nodes keep the order of ``np.sum`` over a
+last axis (:func:`_node_sum`), so the layout changes no bit of a result.
 """
 
 from __future__ import annotations
@@ -169,10 +176,10 @@ class VectorPotential:
             raise ValueError(f"expected {n} components, got {len(asts)}")
 
         def fn(x):
-            out = np.empty(x.shape)
+            out = np.empty((n,) + x.shape[:-1])  # coordinate-major
             for j, ast in enumerate(asts):
-                out[..., j] = np.real(expressions.evaluate(ast, x=x))
-            return out
+                out[j] = np.real(expressions.evaluate(ast, x=x))
+            return np.moveaxis(out, 0, -1)
 
         return VectorPotential(n, fn, degree=_max_degree(asts))
 
@@ -215,9 +222,9 @@ def flux_triangle(B: MagneticField, v0, v1, v2, quad: FluxQuadrature = DEFAULT_Q
     t = (V * (1.0 - U))[:, None]
     pts = v0[..., None, :] + s * d1[..., None, :] + t * d2[..., None, :]
     total = 0.0
-    for (j, k), _ in B.components.items():
+    for (j, k), component in B.components.items():
         wedge = d1[..., j - 1] * d2[..., k - 1] - d1[..., k - 1] * d2[..., j - 1]
-        vals = B.component(j, k)(pts)  # (..., q)
+        vals = np.asarray(component(pts), dtype=float)  # (..., q)
         total = total + wedge * np.sum(W * vals, axis=-1)
     return total
 
@@ -257,19 +264,64 @@ def gamma_B(B: MagneticField, x, y, z, quad: FluxQuadrature = DEFAULT_QUAD):
     return total
 
 
+def _node_sum(terms):
+    """The sum of ``terms`` over its first (node) axis, in the order of
+    ``np.sum`` over a contiguous last axis of that length: numpy's pairwise
+    sum, which keeps eight interleaved partial sums per block of up to 128
+    terms and adds them by a fixed tree, and then adds its identity 0.0.
+    ``terms`` is overwritten."""
+    return np.add(_pairwise(terms), 0.0)
+
+
+def _pairwise(t):
+    """numpy's pairwise sum of t[0], t[1], ..., accumulated in t[0]."""
+    q = len(t)
+    if q > 128:
+        # a longer run is split at a multiple of 8 near its middle
+        h = q // 2 - (q // 2) % 8
+        res = _pairwise(t[:h])
+        res += _pairwise(t[h:])
+        return res
+    m = 1
+    if q >= 8:
+        # eight partial sums r_j over t[j], t[j + 8], ..., then the tree
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        m = q - q % 8
+        for i in range(8, m, 8):
+            t[:8] += t[i:i + 8]
+        t[0:8:2] += t[1:8:2]
+        t[0:8:4] += t[2:8:4]
+        t[0] += t[4]
+    for i in range(m, q):
+        t[0] += t[i]
+    return t[0]
+
+
 def circulation(A: VectorPotential, x, y, quad: FluxQuadrature = DEFAULT_QUAD):
     """Line integral of A along the oriented straight segment from x to y.
 
-    Accepts batched endpoints of shape (..., n).
+    Accepts batched endpoints of shape (..., n).  The points are stored
+    node-major and coordinate-major, (n, q, ...), so every coordinate the
+    evaluator reads is contiguous; the integrand sums the n components in
+    index order and :func:`_node_sum` sums the nodes.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     tn, tw = _gl_nodes(exact_order(quad, A.degree), 0.0, 1.0)
     d = y - x
-    pts = x[..., None, :] + tn[:, None] * d[..., None, :]  # (..., q, n)
-    vals = A.evaluate(pts)  # (..., q, n)
-    integrand = np.sum(vals * d[..., None, :], axis=-1)  # (..., q)
-    return np.sum(tw * integrand, axis=-1)
+    n = d.shape[-1]
+    pts = np.empty((n,) + tn.shape + d.shape[:-1])
+    for j in range(n):
+        np.multiply.outer(tn, d[..., j], out=pts[j])
+        pts[j] += x[..., j]
+    vals = A.evaluate(np.moveaxis(pts, 0, -1))  # (q, ..., n)
+    del pts
+    integrand = vals[..., 0] * d[..., 0]
+    for j in range(1, n):
+        integrand += vals[..., j] * d[..., j]
+    del vals
+    integrand *= tw.reshape((-1,) + (1,) * (d.ndim - 1))
+    return _node_sum(integrand)
 
 
 def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> VectorPotential:
@@ -279,6 +331,7 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
     is the symmetric gauge (-b x2 / 2, b x1 / 2).  A has degree B.degree + 1.
     Each stored integral I_jk = Integral_0^1 ds s B_jk(s x), j < k, is
     sampled once per point and serves both A_j and A_k, with I_kj = -I_jk.
+    The points s x and the result are coordinate-major.
     """
     if B.is_zero():
         return VectorPotential.zero(B.n)
@@ -286,19 +339,26 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
     weights = sw * sn  # include the s factor
 
     def fn(x):
-        pts = sn[:, None] * x[..., None, :]  # (..., q, n)
-        I = {(j, k): np.sum(weights * B.component(j, k)(pts), axis=-1)
-             for j, k in B.components}
-        out = np.empty(x.shape)
+        batch = x.shape[:-1]
+        xs = np.empty((B.n,) + sn.shape + batch)  # (n, q, ...)
+        for j in range(B.n):
+            np.multiply.outer(sn, x[..., j], out=xs[j])
+        xs = np.moveaxis(xs, 0, -1)
+        w = weights.reshape((-1,) + (1,) * len(batch))
+        I = {key: _node_sum(np.asarray(component(xs), dtype=float) * w)
+             for key, component in B.components.items()}
+        del xs
+        out = np.empty((B.n,) + batch)
         for k in range(1, B.n + 1):
-            acc = np.zeros(x.shape[:-1])
+            acc = 0.0
             for j in range(1, B.n + 1):
                 if (k, j) in I:
                     acc = acc - x[..., j - 1] * I[k, j]
                 elif (j, k) in I:
-                    acc = acc - x[..., j - 1] * -I[j, k]
-            out[..., k - 1] = acc
-        return out
+                    # I_kj = -I_jk, and acc - x_j (-I_jk) is acc + x_j I_jk exactly
+                    acc = acc + x[..., j - 1] * I[j, k]
+            out[k - 1] = acc
+        return np.moveaxis(out, 0, -1)
 
     return VectorPotential(B.n, fn, degree=None if B.degree is None else B.degree + 1)
 

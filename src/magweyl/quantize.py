@@ -55,7 +55,8 @@ from scipy import fft as sp_fft
 from scipy import linalg as sp_linalg
 
 from .grid import INTERIOR, PhaseSpaceGrid
-from .magnetics import DEFAULT_QUAD, FluxQuadrature, VectorPotential, circulation, omega_cocycle
+from .magnetics import (DEFAULT_QUAD, FluxQuadrature, VectorPotential, circulation, exact_order,
+                        omega_cocycle)
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,10 @@ def _as_table(other, grid):
 
 # rows per block of the circulation fill; the blocks depend only on P
 _ROWS = 8
+# pair x node points of one circulation call: a block's columns are split
+# into chunks of at most this many, which bounds its work arrays (the 8-row
+# blocks of the benchmark grids, 8 x 256 x 8 at most, stay whole)
+_POINTS = 1 << 14
 # rows per block of the in-place phase application
 _PHASE_ROWS = 64
 
@@ -178,9 +183,11 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
 
     A reversed segment has the opposite circulation, so only the upper
     triangle is integrated: fixed blocks of ``_ROWS`` rows, each computing
-    C[a:b, a:] with a fixed summation order, then the strict lower triangle
-    is set to -C^T and the diagonal to 0.  C = -C^T holds exactly, and the
-    result is bit-identical for any thread count.
+    C[a:b, a:] in column chunks of at most ``_POINTS`` pair x node points
+    (every entry has its own fixed summation order, so the chunks change no
+    bit), then the strict lower triangle is set to -C^T and the diagonal to
+    0.  C = -C^T holds exactly, and the result is bit-identical for any
+    thread count.
     """
     P = grid.npoints
     if A is None or A.is_zero():
@@ -188,9 +195,12 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
     X = grid.x_flat()
     C = np.empty((P, P))
     starts = range(0, P, _ROWS)
+    cols = max(1, _POINTS // (_ROWS * exact_order(DEFAULT_QUAD, A.degree)))
 
     def fill(a):
-        C[a:a + _ROWS, a:] = circulation(A, X[a:a + _ROWS, None, :], X[None, a:, :], DEFAULT_QUAD)
+        rows = X[a:a + _ROWS, None, :]
+        for c in range(a, P, cols):
+            C[a:a + _ROWS, c:c + cols] = circulation(A, rows, X[None, c:c + cols, :], DEFAULT_QUAD)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -212,7 +222,8 @@ class Gauge:
     the real matrix C = :func:`circulation_matrix` is built on first use, with
     ``threads`` workers, and kept.  :meth:`attach` and :meth:`strip` overwrite
     their argument, one block of ``_PHASE_ROWS`` rows at a time, so the complex
-    phase is never held whole; a zero C leaves the argument as it is."""
+    phase is never held whole.  A zero potential (``A.is_zero()``) builds no
+    C: its phase is 1, and both leave the argument as it is."""
 
     A: VectorPotential
     grid: PhaseSpaceGrid
@@ -227,12 +238,13 @@ class Gauge:
         return self._cache["C"]
 
     def _apply(self, sign: complex, W: np.ndarray) -> np.ndarray:
+        if self.A.is_zero():
+            return W
         C = self.circulation
-        if C.any():
-            for a in range(0, len(W), _PHASE_ROWS):
-                rows = slice(a, a + _PHASE_ROWS)
-                # the phase first: W[rows] *= phase rounds differently
-                np.multiply(np.exp(sign * C[rows]), W[rows], out=W[rows])
+        for a in range(0, len(W), _PHASE_ROWS):
+            rows = slice(a, a + _PHASE_ROWS)
+            # the phase first: W[rows] *= phase rounds differently
+            np.multiply(np.exp(sign * C[rows]), W[rows], out=W[rows])
         return W
 
     def attach(self, W: np.ndarray) -> np.ndarray:
@@ -308,7 +320,8 @@ def quantize(f, gauge: Gauge) -> MagneticOperator:
     grid = gauge.grid
     # build (or fetch) C before the table, so that the work arrays of the
     # circulation fill and the table are never held together
-    gauge.circulation
+    if not gauge.A.is_zero():
+        gauge.circulation
     if isinstance(f, SampledSymbol):
         W = np.array(_as_table(f, grid), dtype=complex)  # a copy: attach overwrites it
     else:

@@ -253,6 +253,7 @@ class QuasiOrbit:
     direction: tuple = ()
     shift: tuple = ()
 
+    KINDS = ("identity", "direction", "translate")
     R_LIMIT = 1e8
 
     def project_point(self, n: int):

@@ -1,14 +1,22 @@
 """Command-line driver: configs, outputs, determinism, exit codes."""
 
+import copy
 import dataclasses
+import functools
 import importlib
 import importlib.util
 import json
+import math
+import operator
+import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from magweyl import cli
@@ -381,6 +389,91 @@ def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys, name):
     assert "Traceback" not in err
     assert key in err
     assert not (out / "summary.json").exists()
+
+
+_GRID_1D = {"n": 1, "L": 20.0, "N": 16}
+# small valid 1D configs, together holding every kind of value a config has
+_MUTATION_BASES = {
+    "quantize": {"grid": _GRID_1D, "symbol": _ARCTAN_1D,
+                 "gauge": {"kind": "explicit", "A": ["arctan(x1)"]},
+                 "task": {"command": "quantize"}},
+    "spectrum": {"grid": _GRID_1D, "field": {"components": {}}, "symbol": _ARCTAN_1D,
+                 "output": {"eigenvalue_format": ".17g"}, "task": {"command": "spectrum"}},
+    "ess-spectrum": {"grid": _GRID_1D, "symbol": _ARCTAN_1D,
+                     "algebra": {"kind": "AsymptoticLimitsPerDirection", "orbits": [
+                         {"label": "plus", "kind": "direction", "direction": [1.0]},
+                         {"label": "shifted", "kind": "translate", "shift": [0.5]}]},
+                     "task": {"command": "ess-spectrum", "merge_tol": 0.1}},
+    "gauge-check": {"grid": _GRID_1D, "symbol": _ARCTAN_1D,
+                    "gauge": {"kind": "pair", "psi": "0.5*x1^2"},
+                    "task": {"command": "gauge-check", "tolerance": 1e-6}},
+    "invert": {"grid": _GRID_1D, "symbol": _ARCTAN_1D,
+               "task": {"command": "invert", "z": -10, "tolerance": 1e-6}},
+    "validate": {"grid": _GRID_1D, "symbol": _ARCTAN_1D,
+                 "task": {"command": "validate", "seed": 1}},
+}
+
+
+def _config_paths(node, prefix=()):
+    """The path of every entry of a config: block, key, list index, ..."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _config_paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A base config with one entry dropped, of another type, not finite,
+    or with the wrong number of components; and the path of that entry."""
+    config = copy.deepcopy(_MUTATION_BASES[draw(st.sampled_from(sorted(_MUTATION_BASES)))])
+    path = draw(st.sampled_from(list(_config_paths(config))))
+    parent = functools.reduce(operator.getitem, path[:-1], config)
+    value = parent[path[-1]]
+    mutation = draw(st.sampled_from(["drop", "type", "nonfinite", "count"]))
+    if mutation == "drop":
+        del parent[path[-1]]
+    elif mutation == "type":
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in (5, 2.5, "x", [1.0], {}, None, True) if type(v) is not type(value)]))
+    elif mutation == "nonfinite":
+        parent[path[-1]] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif isinstance(value, list):
+        parent[path[-1]] = value + value[-1:] if draw(st.booleans()) else value[:-1]
+    elif isinstance(value, dict):
+        parent[path[-1]] = {**value, "12": "x1"}
+    else:
+        parent[path[-1]] = [value, value]
+    return config, path
+
+
+def test_every_mutation_base_runs():
+    for name, config in _MUTATION_BASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_cfg(Path(tmp) / "cfg.json", config)
+            assert run(["--config", path, "--out", str(Path(tmp) / "out")]) == 0, name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mutated_configs())
+def test_a_mutated_config_never_escapes_and_exit_1_names_its_block_and_key(capsys, case):
+    # a mutation may be harmless (exit 0) or fail a check (exit 2); an error
+    # is one line that names the block and the innermost key of the entry
+    config, path = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp) / "cfg.json", config)
+        code = run(["--config", cfg, "--out", str(Path(tmp) / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            key = [k for k in path if isinstance(k, str)][-1]
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert re.search(rf"\b{re.escape(path[0])}\b", err), err
+            assert re.search(rf"\b{re.escape(key)}\b", err), err
+            assert not (Path(tmp) / "out" / "summary.json").exists()
 
 
 def test_shifted_gauge_of_a_polynomial_psi_has_a_degree():

@@ -12,6 +12,7 @@ from magweyl.magnetics import (
     FluxQuadrature,
     MagneticField,
     VectorPotential,
+    _node_sum,
     circulation,
     exact_order,
     flux_triangle,
@@ -274,6 +275,63 @@ def test_transversal_gauge_samples_each_field_component_once_bit_for_bit(n, expr
     B = MagneticField.from_expressions(n, exprs)
     x = np.random.default_rng(5).uniform(-4.0, 4.0, size=(7, 5, n))
     assert np.array_equal(transversal_gauge(B).evaluate(x), _transversal_reference(B, x))
+
+
+def _rule(order):
+    """Gauss-Legendre nodes and weights on [0, 1], written out."""
+    t, w = roots_legendre(order)
+    return 0.5 * t + 0.5, 0.5 * w
+
+
+def _nested_transversal_circulation(B, x, y):
+    """The circulation of the transversal gauge as its nested rule, point-major:
+    sum_t w_t A(x + t d).d with A_k(p) = -sum_j p_j sum_s w_s s B_kj(s p)."""
+    tn, tw = _rule(exact_order(DEFAULT_QUAD, None if B.degree is None else B.degree + 1))
+    sn, sw = _rule(exact_order(DEFAULT_QUAD, B.degree, weight=1))
+    d = y - x
+    p = x[..., None, :] + tn[:, None] * d[..., None, :]  # (..., q_t, n)
+    ps = sn[:, None] * p[..., None, :]  # (..., q_t, q_s, n)
+    A = np.empty(p.shape)
+    for k in range(1, B.n + 1):
+        acc = np.zeros(p.shape[:-1])
+        for j in range(1, B.n + 1):
+            if j != k and (min(j, k), max(j, k)) in B.components:
+                acc = acc - p[..., j - 1] * np.sum(sw * sn * B.component(k, j)(ps), axis=-1)
+        A[..., k - 1] = acc
+    return np.sum(tw * np.sum(A * d[..., None, :], axis=-1), axis=-1)
+
+
+def test_transversal_circulation_matrix_is_the_nested_rule_bit_for_bit():
+    g = make_grid(2, 8.0, 8)
+    B = MagneticField.from_expressions(2, {(1, 2): "1 + 0.5/(1+x1^2) + 0.2*sin(x2)"})
+    X = g.x_flat()
+    expect = _nested_transversal_circulation(B, X[:, None, :], X[None, :, :])
+    C = circulation_matrix(transversal_gauge(B), g)
+    upper = np.triu_indices(g.npoints, 1)
+    assert np.array_equal(C[upper], expect[upper])
+
+
+def test_transversal_circulation_in_3d_is_the_nested_rule_bit_for_bit():
+    B = MagneticField.from_expressions(3, {(1, 2): "1 + x3/(1+x1^2)", (1, 3): "sin(x2)",
+                                           (2, 3): "0.3*x1*x3 + exp(-x2^2)"})
+    x, y = np.random.default_rng(9).uniform(-4.0, 4.0, size=(2, 6, 7, 3))
+    expect = _nested_transversal_circulation(B, x, y)
+    assert np.array_equal(circulation(transversal_gauge(B), x, y), expect)
+    # one start point against a batch of end points broadcasts the same way
+    assert np.array_equal(circulation(transversal_gauge(B), x[0, 0], y),
+                          _nested_transversal_circulation(B, x[0, 0], y))
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 7, 8, 9, 16, 23, 128, 131, 300])
+def test_node_sum_is_np_sum_over_a_contiguous_last_axis_bit_for_bit(q):
+    rng = np.random.default_rng(q)
+    terms = rng.standard_normal((q, 30, 4)) * 10.0 ** rng.integers(-12, 12, size=(q, 30, 4))
+    terms[:, 0, 0] = -0.0  # np.sum adds its identity 0.0: an all -0.0 sum is +0.0
+    terms[:, 0, 1] = 0.0
+    terms[: q // 2, 0, 2] = -0.0
+    terms[0, 0, 3] = np.inf
+    expect = np.sum(np.ascontiguousarray(np.moveaxis(terms, 0, -1)), axis=-1)
+    assert _node_sum(terms.copy()).tobytes() == expect.tobytes()
 
 
 def test_gauge_shift_calls_the_gradient_once_per_evaluation():

@@ -18,10 +18,12 @@ non-polynomial gauge-check shifts, converging and divergent inversions (one
 at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
 on either side of the interior bound), a 1D explicit gauge on P = 100
 nodes (a partial last block of the circulation fill and of the phase),
-malformed configs, error exits and a threaded validate.  An exception that
-escapes ``run`` is recorded as ``exit=raised <type>``, so a tree that raises
-can still be compared with one that diagnoses.  Uses the standard library
-and magweyl only; the whole set runs in a few seconds.
+malformed configs, error exits and threaded validates, one of them at
+P = 576, where the circulation fill splits its row blocks into column
+chunks (in the 2-thread cached build and in the 1-thread check alike).  An
+exception that escapes ``run`` is recorded as ``exit=raised <type>``, so a
+tree that raises can still be compared with one that diagnoses.  Uses the
+standard library and magweyl only; the whole set runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -114,6 +116,10 @@ CONFIGS = {
                              "task": _task("validate", seed=3)}, 1),
     "validate-2d-nonpoly-threads3": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY,
                                       "symbol": _XI2, "task": _task("validate", seed=3)}, 3),
+    # P = 576: 8 x 576 x 8 pair x node points exceed the fill's budget, so
+    # the cached build and the 1-thread check both split blocks into columns
+    "validate-2d-nonpoly-chunked": ({"grid": _grid(2, 12.0, 24), "field": _NONPOLY,
+                                     "symbol": _XI2, "task": _task("validate", seed=3)}, 2),
     "validate-2d-explicit": ({"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
                               "task": _task("validate")}, 1),
     "bad-gauge-kind": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
