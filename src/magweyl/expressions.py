@@ -153,7 +153,7 @@ class BinOp(Node):
         if self.op == "*":
             return a * b
         if self.op == "/":
-            if np.any(np.abs(b) < 1e-300):
+            if np.fmin.reduce(np.abs(b), axis=None, initial=np.inf) < 1e-300:
                 raise EvalError("division by (near-)zero denominator")
             return a / b
         # power: use complex-safe rules only for integer exponents on negatives
@@ -552,18 +552,21 @@ def degree(node: Node) -> int | None:
 
 
 def evaluate(node: Node, x=None, xi=None) -> np.ndarray:
-    """Evaluate an AST with position array x and momentum array xi.
+    """Evaluate an AST with position x and momentum xi.
 
-    Both arrays have shape (..., n); variable x{j} binds to x[..., j-1] and
-    xi{j} to xi[..., j-1].
+    Each is an array of shape (..., n), where x{j} binds to x[..., j-1], or
+    a tuple of n arrays that broadcast together, where x{j} binds to x[j-1];
+    xi{j} binds the same way.  A term then has the broadcast shape of the
+    coordinates it reads, so a tuple of per-axis arrays evaluates a term that
+    reads x1 only along the axes of x1.
     """
     env = {}
-    if x is not None:
-        x = np.asarray(x)
-        for j in range(x.shape[-1]):
-            env[f"x{j + 1}"] = x[..., j]
-    if xi is not None:
-        xi = np.asarray(xi)
-        for j in range(xi.shape[-1]):
-            env[f"xi{j + 1}"] = xi[..., j]
+    for prefix, coords in (("x", x), ("xi", xi)):
+        if coords is None:
+            continue
+        if not isinstance(coords, tuple):
+            coords = np.asarray(coords)
+            coords = tuple(coords[..., j] for j in range(coords.shape[-1]))
+        for j, c in enumerate(coords):
+            env[f"{prefix}{j + 1}"] = c
     return node(env)

@@ -3,11 +3,21 @@ flux phases, gauge construction and gauge shifts.
 
 A magnetic field in dimension n is an antisymmetric 2-form with components
 B_jk(x); only the j < k components are stored.  In 2D there is a single
-scalar component B_12, and closedness is automatic.  Field components are
-evaluable functions of x (arrays of shape (..., n)), typically built from
-parsed expressions.  A vector potential is a 1-form held as one
-vector-valued callable x -> A(x) of shape (..., n); the transversal gauge
-samples each stored B_jk once per node and uses it for both A_j and A_k.
+scalar component B_12, and closedness is automatic.  A vector potential is a
+1-form held as one vector-valued callable; the transversal gauge samples each
+stored B_jk once per node and uses it for both A_j and A_k.
+
+The callables of fields and potentials take a point as a coordinate tuple
+(x1, ..., xn) of n arrays that broadcast together, not as one stacked array
+of shape (..., n), and return values that broadcast against them.  A
+component that reads only x1 is then evaluated along the axes of x1 alone:
+the circulation quadrature of :mod:`magweyl.quantize` hands it x1 along the
+(node, column j1) axes of a row block and x2 along (node, row i2, column j2),
+and a component that reads both coordinates broadcasts to the full shape.
+The public functions that take points (:meth:`VectorPotential.evaluate`,
+:meth:`MagneticField.component`, :func:`circulation`, :func:`flux_triangle`,
+:func:`gamma_B`, :func:`omega_cocycle`) take arrays of shape (..., n) and
+split them into coordinates once, on entry.
 
 All parameter integrals (flux over a 2-simplex, the explicit double-integral
 flux formula, circulation along a segment, the transversal gauge) use
@@ -18,12 +28,10 @@ constructors, the constant field, the zero potential and the transversal
 gauge) are integrated with the smallest exact rule (:func:`exact_order`),
 and data of unknown degree with ``order`` nodes.
 
-The quadrature points of the circulation and the transversal gauge are
-stored coordinate-major, shape (n, q, ...), and an evaluator gets the view
-``np.moveaxis(pts, 0, -1)``, so each coordinate x_j it reads is contiguous;
-the expression potentials and the transversal gauge return their values in
-the same layout.  Sums over the nodes keep the order of ``np.sum`` over a
-last axis (:func:`_node_sum`), so the layout changes no bit of a result.
+The quadrature points of the circulation and the transversal gauge put the
+node axis first, so each coordinate is a contiguous array, and the sums over
+the nodes keep the order of ``np.sum`` over a last axis (:func:`_node_sum`):
+every value is the same to the bit whatever shape its coordinates have.
 """
 
 from __future__ import annotations
@@ -44,6 +52,12 @@ def _gl_nodes(order: int, a: float, b: float):
     nodes = 0.5 * (b - a) * t + 0.5 * (a + b)
     weights = 0.5 * (b - a) * w
     return nodes, weights
+
+
+def _coordinates(x) -> tuple:
+    """The coordinate tuple (x[..., 0], ..., x[..., n-1]) of points of shape (..., n)."""
+    x = np.asarray(x, dtype=float)
+    return tuple(x[..., j] for j in range(x.shape[-1]))
 
 
 @dataclass(frozen=True)
@@ -78,10 +92,12 @@ def exact_order(quad: FluxQuadrature, degree: int | None, weight: int = 0) -> in
 class MagneticField:
     """Antisymmetric 2-form with evaluable components B_jk, j < k.
 
-    ``components`` maps (j, k) with 1 <= j < k <= n to a callable taking an
-    array of shape (..., n) and returning real values of shape (...).
-    ``degree`` is the total polynomial degree of the components, or None
-    when it is unknown or they are not polynomials.
+    ``components`` maps (j, k) with 1 <= j < k <= n to a callable taking a
+    coordinate tuple (x1, ..., xn) of arrays that broadcast together and
+    returning real values that broadcast against them: a component that
+    reads only x1 may return values of the shape of x1, a constant one a
+    scalar.  ``degree`` is the total polynomial degree of the components, or
+    None when it is unknown or they are not polynomials.
     """
 
     n: int
@@ -94,18 +110,19 @@ class MagneticField:
                 raise ValueError(f"component index ({j},{k}) invalid for n={self.n}")
 
     def component(self, j: int, k: int):
-        """B_jk as a callable, honoring antisymmetry; zero if not stored."""
-        if j == k:
-            return lambda x: np.zeros(np.asarray(x).shape[:-1])
-        if j < k:
-            fn = self.components.get((j, k))
-            sign = 1.0
-        else:
-            fn = self.components.get((k, j))
-            sign = -1.0
-        if fn is None:
-            return lambda x: np.zeros(np.asarray(x).shape[:-1])
-        return lambda x, fn=fn, sign=sign: sign * np.asarray(fn(x), dtype=float)
+        """B_jk as a callable on points of shape (..., n) with values of shape
+        (...), honoring antisymmetry; zero if not stored."""
+        fn = self.components.get((min(j, k), max(j, k)))
+        sign = 1.0 if j < k else -1.0
+
+        def evaluate(x):
+            x = np.asarray(x, dtype=float)
+            if fn is None:
+                return np.zeros(x.shape[:-1])
+            return sign * np.broadcast_to(np.asarray(fn(_coordinates(x)), dtype=float),
+                                          x.shape[:-1])
+
+        return evaluate
 
     def is_zero(self) -> bool:
         return not self.components
@@ -126,7 +143,7 @@ class MagneticField:
             raise ValueError("nonzero constant field requires n = 2")
         return MagneticField(
             n=2,
-            components={(1, 2): lambda x: np.full(np.asarray(x).shape[:-1], float(b))},
+            components={(1, 2): lambda x: float(b)},
             degree=0,
         )
 
@@ -148,9 +165,11 @@ def _max_degree(asts):
 class VectorPotential:
     """1-form A in dimension n, as one vector-valued callable.
 
-    ``fn`` maps points of shape (..., n) to the real values A(x) of shape
-    (..., n).  ``degree`` is the total polynomial degree of the components,
-    or None when it is unknown or they are not polynomials.
+    ``fn`` maps a coordinate tuple (x1, ..., xn) of arrays that broadcast
+    together to the sequence of the n real components (A_1, ..., A_n), each
+    broadcasting against the coordinates (a component that reads only x1 may
+    have the shape of x1).  ``degree`` is the total polynomial degree of the
+    components, or None when it is unknown or they are not polynomials.
     """
 
     n: int
@@ -159,7 +178,11 @@ class VectorPotential:
 
     def evaluate(self, x) -> np.ndarray:
         """A(x) for x of shape (..., n); returns shape (..., n)."""
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        for j, a in enumerate(self.fn(_coordinates(x))):
+            out[..., j] = a
+        return out
 
     def is_zero(self) -> bool:
         """True only for potentials built by :meth:`zero` (structural check)."""
@@ -176,16 +199,13 @@ class VectorPotential:
             raise ValueError(f"expected {n} components, got {len(asts)}")
 
         def fn(x):
-            out = np.empty((n,) + x.shape[:-1])  # coordinate-major
-            for j, ast in enumerate(asts):
-                out[j] = np.real(expressions.evaluate(ast, x=x))
-            return np.moveaxis(out, 0, -1)
+            return tuple(np.real(expressions.evaluate(ast, x=x)) for ast in asts)
 
         return VectorPotential(n, fn, degree=_max_degree(asts))
 
 
 def _zero_potential(x):
-    return np.zeros(np.shape(x))
+    return (0.0,) * len(x)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +237,14 @@ def flux_triangle(B: MagneticField, v0, v1, v2, quad: FluxQuadrature = DEFAULT_Q
     U, V = np.meshgrid(un, vn, indexing="ij")
     W = np.outer(uw, vw) * (1.0 - U)  # include Jacobian
     U, V, W = U.ravel(), V.ravel(), W.ravel()
-    # points: shape (..., q, n)
+    # points of shape (..., q, n), split into their n coordinates
     s = U[:, None]
     t = (V * (1.0 - U))[:, None]
-    pts = v0[..., None, :] + s * d1[..., None, :] + t * d2[..., None, :]
+    pts = _coordinates(v0[..., None, :] + s * d1[..., None, :] + t * d2[..., None, :])
     total = 0.0
     for (j, k), component in B.components.items():
         wedge = d1[..., j - 1] * d2[..., k - 1] - d1[..., k - 1] * d2[..., j - 1]
-        vals = np.asarray(component(pts), dtype=float)  # (..., q)
+        vals = np.asarray(component(pts), dtype=float)  # broadcasts to (..., q)
         total = total + wedge * np.sum(W * vals, axis=-1)
     return total
 
@@ -250,17 +270,14 @@ def gamma_B(B: MagneticField, x, y, z, quad: FluxQuadrature = DEFAULT_QUAD):
     T = T.ravel()
     cy = (S - S * T - 1.0)[:, None]
     cz = (S * T - 1.0)[:, None]
-    pts = x[..., None, :] + cy * y[..., None, :] + cz * z[..., None, :]
+    pts = _coordinates(x[..., None, :] + cy * y[..., None, :] + cz * z[..., None, :])
+    vals = {key: np.asarray(fn(pts), dtype=float) for key, fn in B.components.items()}
     total = 0.0
-    n = B.n
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            if j == k:
-                continue
-            if (min(j, k), max(j, k)) not in B.components:
-                continue
-            vals = B.component(j, k)(pts)
-            total = total + y[..., j - 1] * z[..., k - 1] * np.sum(W * vals, axis=-1)
+    for j in range(1, B.n + 1):
+        for k in range(1, B.n + 1):
+            if j != k and (min(j, k), max(j, k)) in vals:
+                signed = (1.0 if j < k else -1.0) * vals[min(j, k), max(j, k)]
+                total = total + y[..., j - 1] * z[..., k - 1] * np.sum(W * signed, axis=-1)
     return total
 
 
@@ -300,28 +317,29 @@ def _pairwise(t):
 def circulation(A: VectorPotential, x, y, quad: FluxQuadrature = DEFAULT_QUAD):
     """Line integral of A along the oriented straight segment from x to y.
 
-    Accepts batched endpoints of shape (..., n).  The points are stored
-    node-major and coordinate-major, (n, q, ...), so every coordinate the
-    evaluator reads is contiguous; the integrand sums the n components in
-    index order and :func:`_node_sum` sums the nodes.
+    Accepts batched endpoints of shape (..., n), which broadcast together.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return _circulation(A, _coordinates(x), _coordinates(y), quad)
+
+
+def _circulation(A: VectorPotential, x: tuple, y: tuple, quad: FluxQuadrature):
+    """:func:`circulation` for endpoints given as coordinate tuples of arrays
+    that broadcast together, possibly along different axes per coordinate.
+
+    Coordinate j of the points x + t (y - x) is computed over the node axis t
+    (first) and the axes of x_j and y_j only, so A evaluates a component
+    that reads only some coordinates along their axes alone.  The integrand
+    sums the n terms A_j d_j in index order and :func:`_node_sum` sums the
+    nodes, so each value is the same to the bit whatever the shapes.
+    """
     tn, tw = _gl_nodes(exact_order(quad, A.degree), 0.0, 1.0)
-    d = y - x
-    n = d.shape[-1]
-    pts = np.empty((n,) + tn.shape + d.shape[:-1])
-    for j in range(n):
-        np.multiply.outer(tn, d[..., j], out=pts[j])
-        pts[j] += x[..., j]
-    vals = A.evaluate(np.moveaxis(pts, 0, -1))  # (q, ..., n)
-    del pts
-    integrand = vals[..., 0] * d[..., 0]
-    for j in range(1, n):
-        integrand += vals[..., j] * d[..., j]
-    del vals
-    integrand *= tw.reshape((-1,) + (1,) * (d.ndim - 1))
-    return _node_sum(integrand)
+    d = [b - a for a, b in zip(x, y)]
+    t = tn.reshape((-1,) + (1,) * max(np.ndim(c) for c in (*x, *d)))
+    vals = A.fn(tuple(t * dj + xj for xj, dj in zip(x, d)))
+    integrand = vals[0] * d[0]
+    for j in range(1, len(d)):
+        integrand = integrand + vals[j] * d[j]
+    return _node_sum(integrand * tw.reshape(t.shape))
 
 
 def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> VectorPotential:
@@ -331,7 +349,8 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
     is the symmetric gauge (-b x2 / 2, b x1 / 2).  A has degree B.degree + 1.
     Each stored integral I_jk = Integral_0^1 ds s B_jk(s x), j < k, is
     sampled once per point and serves both A_j and A_k, with I_kj = -I_jk.
-    The points s x and the result are coordinate-major.
+    The node axis s comes first in the points s x, and I_jk has the shape of
+    the coordinates B_jk reads.
     """
     if B.is_zero():
         return VectorPotential.zero(B.n)
@@ -339,26 +358,23 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
     weights = sw * sn  # include the s factor
 
     def fn(x):
-        batch = x.shape[:-1]
-        xs = np.empty((B.n,) + sn.shape + batch)  # (n, q, ...)
-        for j in range(B.n):
-            np.multiply.outer(sn, x[..., j], out=xs[j])
-        xs = np.moveaxis(xs, 0, -1)
-        w = weights.reshape((-1,) + (1,) * len(batch))
+        s = sn.reshape((-1,) + (1,) * max(np.ndim(c) for c in x))
+        xs = tuple(s * c for c in x)
+        w = weights.reshape(s.shape)
         I = {key: _node_sum(np.asarray(component(xs), dtype=float) * w)
              for key, component in B.components.items()}
         del xs
-        out = np.empty((B.n,) + batch)
+        out = []
         for k in range(1, B.n + 1):
             acc = 0.0
             for j in range(1, B.n + 1):
                 if (k, j) in I:
-                    acc = acc - x[..., j - 1] * I[k, j]
+                    acc = acc - x[j - 1] * I[k, j]
                 elif (j, k) in I:
                     # I_kj = -I_jk, and acc - x_j (-I_jk) is acc + x_j I_jk exactly
-                    acc = acc + x[..., j - 1] * I[j, k]
-            out[k - 1] = acc
-        return np.moveaxis(out, 0, -1)
+                    acc = acc + x[j - 1] * I[j, k]
+            out.append(acc)
+        return tuple(out)
 
     return VectorPotential(B.n, fn, degree=None if B.degree is None else B.degree + 1)
 
@@ -368,8 +384,9 @@ def gauge_shift(A: VectorPotential, grad_psi=None, psi=None, step: float = 1e-5)
 
     Either an analytic gradient ``grad_psi`` (callable x -> shape (..., n))
     is supplied, or ``psi`` (callable x -> shape (...)) is differentiated by
-    central finite differences with step h = step * (1 + |x|).  Each
-    evaluation of A' calls the gradient once.  The result has unknown degree.
+    central finite differences with step h = step * (1 + |x|).  Both take
+    points of shape (..., n): each evaluation of A' stacks its coordinates
+    and calls the gradient once.  The result has unknown degree.
     """
     if grad_psi is None:
         if psi is None:
@@ -385,7 +402,15 @@ def gauge_shift(A: VectorPotential, grad_psi=None, psi=None, step: float = 1e-5)
                 out[..., j] = (psi(x + h * e) - psi(x - h * e)) / (2.0 * h[..., 0])
             return out
 
-    return VectorPotential(A.n, lambda x: A.evaluate(x) + grad_psi(x))
+    def fn(x):
+        # coordinate-major, so each x_j the gradient reads is contiguous
+        pts = np.empty((A.n,) + np.broadcast_shapes(*map(np.shape, x)))
+        for j, c in enumerate(x):
+            pts[j] = c
+        grad = grad_psi(np.moveaxis(pts, 0, -1))
+        return tuple(a + grad[..., j] for j, a in enumerate(A.fn(x)))
+
+    return VectorPotential(A.n, fn)
 
 
 def omega_cocycle(B: MagneticField, q, x, y, quad: FluxQuadrature = DEFAULT_QUAD):

@@ -55,8 +55,8 @@ from scipy import fft as sp_fft
 from scipy import linalg as sp_linalg
 
 from .grid import INTERIOR, PhaseSpaceGrid
-from .magnetics import (DEFAULT_QUAD, FluxQuadrature, VectorPotential, circulation, exact_order,
-                        omega_cocycle)
+from .magnetics import (DEFAULT_QUAD, FluxQuadrature, VectorPotential, _circulation, circulation,
+                        exact_order, omega_cocycle)
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,11 @@ def _as_table(other, grid):
 # ---------------------------------------------------------------------------
 
 
-# rows per block of the circulation fill; the blocks depend only on P
+# rows per block of the 1D circulation fill and of the mirror into the lower
+# triangle; the blocks depend only on P
 _ROWS = 8
 # pair x node points of one circulation call: a block's columns are split
-# into chunks of at most this many, which bounds its work arrays (the 8-row
-# blocks of the benchmark grids, 8 x 256 x 8 at most, stay whole)
+# into chunks of at most this many, which bounds its work arrays
 _POINTS = 1 << 14
 # rows per block of the in-place phase application
 _PHASE_ROWS = 64
@@ -182,25 +182,54 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
     """Circ(A; x_i -> x_j) for every ordered node pair, shape (P, P).
 
     A reversed segment has the opposite circulation, so only the upper
-    triangle is integrated: fixed blocks of ``_ROWS`` rows, each computing
-    C[a:b, a:] in column chunks of at most ``_POINTS`` pair x node points
-    (every entry has its own fixed summation order, so the chunks change no
-    bit), then the strict lower triangle is set to -C^T and the diagonal to
-    0.  C = -C^T holds exactly, and the result is bit-identical for any
-    thread count.
+    triangle is integrated, in fixed row blocks that each compute C[a:b, a:]
+    in column chunks of at most ``_POINTS`` pair x node points; then, by
+    blocks of ``_ROWS`` rows, the strict lower triangle is set to -C^T and
+    the diagonal to 0.
+
+    In 2D, row i = i1 N + i2 and column j = j1 N + j2 hold the node pairs
+    (x_i1, x_i2) and (x_j1, x_j2).  A block is the N rows of one first-axis
+    index i1, so its upper triangle is the whole column groups j1 >= i1; a
+    chunk is some whole j1 groups, or one group split along j2 when it alone
+    exceeds ``_POINTS``.  The kernel gets x1 along the (node, j1) axes and x2
+    along (node, i2, j2), so a field component that reads x1 only is
+    evaluated at N^2 times fewer points than the pairs.  In 1D a block is ``_ROWS``
+    rows.  Every entry goes through the same operations in the same order,
+    so C = -C^T holds exactly and C is the same to the bit for any blocks,
+    chunks and thread count.
     """
-    P = grid.npoints
+    P, N = grid.npoints, grid.N
     if A is None or A.is_zero():
         return np.zeros((P, P))
-    X = grid.x_flat()
+    nodes = grid.x_nodes
+    q = exact_order(DEFAULT_QUAD, A.degree)
     C = np.empty((P, P))
-    starts = range(0, P, _ROWS)
-    cols = max(1, _POINTS // (_ROWS * exact_order(DEFAULT_QUAD, A.degree)))
 
-    def fill(a):
-        rows = X[a:a + _ROWS, None, :]
-        for c in range(a, P, cols):
-            C[a:a + _ROWS, c:c + cols] = circulation(A, rows, X[None, c:c + cols, :], DEFAULT_QUAD)
+    if grid.n == 1:
+        starts = range(0, P, _ROWS)
+        cols = max(1, _POINTS // (_ROWS * q))
+
+        def fill(a):
+            x = (nodes[a:a + _ROWS, None],)
+            for c in range(a, P, cols):
+                C[a:a + _ROWS, c:c + cols] = _circulation(A, x, (nodes[c:c + cols],), DEFAULT_QUAD)
+    else:
+        starts = range(0, P, N)
+        group = N * N * q  # pair x node points of one j1 group of a block
+        groups = max(1, _POINTS // group)
+        split = N if group <= _POINTS else max(1, _POINTS // (N * q))
+        x2 = nodes[:, None, None]  # axes (i2, j1, j2)
+
+        def fill(a):
+            i1 = a // N
+            x = (nodes[i1], x2)
+            for j1 in range(i1, N, groups):
+                y1 = nodes[j1:j1 + groups, None]
+                for j2 in range(0, N, split):
+                    y = (y1, nodes[j2:j2 + split])
+                    block = _circulation(A, x, y, DEFAULT_QUAD).reshape(N, -1)
+                    c = j1 * N + j2
+                    C[a:a + N, c:c + block.shape[1]] = block
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -208,7 +237,10 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
     else:
         for a in starts:
             fill(a)
-    for a in starts:
+    # the mirror keeps its own _ROWS-row blocks: inside their diagonal blocks
+    # a zero circulation mirrors as 0.0 - 0.0 = +0.0, elsewhere as -0.0, so
+    # the blocks fix the sign of the zeros of C
+    for a in range(0, P, _ROWS):
         b = a + _ROWS
         D = np.triu(C[a:b, a:b], 1)
         C[a:b, a:b] = D - D.T

@@ -370,9 +370,10 @@ def project_field(B: MagneticField, Q: QuasiOrbit) -> MagneticField:
     """Componentwise quasi-orbit projection of a magnetic field."""
     if Q.kind == "identity" or B.is_zero():
         return B
+    # the components take coordinate tuples (see magweyl.magnetics)
     if Q.kind == "translate":
         shift = np.asarray(Q.shift, dtype=float)
-        comps = {key: (lambda g: (lambda x: g(np.asarray(x) + shift)))(g)
+        comps = {key: (lambda g: (lambda x: g(tuple(c + a for c, a in zip(x, shift)))))(g)
                  for key, g in B.components.items()}
         return MagneticField(n=B.n, components=comps, degree=B.degree)
     if Q.kind == "direction":
@@ -380,8 +381,7 @@ def project_field(B: MagneticField, Q: QuasiOrbit) -> MagneticField:
         comps = {}
         for key, g in B.components.items():
             def frozen(x, g=g):
-                x = np.asarray(x, dtype=float)
-                return g(np.broadcast_to(x0, x.shape))
+                return g(tuple(np.broadcast_to(a, np.shape(c)) for c, a in zip(x, x0)))
 
             comps[key] = frozen
         return MagneticField(n=B.n, components=comps, degree=0)  # frozen at x0

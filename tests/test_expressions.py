@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magweyl.expressions import ParseError, degree, evaluate, parse_expression
+from magweyl.expressions import EvalError, ParseError, degree, evaluate, parse_expression
 
 
 def ev(text, n=1, **bindings):
@@ -114,6 +114,49 @@ def test_vectorized_evaluation_broadcasts():
     xi = np.linspace(-1, 1, 5)[:, None]
     out = evaluate(ast, x=x, xi=xi)
     np.testing.assert_allclose(out, xi[:, 0] ** 2, atol=1e-15)
+
+
+_DIVISORS = {
+    "scalar": 3.0,
+    "scalar-zero": 0.0,
+    "0-d": np.array(1e-301),
+    "empty": np.array([]),
+    "nan-only": np.array([np.nan, np.nan]),
+    "nan-next-to-0": np.array([np.nan, 0.0, 2.0]),
+    "negative-zero": np.array([1.0, -0.0]),
+    "complex": np.array([1.0 + 1.0j, 1e-301j]),
+    "complex-nonzero": np.array([1.0 + 1.0j, -2.0j]),
+    "broadcast-view": np.broadcast_to(np.array([[1.0], [0.0]]), (2, 5)),
+    "broadcast-view-nonzero": np.broadcast_to(np.array([0.5, -4.0]), (3, 2)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("name", sorted(_DIVISORS))
+def test_the_divisor_check_decides_as_the_elementwise_test(name):
+    b = _DIVISORS[name]
+    # the elementwise test the reduction replaced: any |b| below 1e-300
+    near_zero = bool(np.any(np.abs(b) < 1e-300))
+    assert (np.fmin.reduce(np.abs(b), axis=None, initial=np.inf) < 1e-300) == near_zero
+    ast = parse_expression("1/x1", n_dim=1)
+    if near_zero:
+        with pytest.raises(EvalError):
+            evaluate(ast, x=(b,))
+    else:
+        assert np.array_equal(evaluate(ast, x=(b,)), 1.0 / b, equal_nan=True)
+
+
+def test_a_coordinate_tuple_evaluates_each_term_along_the_axes_it_reads():
+    ast = parse_expression("1 + 0.5/(1+x1^2)", n_dim=2)
+    x1 = np.linspace(-2.0, 2.0, 5)[:, None]
+    x2 = np.linspace(-1.0, 1.0, 3)[None, :]
+    values = evaluate(ast, x=(x1, x2))
+    assert values.shape == (5, 1)
+    stacked = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
+    assert np.array_equal(np.broadcast_to(values, (5, 3)), evaluate(ast, x=stacked))
+    both = parse_expression("x1*x2 + xi2", n_dim=2)
+    assert np.array_equal(evaluate(both, x=(x1, x2), xi=(0.0, 1.0)),
+                          evaluate(both, x=stacked, xi=np.array([0.0, 1.0])))
 
 
 @settings(max_examples=50, deadline=None)

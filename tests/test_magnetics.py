@@ -1,6 +1,7 @@
 """Fields, potentials, fluxes, circulations, and the flux 2-cocycle."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -320,6 +321,75 @@ def test_transversal_circulation_in_3d_is_the_nested_rule_bit_for_bit():
     # one start point against a batch of end points broadcasts the same way
     assert np.array_equal(circulation(transversal_gauge(B), x[0, 0], y),
                           _nested_transversal_circulation(B, x[0, 0], y))
+
+
+def _nested_circulation(A, x, y):
+    """The circulation of a potential as its nested rule, point-major:
+    sum_t w_t A(x + t d).d."""
+    tn, tw = _rule(exact_order(DEFAULT_QUAD, A.degree))
+    d = y - x
+    p = x[..., None, :] + tn[:, None] * d[..., None, :]  # (..., q_t, n)
+    return np.sum(tw * np.sum(A.evaluate(p) * d[..., None, :], axis=-1), axis=-1)
+
+
+_FIELD_AXES = {"x1-only": "1 + 0.5/(1+x1^2)", "x2-only": "1 + 0.5/(1+x2^2)",
+               "both": "1 + 0.5*exp(-(x1^2+x2^2)/4)"}
+_EXPLICIT_GAUGES = {"symmetric": ["-0.35*x2", "0.35*x1"], "landau": ["0", "0.7*x1"]}
+
+
+def _broadcast_case(case):
+    """(potential, its circulation written out point-major) for one case."""
+    if case in _EXPLICIT_GAUGES:
+        A = VectorPotential.from_expressions(2, _EXPLICIT_GAUGES[case])
+        return A, lambda x, y: _nested_circulation(A, x, y)
+    B = (MagneticField.constant(2, 0.7) if case == "constant"
+         else MagneticField.from_expressions(2, {(1, 2): _FIELD_AXES[case]}))
+    return transversal_gauge(B), lambda x, y: _nested_transversal_circulation(B, x, y)
+
+
+@pytest.mark.parametrize("budget", [None, 40], ids=["whole-groups", "split-groups"])
+@pytest.mark.parametrize("case", [*_FIELD_AXES, "constant", *_EXPLICIT_GAUGES])
+def test_the_broadcast_circulation_fill_is_the_nested_rule_bit_for_bit(case, budget, monkeypatch):
+    g = make_grid(2, 8.0, 8)
+    A, nested = _broadcast_case(case)
+    if budget is not None:
+        # one (i1, j1) group of N x N pairs exceeds the budget and is split along j2
+        monkeypatch.setattr(importlib.import_module("magweyl.quantize"), "_POINTS", budget)
+        assert g.N * g.N * exact_order(DEFAULT_QUAD, A.degree) > budget
+    X = g.x_flat()
+    expect = nested(X[:, None, :], X[None, :, :])
+    upper = np.triu_indices(g.npoints, 1)
+    for threads in (1, 2, 3):
+        C = circulation_matrix(A, g, threads=threads)
+        assert np.array_equal(C[upper], expect[upper])
+        assert np.array_equal(C, -C.T)
+
+
+@pytest.mark.parametrize("budget", [None, 40], ids=["whole-groups", "split-groups"])
+def test_a_component_that_reads_x1_only_is_evaluated_along_x1_only(budget, monkeypatch):
+    shapes = []
+
+    def component(x):
+        shapes.append(tuple(np.shape(c) for c in x))
+        return 1.0 + 0.5 / (1.0 + x[0] * x[0])
+
+    B = MagneticField(n=2, components={(1, 2): component})
+    g = make_grid(2, 8.0, 8)
+    X = g.x_flat()
+    expect = _nested_transversal_circulation(B, X[:, None, :], X[None, :, :])
+    if budget is not None:
+        monkeypatch.setattr(importlib.import_module("magweyl.quantize"), "_POINTS", budget)
+    upper = np.triu_indices(g.npoints, 1)
+    for threads in (1, 2, 3):
+        shapes.clear()
+        C = circulation_matrix(transversal_gauge(B), g, threads=threads)
+        assert np.array_equal(C[upper], expect[upper])
+        # axes (s, t, i2, j1, j2): x1 keeps singleton i2 and j2 axes, x2 a singleton j1 axis
+        assert shapes and all(len(x1) == len(x2) == 5 and x1[2] == x1[4] == x2[3] == 1
+                              for x1, x2 in shapes)
+        if budget is None:
+            # q_s q_t nodes per column group j1 >= i1 of each row block i1
+            assert sum(np.prod(x1) for x1, _ in shapes) == 8 * 8 * g.N * (g.N + 1) // 2
 
 
 @pytest.mark.parametrize("q", [1, 2, 5, 7, 8, 9, 16, 23, 128, 131, 300])

@@ -13,7 +13,8 @@ outputs are equal:
     diff other.txt this.txt
 
 The configs cover all seven commands in 1D and 2D, with zero, constant and
-non-polynomial fields, an explicit non-polynomial gauge, polynomial and
+non-polynomial fields (varying along x1 only, along x2 only and along both),
+explicit non-polynomial and Landau gauges, polynomial and
 non-polynomial gauge-check shifts, converging and divergent inversions (one
 at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
 on either side of the interior bound), a 1D explicit gauge on P = 100
@@ -44,6 +45,9 @@ _ARCTAN_1D = {"expression": "xi1^2 + arctan(x1)", "m": 2, "rho": 1, "real": True
 _WELL_1D = {"expression": "xi1^2 - 2*exp(-x1^2)", "m": 2, "rho": 1, "real": True}
 _CONST = {"components": {"12": "0.6"}}
 _NONPOLY = {"components": {"12": "1 + 1/(1+x1^2)"}}
+_X2_ONLY = {"components": {"12": "1 + 0.5/(1+x2^2)"}}
+_BOTH_AXES = {"components": {"12": "1 + 0.5*exp(-(x1^2+x2^2)/4)"}}
+_LANDAU = {"kind": "explicit", "A": ["0", "0.9*x1"]}
 _EXPLICIT = {"kind": "explicit", "A": ["-arctan(x2)", "x1*exp(-x1^2/8)"]}
 _ORBITS_1D = {"kind": "AsymptoticLimitsPerDirection", "orbits": [
     {"label": "plus", "kind": "direction", "direction": [1.0]},
@@ -74,6 +78,10 @@ CONFIGS = {
                            "symbol": _XI2, "task": _task("spectrum")}, 1),
     "spectrum-2d-nonpoly": ({"grid": _grid(2, 10.0, 12), "field": _NONPOLY, "symbol": _XI2,
                              "task": _task("spectrum")}, 1),
+    "spectrum-2d-both-axes": ({"grid": _grid(2, 10.0, 12), "field": _BOTH_AXES, "symbol": _XI2,
+                               "task": _task("spectrum")}, 1),
+    "spectrum-2d-landau": ({"grid": _grid(2, 12.0, 16), "gauge": _LANDAU, "symbol": _XI2,
+                            "task": _task("spectrum")}, 1),
     "spectrum-1d-explicit-partial": ({"grid": _grid(1, 20.0, 100), "symbol": _WELL_1D,
                                       "gauge": {"kind": "explicit", "A": ["arctan(x1)"]},
                                       "task": _task("spectrum")}, 1),
@@ -116,10 +124,13 @@ CONFIGS = {
                              "task": _task("validate", seed=3)}, 1),
     "validate-2d-nonpoly-threads3": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY,
                                       "symbol": _XI2, "task": _task("validate", seed=3)}, 3),
-    # P = 576: 8 x 576 x 8 pair x node points exceed the fill's budget, so
-    # the cached build and the 1-thread check both split blocks into columns
+    # P = 576: a row block's 24 column groups of 24 x 24 x 8 pair x node
+    # points exceed the fill's budget, so the cached build and the 1-thread
+    # check both split blocks into column chunks
     "validate-2d-nonpoly-chunked": ({"grid": _grid(2, 12.0, 24), "field": _NONPOLY,
                                      "symbol": _XI2, "task": _task("validate", seed=3)}, 2),
+    "validate-2d-x2-field": ({"grid": _grid(2, 8.0, 12), "field": _X2_ONLY, "symbol": _XI2,
+                              "task": _task("validate", seed=3)}, 1),
     "validate-2d-explicit": ({"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
                               "task": _task("validate")}, 1),
     "bad-gauge-kind": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
