@@ -37,7 +37,7 @@ from .magnetics import (
     transversal_gauge,
 )
 from .moyal import expansion_term, remainder_order
-from .quantize import Gauge, circulation_matrix, dequantize, quantize, wrong_quantize
+from .quantize import Gauge, dequantize, quantize, wrong_quantize
 from .spectral import essential_spectrum, spectrum
 from .symbols import CoefficientAlgebra, QuasiOrbit, Symbol
 
@@ -63,9 +63,9 @@ _MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 # peak bytes of each command per P^2 (P = N^n points), as traced by
 # tests/test_cli.py at 2D L=12 N=24 with a zero and a non-polynomial field;
-# the work arrays of the circulation fill are bounded by a constant per
-# thread, a larger share of a peak there than on larger grids, so the
-# figures bound those from above
+# the work arrays of the circulation fill are bounded by a constant, a larger
+# share of a peak there than on larger grids, so the figures bound those
+# from above
 _PEAK_P2 = {"quantize": 43, "spectrum": 42, "ess-spectrum": 42, "gauge-check": 61,
             "expand": 57, "invert": 76, "validate": 61}
 
@@ -136,6 +136,8 @@ def _effective_config(config: dict, seed) -> dict:
         for key, val in block.items():
             eff[name].setdefault(key, copy.deepcopy(val))
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {seed}")
         eff["task"]["seed"] = int(seed)
     return eff
 
@@ -228,6 +230,9 @@ def _build_algebra(config, n):
             raise ConfigError(f"algebra block 'orbits' entry {spec!r} must be an object")
         where = f"algebra orbit {spec!r}"
         label = _value(spec, where, "label", str)
+        # the label names the orbit's eigenvalue file inside --out
+        if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+            raise ConfigError(f"{where} 'label' must be a plain file name, got {label!r}")
         kind = _value(spec, where, "kind", str, "identity")
         if kind not in QuasiOrbit.KINDS:
             raise ConfigError(f"{where} 'kind' must be one of {', '.join(QuasiOrbit.KINDS)}")
@@ -275,11 +280,11 @@ def _eigenvalue_format(config):
     return fmt
 
 
-def _context(config, threads):
+def _context(config):
     """The objects every command starts from: (grid, B, gauge, f)."""
     grid = _build_grid(config)
     B = _build_field(config, grid.n)
-    gauge = Gauge(_build_gauge(config, B, grid.n), grid, threads)
+    gauge = Gauge(_build_gauge(config, B, grid.n), grid)
     f = _build_symbol(config, grid.n)
     return grid, B, gauge, f
 
@@ -309,8 +314,8 @@ def _write_eigenvalues(out_dir, values, fmt, name="eigenvalues.csv"):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_quantize(config, out_dir, threads):
-    grid, B, gauge, f = _context(config, threads)
+def _cmd_quantize(config, out_dir):
+    grid, B, gauge, f = _context(config)
     M = quantize(f, gauge)
     _write_summary(out_dir, {
         "command": "quantize",
@@ -321,8 +326,8 @@ def _cmd_quantize(config, out_dir, threads):
     return 0
 
 
-def _cmd_spectrum(config, out_dir, threads):
-    grid, B, gauge, f = _context(config, threads)
+def _cmd_spectrum(config, out_dir):
+    grid, B, gauge, f = _context(config)
     fmt = _eigenvalue_format(config)
     M = quantize(f, gauge)
     res = spectrum(M)
@@ -337,13 +342,12 @@ def _cmd_spectrum(config, out_dir, threads):
     return 0
 
 
-def _cmd_ess_spectrum(config, out_dir, threads):
-    grid, B, _, f = _context(config, threads)
+def _cmd_ess_spectrum(config, out_dir):
+    grid, B, _, f = _context(config)
     algebra = _build_algebra(config, grid.n)
     merge_tol = _value(config["task"], "task block", "merge_tol", float, None)
     fmt = _eigenvalue_format(config)
-    res = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol,
-                             threads=threads)
+    res = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol)
     for label in sorted(res.orbit_spectra):
         _write_eigenvalues(out_dir, res.orbit_spectra[label].eigenvalues, fmt,
                            name=f"eigenvalues_{label}.csv")
@@ -358,10 +362,10 @@ def _cmd_ess_spectrum(config, out_dir, threads):
     return 0
 
 
-def _cmd_gauge_check(config, out_dir, threads):
-    grid, B, gauge1, f = _context(config, threads)
+def _cmd_gauge_check(config, out_dir):
+    grid, B, gauge1, f = _context(config)
     psi, A2 = _psi_pair(config, gauge1.A, grid.n)
-    gauge2 = Gauge(A2, grid, threads)
+    gauge2 = Gauge(A2, grid)
     tol = _value(config["task"], "task block", "tolerance", float, 1e-6)
     phase = np.exp(1j * np.asarray(psi(grid.x_flat()), dtype=float))
 
@@ -385,10 +389,12 @@ def _cmd_gauge_check(config, out_dir, threads):
     return 0 if residual <= tol else 2
 
 
-def _cmd_expand(config, out_dir, threads):
-    grid, B, gauge, f = _context(config, threads)
+def _cmd_expand(config, out_dir):
+    grid, B, gauge, f = _context(config)
     g = _build_symbol(config, grid.n, block_name="symbol2")
     depth = _value(config["task"], "task block", "depth", int, 2)
+    if depth < 0:
+        raise ConfigError(f"task block 'depth' must be non-negative, got {depth!r}")
     x = grid.x_mesh()
     xi = grid.xi_mesh()
     sup_values = {}
@@ -407,8 +413,8 @@ def _cmd_expand(config, out_dir, threads):
     return 0
 
 
-def _cmd_invert(config, out_dir, threads):
-    grid, B, gauge, f = _context(config, threads)
+def _cmd_invert(config, out_dir):
+    grid, B, gauge, f = _context(config)
     task = config["task"]
     z = _value(task, "task block", "z", float)
     tol = _value(task, "task block", "tolerance", float, 1e-6)
@@ -440,13 +446,11 @@ def _blockwise_max(block_values, P: int) -> float:
                          for a in range(0, P, _BLOCK_ROWS)]))
 
 
-# validate's thread-independence probe for a zero gauge, by dimension
-_THREAD_PROBES = {1: ["arctan(x1)"], 2: ["-arctan(x2)", "x1*exp(-x1^2/8)"]}
-
-
-def _cmd_validate(config, out_dir, threads):
-    grid, B, gauge, f = _context(config, threads)
+def _cmd_validate(config, out_dir):
+    grid, B, gauge, f = _context(config)
     seed = _value(config["task"], "task block", "seed", int)
+    if seed < 0:
+        raise ConfigError(f"task block 'seed' must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
     checks = {}
 
@@ -476,25 +480,11 @@ def _cmd_validate(config, out_dir, threads):
         checks["hermiticity"] = M.hermiticity_defect()
     del M, m
 
-    # assembly is independent of the thread count: the cached build against a
-    # fresh one; a zero gauge never reaches the threaded fill, so two fresh
-    # builds of a fixed non-polynomial probe potential stand in for it
-    A = gauge.A
-    if A.is_zero():
-        A = VectorPotential.from_expressions(grid.n, _THREAD_PROBES[grid.n])
-        built = circulation_matrix(A, grid, threads=threads)
-    else:
-        built = gauge.circulation
-    fresh = circulation_matrix(A, grid, threads=1 if threads > 1 else 2)
-    checks["thread_independence"] = _blockwise_max(lambda r: np.abs(built[r] - fresh[r]),
-                                                   len(fresh))
-
     tolerances = {
         "cocycle_identity": 1e-8,
         "cocycle_normalization": 1e-14,
         "round_trip": 1e-9,
         "hermiticity": 1e-9,
-        "thread_independence": 0.0,
     }
     table_rows = {}
     ok = True
@@ -529,8 +519,7 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized validation checks")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for matrix assembly (results are "
-                             "independent of this)")
+                        help="accepted for compatibility; has no effect")
     args = parser.parse_args(argv)
 
     try:
@@ -554,7 +543,7 @@ def run(argv=None) -> int:
         with open(os.path.join(args.out, "effective_config.json"), "w") as fh:
             fh.write(json.dumps(config, sort_keys=True, indent=2))
             fh.write("\n")
-        return _DISPATCH[command](config, args.out, max(1, args.threads))
+        return _DISPATCH[command](config, args.out)
     except (ConfigError, expressions.ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

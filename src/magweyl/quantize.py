@@ -47,7 +47,6 @@ algebra.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,7 +177,7 @@ _POINTS = 1 << 14
 _PHASE_ROWS = 64
 
 
-def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 1) -> np.ndarray:
+def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
     """Circ(A; x_i -> x_j) for every ordered node pair, shape (P, P).
 
     A reversed segment has the opposite circulation, so only the upper
@@ -195,8 +194,8 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
     along (node, i2, j2), so a field component that reads x1 only is
     evaluated at N^2 times fewer points than the pairs.  In 1D a block is ``_ROWS``
     rows.  Every entry goes through the same operations in the same order,
-    so C = -C^T holds exactly and C is the same to the bit for any blocks,
-    chunks and thread count.
+    so C = -C^T holds exactly and C is the same to the bit for any blocks
+    and chunks.
     """
     P, N = grid.npoints, grid.N
     if A is None or A.is_zero():
@@ -206,22 +205,18 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
     C = np.empty((P, P))
 
     if grid.n == 1:
-        starts = range(0, P, _ROWS)
         cols = max(1, _POINTS // (_ROWS * q))
-
-        def fill(a):
+        for a in range(0, P, _ROWS):
             x = (nodes[a:a + _ROWS, None],)
             for c in range(a, P, cols):
                 C[a:a + _ROWS, c:c + cols] = _circulation(A, x, (nodes[c:c + cols],), DEFAULT_QUAD)
     else:
-        starts = range(0, P, N)
         group = N * N * q  # pair x node points of one j1 group of a block
         groups = max(1, _POINTS // group)
         split = N if group <= _POINTS else max(1, _POINTS // (N * q))
         x2 = nodes[:, None, None]  # axes (i2, j1, j2)
-
-        def fill(a):
-            i1 = a // N
+        for i1 in range(N):
+            a = i1 * N
             x = (nodes[i1], x2)
             for j1 in range(i1, N, groups):
                 y1 = nodes[j1:j1 + groups, None]
@@ -231,12 +226,6 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
                     c = j1 * N + j2
                     C[a:a + N, c:c + block.shape[1]] = block
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for a in starts:
-            fill(a)
     # the mirror keeps its own _ROWS-row blocks: inside their diagonal blocks
     # a zero circulation mirrors as 0.0 - 0.0 = +0.0, elsewhere as -0.0, so
     # the blocks fix the sign of the zeros of C
@@ -251,22 +240,21 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid, threads: int = 
 @dataclass(frozen=True)
 class Gauge:
     """A vector potential A on a grid, the one owner of the circulation phase:
-    the real matrix C = :func:`circulation_matrix` is built on first use, with
-    ``threads`` workers, and kept.  :meth:`attach` and :meth:`strip` overwrite
-    their argument, one block of ``_PHASE_ROWS`` rows at a time, so the complex
-    phase is never held whole.  A zero potential (``A.is_zero()``) builds no
-    C: its phase is 1, and both leave the argument as it is."""
+    the real matrix C = :func:`circulation_matrix` is built on first use and
+    kept.  :meth:`attach` and :meth:`strip` overwrite their argument, one
+    block of ``_PHASE_ROWS`` rows at a time, so the complex phase is never
+    held whole.  A zero potential (``A.is_zero()``) builds no C: its phase
+    is 1, and both leave the argument as it is."""
 
     A: VectorPotential
     grid: PhaseSpaceGrid
-    threads: int = 1
 
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def circulation(self) -> np.ndarray:
         if "C" not in self._cache:
-            self._cache["C"] = circulation_matrix(self.A, self.grid, threads=self.threads)
+            self._cache["C"] = circulation_matrix(self.A, self.grid)
         return self._cache["C"]
 
     def _apply(self, sign: complex, W: np.ndarray) -> np.ndarray:

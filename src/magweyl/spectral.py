@@ -228,7 +228,6 @@ def _default_merge_tol(symbols, grid: PhaseSpaceGrid) -> float:
 def essential_spectrum(f: Symbol, algebra: CoefficientAlgebra,
                        B: MagneticField, grid: PhaseSpaceGrid,
                        merge_tol: float | None = None,
-                       threads: int = 1,
                        hermiticity_tol: float = 1e-8) -> EssentialSpectrumResult:
     """Essential spectrum as the union of quasi-orbit operator spectra.
 
@@ -252,7 +251,7 @@ def essential_spectrum(f: Symbol, algebra: CoefficientAlgebra,
     analytic_ranges = {}
     raw_intervals = []
     for Q, f_Q, B_Q in projections:
-        M = quantize(f_Q, Gauge(transversal_gauge(B_Q), grid, threads))
+        M = quantize(f_Q, Gauge(transversal_gauge(B_Q), grid))
         res = spectrum(M, hermiticity_tol=hermiticity_tol)
         orbit_spectra[Q.label] = res
         if f_Q.x_independent and B_Q.is_zero():
@@ -310,8 +309,7 @@ def compare_bulk_vs_essential(f: Symbol, algebra: CoefficientAlgebra,
                               B: MagneticField, grid: PhaseSpaceGrid,
                               merge_tol: float | None = None,
                               edge_tol: float | None = None,
-                              localization_threshold: float = 0.9,
-                              threads: int = 1) -> BulkComparison:
+                              localization_threshold: float = 0.9) -> BulkComparison:
     """Diagonalize the full operator and classify its eigenvalues against
     the quasi-orbit essential spectrum.
 
@@ -321,10 +319,10 @@ def compare_bulk_vs_essential(f: Symbol, algebra: CoefficientAlgebra,
     band bottom, i.e. the finite-box discretization error of the spectral
     edge itself.
     """
-    ess = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol, threads=threads)
+    ess = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol)
     if edge_tol is None:
         edge_tol = grid.dxi**2
-    M = quantize(f, Gauge(transversal_gauge(B), grid, threads))
+    M = quantize(f, Gauge(transversal_gauge(B), grid))
     full = spectrum(M, localization=True)
 
     edge = ess.lower_edge

@@ -115,7 +115,6 @@ def test_validate_command_passes(tmp_path):
     checks = summary["checks"]
     assert all(c["passed"] for c in checks.values())
     assert "cocycle_identity" in checks
-    assert "thread_independence" in checks
     assert summary["passed"] is True
 
 
@@ -376,19 +375,40 @@ _MALFORMED = {
                                "'merge_tol'"),
     "gauge-A-a-number": (dict(_TINY_RUNS["quantize"][0], gauge={"kind": "explicit", "A": 5}),
                          "'A'"),
+    "depth-negative": (dict(_TINY_RUNS["expand"][0], task={"command": "expand", "depth": -1}),
+                       "task block 'depth'"),
+    "seed-negative": (dict(_TINY_RUNS["validate"][0], task={"command": "validate", "seed": -1}),
+                      "task block 'seed'"),
+    "seed-option-negative": (_TINY_RUNS["validate"][0], "--seed", "--seed", "-3"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED))
 def test_a_malformed_config_exits_1_with_one_error_line(tmp_path, capsys, name):
-    cfg, key = _MALFORMED[name]
+    cfg, key, *options = _MALFORMED[name]
     out = tmp_path / "out"
-    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 1
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out),
+                *options]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert key in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("label", ["a/../../escaped", "../x", "", ".", "..", "a\\b", "a\0b"])
+def test_an_orbit_label_that_is_not_a_plain_file_name_is_rejected(tmp_path, capsys, label):
+    # the label names eigenvalues_<label>.csv, which must stay inside --out
+    cfg = dict(_TINY_RUNS["ess-spectrum"][0], algebra={"orbits": [
+        {"label": "plus", "kind": "direction", "direction": [1.0]},
+        {"label": label, "kind": "direction", "direction": [-1.0]}]})
+    out = tmp_path / "deep" / "out"
+    assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: algebra orbit ") and err.count("\n") == 1
+    assert "'label'" in err and repr(label) in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "deep",
+                                                            "effective_config.json", "out"]
 
 
 _GRID_1D = {"n": 1, "L": 20.0, "N": 16}
@@ -488,57 +508,33 @@ def test_shifted_gauge_of_a_polynomial_psi_has_a_degree():
     assert shifted.degree is None
 
 
-@pytest.mark.parametrize("threads, fresh", [(1, 2), (3, 1)])
-def test_validate_compares_the_gauge_with_a_fresh_build(tmp_path, monkeypatch, threads, fresh):
-    # the thread check must compare two independent builds at different
-    # thread counts, never the gauge's cached matrix with itself: every build
-    # after the first is marked, so only a comparison of the cached build
-    # with a fresh one sees the mark
+@pytest.mark.parametrize("field", ["nonzero", "zero-1d", "zero-2d"])
+def test_validate_builds_the_circulation_once_and_only_for_a_nonzero_gauge(
+        tmp_path, monkeypatch, field):
     quantize_module = importlib.import_module("magweyl.quantize")
     original = quantize_module.circulation_matrix
     calls = []
 
-    def recording(A, grid, threads=1):
-        C = original(A, grid, threads=threads)
-        if calls:
-            C[0, 1] += 0.25
-        calls.append((A, threads))
-        return C
+    def recording(A, grid, *args, **kwargs):
+        calls.append(A)
+        return original(A, grid, *args, **kwargs)
 
+    # wherever the CLI can reach the builder from
     monkeypatch.setattr(quantize_module, "circulation_matrix", recording)
-    monkeypatch.setattr(cli, "circulation_matrix", recording)
-    cfg, _ = _TINY_RUNS["validate"]
+    monkeypatch.setattr(cli, "circulation_matrix", recording, raising=False)
+    cfg = {"nonzero": _TINY_RUNS["validate"][0],
+           "zero-1d": {"grid": {"n": 1, "L": 20.0, "N": 32}, "symbol": _ARCTAN_1D,
+                       "task": {"command": "validate"}},
+           "zero-2d": {"grid": {"n": 2, "L": 8.0, "N": 8}, "symbol": _XI2,
+                       "task": {"command": "validate"}}}[field]
     out = tmp_path / "out"
     assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out),
-                "--threads", str(threads)]) == 2
-    assert [t for _, t in calls] == [threads, fresh]
-    assert calls[0][0] is calls[1][0]
+                "--threads", "2"]) == 0
+    assert len(calls) == (1 if field == "nonzero" else 0)
     checks = json.loads((out / "summary.json").read_text())["checks"]
-    assert checks["thread_independence"] == {"residual": 0.25, "tolerance": 0.0,
-                                             "passed": False}
-    assert all(c["passed"] for name, c in checks.items() if name != "thread_independence")
-
-
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise RuntimeError("the threaded circulation fill was reached")
-
-
-@pytest.mark.parametrize("grid", [{"n": 1, "L": 20.0, "N": 32}, {"n": 2, "L": 8.0, "N": 8}],
-                         ids=["1d", "2d"])
-def test_validate_checks_thread_independence_without_a_field(tmp_path, monkeypatch, grid):
-    # a zero gauge never reaches the thread pool, so validate builds a fixed
-    # probe potential at two thread counts; a broken pool must show
-    symbol = _XI2 if grid["n"] == 2 else _ARCTAN_1D
-    cfg = write_cfg(tmp_path / "cfg.json", {"grid": grid, "symbol": symbol,
-                                            "task": {"command": "validate"}})
-    out = tmp_path / "out"
-    assert run(["--config", cfg, "--out", str(out), "--threads", "2"]) == 0
-    checks = json.loads((out / "summary.json").read_text())["checks"]
-    assert checks["thread_independence"] == {"residual": 0.0, "tolerance": 0.0, "passed": True}
-    monkeypatch.setattr(importlib.import_module("magweyl.quantize"), "ThreadPoolExecutor", _NoPool)
-    with pytest.raises(RuntimeError, match="threaded circulation fill"):
-        run(["--config", cfg, "--out", str(tmp_path / "broken"), "--threads", "2"])
+    assert sorted(checks) == ["cocycle_identity", "cocycle_normalization", "hermiticity",
+                              "round_trip"]
+    assert all(c["passed"] for c in checks.values())
 
 
 def _artifact_digest_tool():
@@ -551,7 +547,7 @@ def _artifact_digest_tool():
 
 def test_the_artifact_digest_tool_runs_every_command_with_pinned_exit_codes():
     tool = _artifact_digest_tool()
-    commands = {cfg["task"]["command"] for cfg, _ in tool.CONFIGS.values()
+    commands = {cfg["task"]["command"] for cfg in tool.CONFIGS.values()
                 if isinstance(cfg["task"], dict)}
     assert commands == set(cli._COMMANDS)
     exits = {path.split("/")[0]: code for path, code in tool.digests(cli)

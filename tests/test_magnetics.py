@@ -359,10 +359,9 @@ def test_the_broadcast_circulation_fill_is_the_nested_rule_bit_for_bit(case, bud
     X = g.x_flat()
     expect = nested(X[:, None, :], X[None, :, :])
     upper = np.triu_indices(g.npoints, 1)
-    for threads in (1, 2, 3):
-        C = circulation_matrix(A, g, threads=threads)
-        assert np.array_equal(C[upper], expect[upper])
-        assert np.array_equal(C, -C.T)
+    C = circulation_matrix(A, g)
+    assert np.array_equal(C[upper], expect[upper])
+    assert np.array_equal(C, -C.T)
 
 
 @pytest.mark.parametrize("budget", [None, 40], ids=["whole-groups", "split-groups"])
@@ -380,16 +379,15 @@ def test_a_component_that_reads_x1_only_is_evaluated_along_x1_only(budget, monke
     if budget is not None:
         monkeypatch.setattr(importlib.import_module("magweyl.quantize"), "_POINTS", budget)
     upper = np.triu_indices(g.npoints, 1)
-    for threads in (1, 2, 3):
-        shapes.clear()
-        C = circulation_matrix(transversal_gauge(B), g, threads=threads)
-        assert np.array_equal(C[upper], expect[upper])
-        # axes (s, t, i2, j1, j2): x1 keeps singleton i2 and j2 axes, x2 a singleton j1 axis
-        assert shapes and all(len(x1) == len(x2) == 5 and x1[2] == x1[4] == x2[3] == 1
-                              for x1, x2 in shapes)
-        if budget is None:
-            # q_s q_t nodes per column group j1 >= i1 of each row block i1
-            assert sum(np.prod(x1) for x1, _ in shapes) == 8 * 8 * g.N * (g.N + 1) // 2
+    shapes.clear()
+    C = circulation_matrix(transversal_gauge(B), g)
+    assert np.array_equal(C[upper], expect[upper])
+    # axes (s, t, i2, j1, j2): x1 keeps singleton i2 and j2 axes, x2 a singleton j1 axis
+    assert shapes and all(len(x1) == len(x2) == 5 and x1[2] == x1[4] == x2[3] == 1
+                          for x1, x2 in shapes)
+    if budget is None:
+        # q_s q_t nodes per column group j1 >= i1 of each row block i1
+        assert sum(np.prod(x1) for x1, _ in shapes) == 8 * 8 * g.N * (g.N + 1) // 2
 
 
 @pytest.mark.parametrize("q", [1, 2, 5, 7, 8, 9, 16, 23, 128, 131, 300])

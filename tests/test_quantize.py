@@ -114,14 +114,6 @@ def test_real_symbol_hermitian():
     assert M.hermiticity_defect() < 1e-12
 
 
-def test_circulation_matrix_thread_independence():
-    g = make_grid(2, 6.0, 8)
-    A = VectorPotential.from_expressions(2, ["-0.5*x2", "0.5*x1"])
-    C1 = circulation_matrix(A, g, threads=1)
-    C4 = circulation_matrix(A, g, threads=4)
-    np.testing.assert_array_equal(C1, C4)
-
-
 def _circulation_case(case):
     g2 = make_grid(2, 10.0, 12)
     if case == "linear":
@@ -146,19 +138,17 @@ def test_circulation_matrix_fills_the_lower_triangle_exactly_from_the_upper(case
     # every ordered pair in one broadcast call
     X = g.x_flat()
     expect = circulation(A, X[:, None, :], X[None, :, :], DEFAULT_QUAD)
-    C1, C2, C3 = (circulation_matrix(A, g, threads=t) for t in (1, 2, 3))
+    C = circulation_matrix(A, g)
     upper = np.triu_indices(P, 1)
-    assert np.array_equal(C1[upper], expect[upper])
-    assert np.array_equal(C1, -C1.T)
-    assert np.array_equal(np.diag(C1), np.zeros(P))
-    assert np.array_equal(C1, C2) and np.array_equal(C1, C3)
+    assert np.array_equal(C[upper], expect[upper])
+    assert np.array_equal(C, -C.T)
+    assert np.array_equal(np.diag(C), np.zeros(P))
     # a small budget splits every block into column chunks, the last one partial
     monkeypatch.setattr(quantize_module, "_POINTS", 400)
     q = exact_order(DEFAULT_QUAD, A.degree)
     cols = quantize_module._POINTS // (quantize_module._ROWS * q)
     assert 1 < cols < P and P % cols != 0
-    for t in (1, 2, 3):
-        assert circulation_matrix(A, g, threads=t).tobytes() == C1.tobytes()
+    assert circulation_matrix(A, g).tobytes() == C.tobytes()
 
 
 @pytest.mark.parametrize("A", [

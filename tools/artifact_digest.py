@@ -19,9 +19,8 @@ non-polynomial gauge-check shifts, converging and divergent inversions (one
 at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
 on either side of the interior bound), a 1D explicit gauge on P = 100
 nodes (a partial last block of the circulation fill and of the phase),
-malformed configs, error exits and threaded validates, one of them at
-P = 576, where the circulation fill splits its row blocks into column
-chunks (in the 2-thread cached build and in the 1-thread check alike).  An
+malformed configs, error exits, and a validate at P = 576, where the
+circulation fill splits its row blocks into column chunks.  An
 exception that escapes ``run`` is recorded as ``exit=raised <type>``, so a
 tree that raises can still be compared with one that diagnoses.  Uses the
 standard library and magweyl only; the whole set runs in a few seconds.
@@ -62,92 +61,90 @@ def _task(command, **keys):
     return {"command": command, **keys}
 
 
-# name -> (config, --threads)
+# name -> config
 CONFIGS = {
-    "quantize-1d-zero": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
-                          "task": _task("quantize")}, 1),
-    "quantize-2d-const": ({"grid": _grid(2, 8.0, 12), "field": _CONST, "symbol": _XI2_X,
-                           "task": _task("quantize")}, 1),
-    "quantize-2d-nonpoly": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY, "symbol": _XI2_X,
-                             "task": _task("quantize")}, 2),
-    "quantize-2d-explicit": ({"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
-                              "task": _task("quantize")}, 1),
-    "spectrum-1d-zero": ({"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
-                          "task": _task("spectrum")}, 1),
-    "spectrum-2d-const": ({"grid": _grid(2, 12.0, 16), "field": {"components": {"12": "1"}},
-                           "symbol": _XI2, "task": _task("spectrum")}, 1),
-    "spectrum-2d-nonpoly": ({"grid": _grid(2, 10.0, 12), "field": _NONPOLY, "symbol": _XI2,
-                             "task": _task("spectrum")}, 1),
-    "spectrum-2d-both-axes": ({"grid": _grid(2, 10.0, 12), "field": _BOTH_AXES, "symbol": _XI2,
-                               "task": _task("spectrum")}, 1),
-    "spectrum-2d-landau": ({"grid": _grid(2, 12.0, 16), "gauge": _LANDAU, "symbol": _XI2,
-                            "task": _task("spectrum")}, 1),
-    "spectrum-1d-explicit-partial": ({"grid": _grid(1, 20.0, 100), "symbol": _WELL_1D,
-                                      "gauge": {"kind": "explicit", "A": ["arctan(x1)"]},
-                                      "task": _task("spectrum")}, 1),
-    "ess-spectrum-1d-arctan": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
-                                "algebra": _ORBITS_1D, "task": _task("ess-spectrum")}, 1),
-    "ess-spectrum-1d-well": ({"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
-                              "algebra": _ORBITS_1D, "task": _task("ess-spectrum")}, 1),
-    "gauge-check-2d-zero": ({"grid": _grid(2, 8.0, 12), "symbol": _XI2_X,
-                             "gauge": {"kind": "pair", "psi": "0.5*x1*x2"},
-                             "task": _task("gauge-check")}, 1),
-    "gauge-check-2d-poly-psi": ({"grid": _grid(2, 8.0, 12), "field": _CONST, "symbol": _XI2_X,
-                                 "gauge": {"kind": "pair", "psi": "0.3*x1*x2"},
-                                 "task": _task("gauge-check")}, 1),
-    "gauge-check-2d-nonpoly-psi": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY,
-                                    "symbol": _XI2_X,
-                                    "gauge": {"kind": "pair", "psi": "sin(x1)*x2"},
-                                    "task": _task("gauge-check")}, 1),
-    "expand-1d": ({"grid": _grid(1, 20.0, 64),
-                   "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
-                   "symbol2": {"expression": "xi1 + exp(-x1^2)", "m": 1, "rho": 1},
-                   "task": _task("expand", depth=2)}, 1),
-    "expand-2d-empty-window": ({"grid": _grid(2, 8.0, 16), "field": _CONST, "symbol": _XI2,
-                                "symbol2": _XI2, "task": _task("expand", depth=2)}, 1),
-    "invert-1d": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
-                   "task": _task("invert", z=-10)}, 1),
-    "invert-1d-mirror-edge": ({"grid": _grid(1, 7.3, 20), "symbol": _ARCTAN_1D,
-                               "task": _task("invert", z=-10)}, 1),
-    "invert-1d-divergent": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
-                             "task": _task("invert", z=100.0)}, 1),
-    "invert-2d-zero": ({"grid": _grid(2, 8.0, 16),
-                        "symbol": {**_XI2, "expression":
-                                   "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)"},
-                        "task": _task("invert", z=-40)}, 1),
-    "invert-2d-const": ({"grid": _grid(2, 8.0, 12), "field": _CONST,
-                         "symbol": {**_XI2, "expression": "xi1^2 + xi2^2 + arctan(x1)"},
-                         "task": _task("invert", z=-20)}, 1),
-    "validate-1d-zero": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
-                          "task": _task("validate")}, 1),
-    "validate-2d-nonpoly": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY, "symbol": _XI2,
-                             "task": _task("validate", seed=3)}, 1),
-    "validate-2d-nonpoly-threads3": ({"grid": _grid(2, 8.0, 12), "field": _NONPOLY,
-                                      "symbol": _XI2, "task": _task("validate", seed=3)}, 3),
+    "quantize-1d-zero": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                         "task": _task("quantize")},
+    "quantize-2d-const": {"grid": _grid(2, 8.0, 12), "field": _CONST, "symbol": _XI2_X,
+                          "task": _task("quantize")},
+    "quantize-2d-nonpoly": {"grid": _grid(2, 8.0, 12), "field": _NONPOLY, "symbol": _XI2_X,
+                            "task": _task("quantize")},
+    "quantize-2d-explicit": {"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
+                             "task": _task("quantize")},
+    "spectrum-1d-zero": {"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
+                         "task": _task("spectrum")},
+    "spectrum-2d-const": {"grid": _grid(2, 12.0, 16), "field": {"components": {"12": "1"}},
+                          "symbol": _XI2, "task": _task("spectrum")},
+    "spectrum-2d-nonpoly": {"grid": _grid(2, 10.0, 12), "field": _NONPOLY, "symbol": _XI2,
+                            "task": _task("spectrum")},
+    "spectrum-2d-both-axes": {"grid": _grid(2, 10.0, 12), "field": _BOTH_AXES, "symbol": _XI2,
+                              "task": _task("spectrum")},
+    "spectrum-2d-landau": {"grid": _grid(2, 12.0, 16), "gauge": _LANDAU, "symbol": _XI2,
+                           "task": _task("spectrum")},
+    "spectrum-1d-explicit-partial": {"grid": _grid(1, 20.0, 100), "symbol": _WELL_1D,
+                                     "gauge": {"kind": "explicit", "A": ["arctan(x1)"]},
+                                     "task": _task("spectrum")},
+    "ess-spectrum-1d-arctan": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                               "algebra": _ORBITS_1D, "task": _task("ess-spectrum")},
+    "ess-spectrum-1d-well": {"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
+                             "algebra": _ORBITS_1D, "task": _task("ess-spectrum")},
+    "gauge-check-2d-zero": {"grid": _grid(2, 8.0, 12), "symbol": _XI2_X,
+                            "gauge": {"kind": "pair", "psi": "0.5*x1*x2"},
+                            "task": _task("gauge-check")},
+    "gauge-check-2d-poly-psi": {"grid": _grid(2, 8.0, 12), "field": _CONST, "symbol": _XI2_X,
+                                "gauge": {"kind": "pair", "psi": "0.3*x1*x2"},
+                                "task": _task("gauge-check")},
+    "gauge-check-2d-nonpoly-psi": {"grid": _grid(2, 8.0, 12), "field": _NONPOLY,
+                                   "symbol": _XI2_X,
+                                   "gauge": {"kind": "pair", "psi": "sin(x1)*x2"},
+                                   "task": _task("gauge-check")},
+    "expand-1d": {"grid": _grid(1, 20.0, 64),
+                  "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
+                  "symbol2": {"expression": "xi1 + exp(-x1^2)", "m": 1, "rho": 1},
+                  "task": _task("expand", depth=2)},
+    "expand-2d-empty-window": {"grid": _grid(2, 8.0, 16), "field": _CONST, "symbol": _XI2,
+                               "symbol2": _XI2, "task": _task("expand", depth=2)},
+    "invert-1d": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                  "task": _task("invert", z=-10)},
+    "invert-1d-mirror-edge": {"grid": _grid(1, 7.3, 20), "symbol": _ARCTAN_1D,
+                              "task": _task("invert", z=-10)},
+    "invert-1d-divergent": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                            "task": _task("invert", z=100.0)},
+    "invert-2d-zero": {"grid": _grid(2, 8.0, 16),
+                       "symbol": {**_XI2, "expression":
+                                  "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)"},
+                       "task": _task("invert", z=-40)},
+    "invert-2d-const": {"grid": _grid(2, 8.0, 12), "field": _CONST,
+                        "symbol": {**_XI2, "expression": "xi1^2 + xi2^2 + arctan(x1)"},
+                        "task": _task("invert", z=-20)},
+    "validate-1d-zero": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                         "task": _task("validate")},
+    "validate-2d-nonpoly": {"grid": _grid(2, 8.0, 12), "field": _NONPOLY, "symbol": _XI2,
+                            "task": _task("validate", seed=3)},
     # P = 576: a row block's 24 column groups of 24 x 24 x 8 pair x node
-    # points exceed the fill's budget, so the cached build and the 1-thread
-    # check both split blocks into column chunks
-    "validate-2d-nonpoly-chunked": ({"grid": _grid(2, 12.0, 24), "field": _NONPOLY,
-                                     "symbol": _XI2, "task": _task("validate", seed=3)}, 2),
-    "validate-2d-x2-field": ({"grid": _grid(2, 8.0, 12), "field": _X2_ONLY, "symbol": _XI2,
-                              "task": _task("validate", seed=3)}, 1),
-    "validate-2d-explicit": ({"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
-                              "task": _task("validate")}, 1),
-    "bad-gauge-kind": ({"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
-                        "gauge": {"kind": "nonsense"}, "task": _task("quantize")}, 1),
-    "bad-z-list": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
-                    "task": _task("invert", z=[1])}, 1),
-    "bad-m-list": ({"grid": _grid(1, 20.0, 32), "symbol": {**_ARCTAN_1D, "m": [2]},
-                    "task": _task("spectrum")}, 1),
-    "bad-field-components-list": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
-                                   "field": {"components": ["12"]},
-                                   "task": _task("spectrum")}, 1),
-    "bad-task-list": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
-                       "task": ["spectrum"]}, 1),
-    "bad-merge-tol": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
-                       "algebra": _ORBITS_1D, "task": _task("ess-spectrum", merge_tol="x")}, 1),
-    "bad-gauge-A": ({"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
-                     "gauge": {"kind": "explicit", "A": 5}, "task": _task("quantize")}, 1),
+    # points exceed the fill's budget, so the fill splits blocks into column
+    # chunks
+    "validate-2d-nonpoly-chunked": {"grid": _grid(2, 12.0, 24), "field": _NONPOLY,
+                                    "symbol": _XI2, "task": _task("validate", seed=3)},
+    "validate-2d-x2-field": {"grid": _grid(2, 8.0, 12), "field": _X2_ONLY, "symbol": _XI2,
+                             "task": _task("validate", seed=3)},
+    "validate-2d-explicit": {"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
+                             "task": _task("validate")},
+    "bad-gauge-kind": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                       "gauge": {"kind": "nonsense"}, "task": _task("quantize")},
+    "bad-z-list": {"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                   "task": _task("invert", z=[1])},
+    "bad-m-list": {"grid": _grid(1, 20.0, 32), "symbol": {**_ARCTAN_1D, "m": [2]},
+                   "task": _task("spectrum")},
+    "bad-field-components-list": {"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                                  "field": {"components": ["12"]},
+                                  "task": _task("spectrum")},
+    "bad-task-list": {"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                      "task": ["spectrum"]},
+    "bad-merge-tol": {"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                      "algebra": _ORBITS_1D, "task": _task("ess-spectrum", merge_tol="x")},
+    "bad-gauge-A": {"grid": _grid(1, 20.0, 32), "symbol": _ARCTAN_1D,
+                    "gauge": {"kind": "explicit", "A": 5}, "task": _task("quantize")},
 }
 
 
@@ -158,7 +155,7 @@ def _sha256(data: bytes) -> str:
 def digests(cli) -> list[tuple[str, str]]:
     """(path, digest) for every artifact of every config."""
     out = []
-    for name, (config, threads) in CONFIGS.items():
+    for name, config in CONFIGS.items():
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(config))
@@ -167,8 +164,7 @@ def digests(cli) -> list[tuple[str, str]]:
             with warnings.catch_warnings(), contextlib.redirect_stderr(err):
                 warnings.simplefilter("ignore")
                 try:
-                    code = cli.run(["--config", str(path), "--out", str(run_dir),
-                                    "--threads", str(threads)])
+                    code = cli.run(["--config", str(path), "--out", str(run_dir)])
                 except Exception as exc:
                     code = f"raised {type(exc).__name__}"
             out.append((f"{name}/exit", f"exit={code}"))
