@@ -366,13 +366,21 @@ def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge, depth:
     positive xi_1-ray at x = 0 between |xi| = xi_window[0] and
     xi_window[1] * xi_max, and log|R| is fitted against log<xi>.  The upper
     cut stays well below the momentum-lattice seam, where periodization
-    error of growing symbols dominates the true remainder.
+    error of growing symbols dominates the true remainder.  When fewer than
+    the 2 momentum nodes a fit needs lie in the window, as on coarse 2D
+    grids, the upper cut is raised to the second node at or above the lower
+    one.
     """
     prod = moyal_pullback(f, g, gauge)
     expn = expansion_sum(f, g, B, depth)
     n = gauge.grid.n
-    top = np.max(gauge.grid.xi_nodes)
-    xi_sel, ray = _xi1_ray(prod, xi_window[0], xi_window[1] * top,
+    xi = gauge.grid.xi_nodes
+    top = np.max(xi)
+    hi = xi_window[1] * top
+    above = xi[xi >= xi_window[0]]
+    if np.count_nonzero(above <= hi) < 2 <= len(above):
+        hi = above[1]
+    xi_sel, ray = _xi1_ray(prod, xi_window[0], hi,
                            f"remainder fit window xi in [{xi_window[0]}, {xi_window[1]} * {top:.4g}]",
                            "raise N or lower L")
     pts_xi = np.zeros((len(xi_sel), n))

@@ -60,10 +60,15 @@ from .magnetics import (DEFAULT_QUAD, FluxQuadrature, VectorPotential, _circulat
 
 @dataclass(frozen=True)
 class MagneticOperator:
-    """A dense operator on grid-sampled wavefunctions."""
+    """A dense operator on grid-sampled wavefunctions.
+
+    ``gauge`` is the gauge that :func:`quantize` attached, or None: a hint
+    for the symmetry check of :func:`magweyl.spectral.spectrum`, which
+    reads the circulation of a candidate symmetry from it."""
 
     grid: PhaseSpaceGrid
     matrix: np.ndarray = field(repr=False)
+    gauge: Gauge | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         P = self.grid.npoints
@@ -275,6 +280,16 @@ class Gauge:
         """e^{+iC} M, entrywise, in place: an operator to its phase-stripped table."""
         return self._apply(1j, M)
 
+    def relabel_phase(self, t: np.ndarray) -> np.ndarray:
+        """The candidate gauge term g of the node relabelling a -> t[a]:
+        g(b) = C[t_0, t_b] - C[0, b], from rows 0 and t_0 of C, so that
+        C[t_a, t_b] - C[a, b] = g(b) - g(a) holds for a = 0; whether it holds
+        for every pair is the caller's check.  0 for a zero potential."""
+        if self.A.is_zero():
+            return np.zeros(len(t))
+        C = self.circulation
+        return C[t[0], t] - C[0]
+
     def segment_phase(self, x, y) -> np.ndarray:
         """e^{-i Circ(A; x -> y)} for batched endpoints of shape (..., n)."""
         return np.exp(-1j * circulation(self.A, x, y, DEFAULT_QUAD))
@@ -346,7 +361,7 @@ def quantize(f, gauge: Gauge) -> MagneticOperator:
         W = np.array(_as_table(f, grid), dtype=complex)  # a copy: attach overwrites it
     else:
         W = _symbol_table(f, grid)
-    return MagneticOperator(grid, gauge.attach(W))
+    return MagneticOperator(grid, gauge.attach(W), gauge)
 
 
 def wrong_quantize(f, gauge: Gauge) -> MagneticOperator:

@@ -207,19 +207,32 @@ def test_unknown_command_rejected(tmp_path, capsys):
     assert "command" in capsys.readouterr().err
 
 
+_EXPAND_2D = {
+    "field": {"components": {"12": "0.7"}},
+    "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
+    "symbol2": {"expression": "xi2 + exp(-x2^2)", "m": 1, "rho": 1},
+    "task": {"command": "expand", "depth": 2},
+}
+
+
 def test_expand_with_an_empty_fit_window_is_diagnosed(tmp_path, capsys):
-    # at L=8, N=16 no momentum node lies in [1.5, 0.25 * xi_max]
-    cfg = write_cfg(tmp_path / "cfg.json", {
-        "grid": {"n": 2, "L": 8.0, "N": 16},
-        "field": {"components": {"12": "0.7"}},
-        "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
-        "symbol2": {"expression": "xi2 + exp(-x2^2)", "m": 1, "rho": 1},
-        "task": {"command": "expand", "depth": 2},
-    })
+    # at L=8, N=4 no momentum node lies at or above 1.5, so no widening helps
+    cfg = write_cfg(tmp_path / "cfg.json", {"grid": {"n": 2, "L": 8.0, "N": 4}, **_EXPAND_2D})
     assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "window" in err and "N=16" in err and "L=8.0" in err
+    assert "window" in err and "N=4" in err and "L=8.0" in err
+
+
+@pytest.mark.filterwarnings("ignore:remainder fit window")
+@pytest.mark.parametrize("L, N", [(8.0, 16), (6.0, 24), (12.0, 32)])
+def test_expand_widens_a_fit_window_that_holds_fewer_than_two_momenta(tmp_path, L, N):
+    # [1.5, 0.25 * xi_max] holds 0, 1 and 1 nodes here; the upper cut is
+    # raised to the second node at or above 1.5
+    cfg = write_cfg(tmp_path / "cfg.json", {"grid": {"n": 2, "L": L, "N": N}, **_EXPAND_2D})
+    assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert np.isfinite(summary["fitted_remainder_slope"])
 
 
 _ORBITS_1D = {"kind": "AsymptoticLimitsPerDirection", "orbits": [
@@ -322,7 +335,7 @@ _PEAK_RUNS = {
                     "task": {"command": "gauge-check"}},
     "invert": {"task": {"command": "invert", "z": -40}},
     "validate": {"task": {"command": "validate"}},
-    # the remainder fit needs two momenta in its window, which 2D L=12 N=24 lacks
+    # a remainder fit window that holds 3 momenta without widening
     "expand": {"grid": {"n": 2, "L": 4.0, "N": 32},
                "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
                "symbol2": {"expression": "xi2 + exp(-x2^2)", "m": 1, "rho": 1},
@@ -553,7 +566,7 @@ def test_the_artifact_digest_tool_runs_every_command_with_pinned_exit_codes():
     exits = {path.split("/")[0]: code for path, code in tool.digests(cli)
              if path.endswith("/exit")}
     expect = dict.fromkeys(tool.CONFIGS, "exit=0")
-    expect.update({"bad-gauge-kind": "exit=1", "expand-2d-empty-window": "exit=1",
+    expect.update({"bad-gauge-kind": "exit=1", "expand-2d-no-window": "exit=1",
                    "invert-1d-divergent": "exit=2"})
     expect.update(dict.fromkeys(["bad-z-list", "bad-m-list", "bad-field-components-list",
                                  "bad-task-list", "bad-merge-tol", "bad-gauge-A"], "exit=1"))

@@ -8,6 +8,7 @@ from magweyl.magnetics import (
     FluxQuadrature,
     MagneticField,
     VectorPotential,
+    transversal_gauge,
 )
 from magweyl.moyal import (
     expansion_contributions,
@@ -185,3 +186,21 @@ def test_remainder_order_fit_runs_and_flags_window():
     # on this small grid the default window spans less than a decade and the
     # fit says so
     assert bool(fit.narrow_range)
+
+
+@pytest.mark.filterwarnings("ignore:remainder fit window")
+def test_remainder_order_widens_only_a_window_with_fewer_than_two_momenta():
+    f = Symbol.from_expression("xi1 + arctan(x1)", 2, m=1)
+    h = Symbol.from_expression("xi2 + exp(-x2^2)", 2, m=1)
+    B = MagneticField.constant(2, 0.7)
+    # L=8, N=16: [1.5, 0.25 * 7 * dxi] holds no node; the fit reads the first
+    # two nodes at or above 1.5, 2 dxi and 3 dxi
+    g = make_grid(2, 8.0, 16)
+    fit = remainder_order(f, h, B, Gauge(transversal_gauge(B), g), depth=2)
+    np.testing.assert_array_equal(fit.xi_values, g.xi_nodes[[10, 11]])
+    # L=4, N=32 holds 3 nodes, and keeps its window
+    g = make_grid(2, 4.0, 32)
+    fit = remainder_order(f, h, B, Gauge(transversal_gauge(B), g), depth=2)
+    xi = g.xi_nodes
+    np.testing.assert_array_equal(fit.xi_values, xi[(xi >= 1.5) & (xi <= 0.25 * xi.max())])
+    assert len(fit.xi_values) == 3

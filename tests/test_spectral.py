@@ -1,12 +1,16 @@
 """Spectra, reference oracles, and quasi-orbit essential spectra."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg as sp_linalg
 
+from magweyl import cli
 from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
-from magweyl.quantize import Gauge, quantize
+from magweyl.quantize import Gauge, MagneticOperator, quantize
 from magweyl.spectral import (
     compare_bulk_vs_essential,
     essential_spectrum,
@@ -192,3 +196,109 @@ def test_localization_scores_distinguish_bound_states():
     # the ground state is interior-localized, a high scattering state is not
     assert res.localization[0] > 0.99
     assert res.localization[-1] < 0.9
+
+
+# the magnetic rotations about (-dx/2, -dx/2): a constant field in the
+# symmetric and the Landau gauge, and the zero field, with an isotropic
+# symbol have the 90-degree one; an even anisotropic symbol only the
+# 180-degree one
+_SYMMETRIC = {
+    "symmetric-gauge": (["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2", 4),
+    "landau-gauge": (["0", "0.9*x1"], "xi1^2 + xi2^2", 4),
+    "zero-field": (None, "xi1^2 + xi2^2", 4),
+    "anisotropic": (None, "xi1^2 + 0.5*xi2^2", 2),
+}
+
+
+def _operator(A, expression, L=12.0, N=16):
+    g = make_grid(2, L, N)
+    A = VectorPotential.zero(2) if A is None else VectorPotential.from_expressions(2, A)
+    return quantize(Symbol.from_expression(expression, 2, m=2, real=True), Gauge(A, g))
+
+
+def _eigenspace_sums(values, scores, tol):
+    """Localization summed over each cluster of eigenvalues closer than
+    ``tol``: the basis of a degenerate eigenspace is not unique, the sum is."""
+    cuts = np.flatnonzero(np.diff(values) > tol) + 1
+    return np.array([c.sum() for c in np.split(scores, cuts)])
+
+
+@pytest.mark.parametrize("case", sorted(_SYMMETRIC))
+def test_a_magnetic_rotation_splits_the_eigensolve_into_blocks(case):
+    A, expression, order = _SYMMETRIC[case]
+    M = _operator(A, expression)
+    m = M.matrix
+    herm = 0.5 * (m + m.conj().T)
+    ref_vals, ref_vecs = sp_linalg.eigh(herm)
+    top = np.abs(ref_vals).max()
+
+    res = spectrum(M)
+    assert res.symmetry_order == order
+    assert res.symmetry_defect < 1e-13
+    np.testing.assert_allclose(res.eigenvalues, ref_vals, rtol=0, atol=1e-12 * top)
+
+    res = spectrum(M, localization=True, keep_vectors=True)
+    V, lam = res.eigenvectors, res.eigenvalues
+    assert np.linalg.norm(herm @ V - V * lam) <= 1e-13 * np.linalg.norm(herm)
+    assert np.linalg.norm(V.conj().T @ V - np.eye(len(lam))) <= 1e-12
+    mask = M.grid.interior_mask().ravel()
+    mass = np.abs(ref_vecs) ** 2
+    ref_scores = mass[mask].sum(axis=0) / mass.sum(axis=0)
+    np.testing.assert_allclose(_eigenspace_sums(lam, res.localization, 1e-8 * top),
+                               _eigenspace_sums(ref_vals, ref_scores, 1e-8 * top),
+                               rtol=0, atol=1e-10)
+    # the scores are those of the returned vectors
+    mass = np.abs(V) ** 2
+    np.testing.assert_allclose(res.localization, mass[mask].sum(axis=0) / mass.sum(axis=0),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("expression", ["xi1^2 + xi2^2 - 2*exp(-x1^2-x2^2)",
+                                        "xi1^2 + xi2^2 + arctan(x1)"])
+def test_an_operator_without_the_symmetry_takes_the_full_eigh_bit_for_bit(expression):
+    # a well centred at 0 is not symmetric about (-dx/2, -dx/2), arctan(x1) not at all
+    M = _operator(["-0.5*x2", "0.5*x1"], expression)
+    m = M.matrix
+    res = spectrum(M, keep_vectors=True)
+    assert res.symmetry_order == 1 and np.isnan(res.symmetry_defect)
+    vals, vecs = sp_linalg.eigh(0.5 * (m + m.conj().T))
+    assert np.array_equal(res.eigenvalues, vals)
+    assert np.array_equal(res.eigenvectors, vecs)
+
+
+def test_a_perturbation_above_the_tolerance_or_no_gauge_falls_back():
+    M = _operator(["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2")
+    m = M.matrix
+    rng = np.random.default_rng(3)
+    E = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    E = (E + E.conj().T) / np.linalg.norm(E + E.conj().T) * np.linalg.norm(m)
+    for scale, order in ((1e-13, 4), (1e-8, 1)):
+        res = spectrum(MagneticOperator(M.grid, m + scale * E, M.gauge))
+        assert res.symmetry_order == order
+    herm = 0.5 * (m + 1e-8 * E + (m + 1e-8 * E).conj().T)
+    assert np.array_equal(res.eigenvalues, sp_linalg.eigh(herm, eigvals_only=True))
+    # an operator that carries no gauge (a product, rep_A) is solved whole
+    res = spectrum(MagneticOperator(M.grid, m))
+    assert res.symmetry_order == 1
+    assert np.array_equal(res.eigenvalues, sp_linalg.eigh(0.5 * (m + m.conj().T),
+                                                          eigvals_only=True))
+
+
+def test_the_block_spectrum_peaks_within_the_spectrum_budget(tmp_path):
+    cfg = {"grid": {"n": 2, "L": 12.0, "N": 24}, "field": {"components": {"12": "1"}},
+           "symbol": {"expression": "xi1^2 + xi2^2", "m": 2, "rho": 1, "real": True},
+           "task": {"command": "spectrum"}}
+    g = make_grid(2, 12.0, 24)
+    B = MagneticField.from_expressions(2, {(1, 2): "1"})
+    f = Symbol.from_expression("xi1^2 + xi2^2", 2, m=2, real=True)
+    assert spectrum(quantize(f, Gauge(transversal_gauge(B), g))).symmetry_order == 4
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        code = cli.run(["--config", str(path), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= cli._PEAK_P2["spectrum"] * g.npoints ** 2

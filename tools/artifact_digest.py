@@ -14,8 +14,11 @@ outputs are equal:
 
 The configs cover all seven commands in 1D and 2D, with zero, constant and
 non-polynomial fields (varying along x1 only, along x2 only and along both),
-explicit non-polynomial and Landau gauges, polynomial and
-non-polynomial gauge-check shifts, converging and divergent inversions (one
+explicit non-polynomial, symmetric and Landau gauges, spectra that split by
+the 90-degree and by the 180-degree magnetic rotation and one that just
+misses it (a well centred at 0), a 2D expand whose fit window is widened
+and one whose lattice has no window, polynomial and non-polynomial
+gauge-check shifts, converging and divergent inversions (one
 at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
 on either side of the interior bound), a 1D explicit gauge on P = 100
 nodes (a partial last block of the circulation fill and of the phase),
@@ -47,6 +50,7 @@ _NONPOLY = {"components": {"12": "1 + 1/(1+x1^2)"}}
 _X2_ONLY = {"components": {"12": "1 + 0.5/(1+x2^2)"}}
 _BOTH_AXES = {"components": {"12": "1 + 0.5*exp(-(x1^2+x2^2)/4)"}}
 _LANDAU = {"kind": "explicit", "A": ["0", "0.9*x1"]}
+_SYMMETRIC = {"kind": "explicit", "A": ["-0.5*x2", "0.5*x1"]}
 _EXPLICIT = {"kind": "explicit", "A": ["-arctan(x2)", "x1*exp(-x1^2/8)"]}
 _ORBITS_1D = {"kind": "AsymptoticLimitsPerDirection", "orbits": [
     {"label": "plus", "kind": "direction", "direction": [1.0]},
@@ -81,6 +85,15 @@ CONFIGS = {
                               "task": _task("spectrum")},
     "spectrum-2d-landau": {"grid": _grid(2, 12.0, 16), "gauge": _LANDAU, "symbol": _XI2,
                            "task": _task("spectrum")},
+    "spectrum-2d-rotation-90": {"grid": _grid(2, 12.0, 16), "gauge": _SYMMETRIC,
+                                "symbol": _XI2, "task": _task("spectrum")},
+    "spectrum-2d-rotation-180": {"grid": _grid(2, 12.0, 16),
+                                 "symbol": {**_XI2, "expression": "xi1^2 + 0.5*xi2^2"},
+                                 "task": _task("spectrum")},
+    "spectrum-2d-near-miss": {"grid": _grid(2, 12.0, 16), "gauge": _SYMMETRIC,
+                              "symbol": {**_XI2, "expression":
+                                         "xi1^2 + xi2^2 - 2*exp(-x1^2-x2^2)"},
+                              "task": _task("spectrum")},
     "spectrum-1d-explicit-partial": {"grid": _grid(1, 20.0, 100), "symbol": _WELL_1D,
                                      "gauge": {"kind": "explicit", "A": ["arctan(x1)"]},
                                      "task": _task("spectrum")},
@@ -102,8 +115,10 @@ CONFIGS = {
                   "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
                   "symbol2": {"expression": "xi1 + exp(-x1^2)", "m": 1, "rho": 1},
                   "task": _task("expand", depth=2)},
-    "expand-2d-empty-window": {"grid": _grid(2, 8.0, 16), "field": _CONST, "symbol": _XI2,
-                               "symbol2": _XI2, "task": _task("expand", depth=2)},
+    "expand-2d-widened-window": {"grid": _grid(2, 8.0, 16), "field": _CONST, "symbol": _XI2,
+                                 "symbol2": _XI2, "task": _task("expand", depth=2)},
+    "expand-2d-no-window": {"grid": _grid(2, 8.0, 4), "field": _CONST, "symbol": _XI2,
+                            "symbol2": _XI2, "task": _task("expand", depth=2)},
     "invert-1d": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
                   "task": _task("invert", z=-10)},
     "invert-1d-mirror-edge": {"grid": _grid(1, 7.3, 20), "symbol": _ARCTAN_1D,
