@@ -403,11 +403,16 @@ def _cmd_expand(config, out_dir):
         sup_values[f"h{l}_sup"] = float(np.abs(h_l.fn(x, xi)).max())
     fit = remainder_order(f, g, B, gauge, depth)
     expected = f.m + g.m - depth  # rho = 1 symbol classes
+    # a widened window is a two-node fit, flagged so that its slope is not
+    # read as an order; the summaries of unwidened fits keep their keys
+    widened = {"widened_fit_window": [float(x) for x in fit.xi_values],
+               "narrow_range": bool(fit.narrow_range)} if fit.widened else {}
     _write_summary(out_dir, {
         "command": "expand",
         "depth": depth,
         "expected_remainder_order": expected,
         "fitted_remainder_slope": fit.slope,
+        **widened,
         **sup_values,
     })
     return 0

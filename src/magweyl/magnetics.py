@@ -97,15 +97,12 @@ class MagneticField:
     returning real values that broadcast against them: a component that
     reads only x1 may return values of the shape of x1, a constant one a
     scalar.  ``degree`` is the total polynomial degree of the components, or
-    None when it is unknown or they are not polynomials.  ``reads`` holds
-    the indices (from 0) of the coordinates some component reads, or is None
-    when that is unknown; a component is never handed the others.
+    None when it is unknown or they are not polynomials.
     """
 
     n: int
     components: dict = field(default_factory=dict)
     degree: int | None = None
-    reads: frozenset | None = None
 
     def __post_init__(self):
         for j, k in self.components:
@@ -135,22 +132,19 @@ class MagneticField:
         """Build from {(j, k): expression-string} using the parser."""
         asts = {key: expressions.parse_expression(text, n_dim=n) for key, text in exprs.items()}
         comps = {key: _position_callable(ast) for key, ast in asts.items()}
-        names = set().union(*(ast.variables() for ast in asts.values()))
-        return MagneticField(n=n, components=comps, degree=_max_degree(asts.values()),
-                             reads=frozenset(j for j in range(n) if f"x{j + 1}" in names))
+        return MagneticField(n=n, components=comps, degree=_max_degree(asts.values()))
 
     @staticmethod
     def constant(n: int, b: float) -> "MagneticField":
         """Constant field B_12 = b (n must be 2 unless b = 0)."""
         if b == 0.0:
-            return MagneticField(n=n, components={}, degree=0, reads=frozenset())
+            return MagneticField(n=n, components={}, degree=0)
         if n != 2:
             raise ValueError("nonzero constant field requires n = 2")
         return MagneticField(
             n=2,
             components={(1, 2): lambda x: float(b)},
             degree=0,
-            reads=frozenset(),
         )
 
 
@@ -356,8 +350,7 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
     Each stored integral I_jk = Integral_0^1 ds s B_jk(s x), j < k, is
     sampled once per point and serves both A_j and A_k, with I_kj = -I_jk.
     The node axis s comes first in the points s x, and I_jk has the shape of
-    the coordinates B_jk reads; the coordinates s x_j that no component
-    reads (``B.reads``) are not formed, and None stands in their place.
+    the coordinates B_jk reads.
     """
     if B.is_zero():
         return VectorPotential.zero(B.n)
@@ -366,8 +359,7 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
 
     def fn(x):
         s = sn.reshape((-1,) + (1,) * max(np.ndim(c) for c in x))
-        xs = tuple(s * c if B.reads is None or j in B.reads else None
-                   for j, c in enumerate(x))
+        xs = tuple(s * c for c in x)
         w = weights.reshape(s.shape)
         I = {key: _node_sum(np.asarray(component(xs), dtype=float) * w)
              for key, component in B.components.items()}

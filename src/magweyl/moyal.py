@@ -356,6 +356,7 @@ class RemainderFit:
     xi_values: np.ndarray
     residuals: np.ndarray
     narrow_range: bool  # True when the fit window spans < 1 decade in <xi>
+    widened: bool = False  # True when the window was widened to reach 2 nodes
 
 
 def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge, depth: int,
@@ -369,7 +370,8 @@ def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge, depth:
     error of growing symbols dominates the true remainder.  When fewer than
     the 2 momentum nodes a fit needs lie in the window, as on coarse 2D
     grids, the upper cut is raised to the second node at or above the lower
-    one.
+    one; such a fit is two adjacent nodes, less than a decade apart, and
+    says ``widened``.
     """
     prod = moyal_pullback(f, g, gauge)
     expn = expansion_sum(f, g, B, depth)
@@ -377,12 +379,13 @@ def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge, depth:
     xi = gauge.grid.xi_nodes
     top = np.max(xi)
     hi = xi_window[1] * top
+    window = f"remainder fit window xi in [{xi_window[0]}, {xi_window[1]} * {top:.4g}]"
     above = xi[xi >= xi_window[0]]
-    if np.count_nonzero(above <= hi) < 2 <= len(above):
-        hi = above[1]
-    xi_sel, ray = _xi1_ray(prod, xi_window[0], hi,
-                           f"remainder fit window xi in [{xi_window[0]}, {xi_window[1]} * {top:.4g}]",
-                           "raise N or lower L")
+    widened = bool(np.count_nonzero(above <= hi) < 2 <= len(above))
+    if widened:
+        hi = float(above[1])
+        window = f"remainder fit window xi in [{xi_window[0]}, {hi:.4g}] (widened)"
+    xi_sel, ray = _xi1_ray(prod, xi_window[0], hi, window, "raise N or lower L")
     pts_xi = np.zeros((len(xi_sel), n))
     pts_xi[:, 0] = xi_sel
     expn_vals = np.asarray(expn.fn(np.zeros((len(xi_sel), n)), pts_xi), dtype=complex)
@@ -392,6 +395,7 @@ def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge, depth:
     slope, intercept = np.polyfit(logs, np.log(resid), 1)
     narrow = (logs.max() - logs.min()) < np.log(10.0)
     if narrow:
-        warnings.warn("remainder fit window spans less than one decade in <xi>")
+        warnings.warn(f"{window} spans less than one decade in <xi>")
     return RemainderFit(slope=float(slope), intercept=float(intercept),
-                        xi_values=xi_sel, residuals=resid, narrow_range=narrow)
+                        xi_values=xi_sel, residuals=resid, narrow_range=narrow,
+                        widened=widened)

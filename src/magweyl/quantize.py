@@ -62,13 +62,15 @@ from .magnetics import (DEFAULT_QUAD, FluxQuadrature, VectorPotential, _circulat
 class MagneticOperator:
     """A dense operator on grid-sampled wavefunctions.
 
-    ``gauge`` is the gauge that :func:`quantize` attached, or None: a hint
-    for the symmetry check of :func:`magweyl.spectral.spectrum`, which
-    reads the circulation of a candidate symmetry from it."""
+    ``rotation_phase`` is, on an operator that :func:`quantize` returned on
+    a 2D grid, the gauge term of the 90-degree rotation of the grid
+    (:meth:`Gauge.rotation_phase`), which the symmetry check of
+    :func:`magweyl.spectral.spectrum` reads; None otherwise.  It holds P
+    numbers, so the operator does not keep the gauge's C alive."""
 
     grid: PhaseSpaceGrid
     matrix: np.ndarray = field(repr=False)
-    gauge: Gauge | None = field(default=None, repr=False, compare=False)
+    rotation_phase: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         P = self.grid.npoints
@@ -280,13 +282,16 @@ class Gauge:
         """e^{+iC} M, entrywise, in place: an operator to its phase-stripped table."""
         return self._apply(1j, M)
 
-    def relabel_phase(self, t: np.ndarray) -> np.ndarray:
-        """The candidate gauge term g of the node relabelling a -> t[a]:
-        g(b) = C[t_0, t_b] - C[0, b], from rows 0 and t_0 of C, so that
-        C[t_a, t_b] - C[a, b] = g(b) - g(a) holds for a = 0; whether it holds
+    def rotation_phase(self) -> np.ndarray:
+        """The candidate gauge term g of the rotation T of a 2D grid by 90
+        degrees about (-dx/2, -dx/2), (i, j) -> (N-1-j, i):
+        g(b) = C[T 0, T b] - C[0, b], from rows 0 and T 0 of C, so that
+        C[T a, T b] - C[a, b] = g(b) - g(a) holds for a = 0; whether it holds
         for every pair is the caller's check.  0 for a zero potential."""
+        N = self.grid.N
         if self.A.is_zero():
-            return np.zeros(len(t))
+            return np.zeros(N * N)
+        t = np.rot90(np.arange(N * N).reshape(N, N), -1).ravel()  # t[a] = T a
         C = self.circulation
         return C[t[0], t] - C[0]
 
@@ -361,7 +366,8 @@ def quantize(f, gauge: Gauge) -> MagneticOperator:
         W = np.array(_as_table(f, grid), dtype=complex)  # a copy: attach overwrites it
     else:
         W = _symbol_table(f, grid)
-    return MagneticOperator(grid, gauge.attach(W), gauge)
+    return MagneticOperator(grid, gauge.attach(W),
+                            gauge.rotation_phase() if grid.n == 2 else None)
 
 
 def wrong_quantize(f, gauge: Gauge) -> MagneticOperator:

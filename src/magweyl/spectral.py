@@ -8,13 +8,12 @@ field it changes the circulation only by a gauge term,
 C[Tx, Ty] - C[x, y] = g(y) - g(x), so S = diag(e^{-ig}) Pi_T commutes with
 Op^A(f) for every symbol invariant under the rotation, and S^4 = I once the
 constant in g is fixed.  The eigenspaces of S split the eigenproblem into
-4 blocks of size P/4; the rotation by 180 degrees, (i, j) ->
-(N-1-i, N-1-j), splits it into 2 for an even symbol that is not
-isotropic.  ``spectrum`` reads the candidate g from the operator's own
-gauge and takes this path only when the relative Frobenius defect
+4 blocks of size P/4.  ``spectrum`` reads the candidate g that
+:func:`quantize` recorded from the gauge's C (``rotation_phase``) and takes
+this path only when the relative Frobenius defect
 ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F (D = diag(e^{ig})) and the spread
 of the orbit phase products are at rounding level; every other operator,
-including any 1D one and any without a gauge, gets one dense eigh.  The
+including any 1D one and any not from quantize, gets one dense eigh.  The
 two paths agree to |d lambda| <= defect * ||M||_F plus the rounding of
 eigh, not bit for bit.
 
@@ -71,7 +70,7 @@ class SpectrumResult:
     interior 80% position box; values near 1 witness bound states, values
     near the interior volume fraction witness delocalized states.
     ``symmetry_order`` is the number of blocks the eigenproblem was split
-    into (1, 2 or 4) and ``symmetry_defect`` the relative commutation defect
+    into (1 or 4) and ``symmetry_defect`` the relative commutation defect
     of the magnetic rotation that split it (NaN for order 1).
     """
 
@@ -98,11 +97,11 @@ def spectrum(M: MagneticOperator, hermiticity_tol: float = 1e-8,
              keep_vectors: bool = False) -> SpectrumResult:
     """Full spectrum of a Hermitian grid operator, eigenvalues ascending.
 
-    A 2D operator that carries its gauge (as :func:`quantize` returns it) is
-    first checked for a magnetic rotation symmetry, the 90-degree one and
-    then the 180-degree one (see the module docstring).  When one holds,
-    the Hermitian part is solved as k = 4 or 2 blocks of size P/k, whose
-    eigenvalues are merged by a stable sort; otherwise it is solved whole.
+    A 2D operator that carries its ``rotation_phase`` (as :func:`quantize`
+    returns it) is first checked for the 90-degree magnetic rotation
+    symmetry (see the module docstring).  When it holds, the Hermitian part
+    is solved as 4 blocks of size P/4, whose eigenvalues are merged by a
+    stable sort; otherwise it is solved whole.
 
     Parameters
     ----------
@@ -120,13 +119,9 @@ def spectrum(M: MagneticOperator, hermiticity_tol: float = 1e-8,
             f"operator is not Hermitian: relative asymmetry {defect:.3e} "
             f"exceeds tolerance {hermiticity_tol:.1e}")
     need_vectors = localization or keep_vectors
-    if M.gauge is not None and M.grid.n == 2:
-        norm = np.linalg.norm(M.matrix)
-        for k in (4, 2):
-            symmetry = _magnetic_rotation(M, k, norm)
-            if symmetry is not None:
-                return _block_spectrum(M, k, *symmetry, defect, localization,
-                                       keep_vectors)
+    symmetry = None if M.rotation_phase is None else _magnetic_rotation(M)
+    if symmetry is not None:
+        return _block_spectrum(M, *symmetry, defect, localization, keep_vectors)
     vals, vecs = _hermitian_eigh(M.matrix, need_vectors)
     scores = None
     if localization:
@@ -157,86 +152,85 @@ def _hermitian_eigh(a: np.ndarray, vectors: bool):
 
 
 # relative commutation defect, and spread of the orbit phase products, up
-# to which a magnetic rotation counts as a symmetry: about 1e2 above what
+# to which the magnetic rotation counts as a symmetry: about 1e2 above what
 # rounding gives on the largest boxes tried (8.5e-13 at L=40, N=48), about
 # 1e7 below the smallest symmetry breaking tried (3e-3)
 _SYMMETRY_TOL = 1e-10
-# i^m, exactly: omega^j = _ROOTS[4 // k * j % 4] for omega = e^{2 pi i/k}, k = 4 or 2
+# omega^m = i^m, exactly, for the fourth root of unity omega = e^{2 pi i/4}
 _ROOTS = (1, 1j, -1, -1j)
 
 
-def _rotate(a: np.ndarray, k: int, d: int, axes=(0, 1)) -> np.ndarray:
+def _rotate(a: np.ndarray, d: int, axes=(0, 1)) -> np.ndarray:
     """The view a[T^d x] over the two position ``axes`` of ``a``, where T
-    rotates the grid by 360/k degrees about (-dx/2, -dx/2):
-    (i, j) -> (N-1-j, i) for k = 4 and (N-1-i, N-1-j) for k = 2."""
-    return np.rot90(a, -(4 // k) * d, axes=axes)
+    rotates the grid by 90 degrees about (-dx/2, -dx/2): (i, j) -> (N-1-j, i),
+    the node map of :meth:`Gauge.rotation_phase`."""
+    return np.rot90(a, -d, axes=axes)
 
 
-def _orbit_domain(N: int, k: int) -> tuple:
+def _quadrant(N: int) -> tuple:
     """Slices of the node axes (i, j) that hold one node of every orbit of
-    T: a quadrant for k = 4, a half for k = 2.  No node is fixed by T^2,
-    since the centre is not a node, so every orbit has k nodes."""
-    return (slice(N // 2), slice(N // 2 if k == 4 else N))
+    T.  No node is fixed by T^2, since the centre is not a node, so every
+    orbit has 4 nodes."""
+    return (slice(N // 2), slice(N // 2))
 
 
-def _magnetic_rotation(M: MagneticOperator, k: int, norm: float):
-    """The products acc[d](o) = u(o) u(T o) ... u(T^{d-1} o), d = 0..k-1,
+def _magnetic_rotation(M: MagneticOperator):
+    """The products acc[d](o) = u(o) u(T o) ... u(T^{d-1} o), d = 0..3,
     over the orbit representatives o, with u = e^{ig} for the gauge term g
-    of the rotation T of order k; and the relative defect
-    ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F with D = diag(u) and
-    ``norm`` = ||M||_F.  None unless both the defect and the spread of the
-    orbit products acc[k] are within ``_SYMMETRY_TOL``.
+    of the rotation T; and the relative defect
+    ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F with D = diag(u).  None unless
+    both the defect and the spread of the orbit products acc[4] are within
+    ``_SYMMETRY_TOL``.
 
     Then S = D^* Pi_T commutes with M.  The common orbit product is
     normalised to 1 (g shifted by a constant, which leaves D M D^*
-    unchanged), so S^k = I.  The defect is summed over slabs of rows of a
+    unchanged), so S^4 = I.  The defect is summed over slabs of rows of a
     reversed-stride view of M and stops at the first slab past the
     tolerance.
     """
     N = M.grid.N
-    t = _rotate(np.arange(M.grid.npoints).reshape(N, N), k, 1).ravel()
-    u = np.exp(1j * M.gauge.relabel_phase(t)).reshape(N, N)
-    F = _orbit_domain(N, k)
+    u = np.exp(1j * M.rotation_phase).reshape(N, N)
+    F = _quadrant(N)
     acc = [np.ones(u[F].shape, dtype=complex)]
-    for d in range(k):
-        acc.append(acc[-1] * _rotate(u, k, d)[F])
-    z = np.conj(acc[k].flat[0]) ** (1.0 / k)
-    if np.abs(acc[k] * z**k - 1.0).max() > _SYMMETRY_TOL:
+    for d in range(4):
+        acc.append(acc[-1] * _rotate(u, d)[F])
+    z = np.conj(acc[4].flat[0]) ** 0.25
+    if np.abs(acc[4] * z**4 - 1.0).max() > _SYMMETRY_TOL:
         return None
+    norm = np.linalg.norm(M.matrix)
     M4 = M.matrix.reshape((N,) * 4)
-    X4 = _rotate(_rotate(M4, k, 1), k, 1, axes=(2, 3))  # M[T a, T b]
+    X4 = _rotate(_rotate(M4, 1), 1, axes=(2, 3))  # M[T a, T b]
     total = 0.0
     for i in range(N):
         diff = X4[i] - u[i, :, None, None] * M4[i] * np.conj(u)
         total += np.vdot(diff, diff).real
         if total > (_SYMMETRY_TOL * norm) ** 2:
             return None
-    return [a * z**d for d, a in enumerate(acc[:k])], float(np.sqrt(total) / max(norm, 1e-300))
+    return [a * z**d for d, a in enumerate(acc[:4])], float(np.sqrt(total) / max(norm, 1e-300))
 
 
-def _block_spectrum(M: MagneticOperator, k: int, acc, symmetry_defect: float,
+def _block_spectrum(M: MagneticOperator, acc, symmetry_defect: float,
                     hermiticity_defect: float, localization: bool,
                     keep_vectors: bool) -> SpectrumResult:
-    """The spectrum of M from the k blocks of its Hermitian part in the
+    """The spectrum of M from the 4 blocks of its Hermitian part in the
     eigenbasis of S = D^* Pi_T (see :func:`_magnetic_rotation`).
 
-    On the orbit of representative o the eigenvector of S for omega^r,
-    omega = e^{2 pi i/k}, is e_{o,r}(T^d o) = omega^{rd} acc[d](o) / sqrt(k),
-    so block r is B_r[o, o'] = sum_d omega^{rd} acc[d](o') M[o, T^d o'],
-    gathered from the rows of M at the representatives and then made
-    Hermitian; an eigenvector y of B_r is the vector v(T^d o) =
-    omega^{rd} acc[d](o) y(o) / sqrt(k).
+    On the orbit of representative o the eigenvector of S for i^r is
+    e_{o,r}(T^d o) = i^{rd} acc[d](o) / 2, so block r is
+    B_r[o, o'] = sum_d i^{rd} acc[d](o') M[o, T^d o'], gathered from the
+    rows of M at the representatives and then made Hermitian; an
+    eigenvector y of B_r is the vector v(T^d o) = i^{rd} acc[d](o) y(o) / 2.
     """
     grid = M.grid
     N, P = grid.N, grid.npoints
-    F = _orbit_domain(N, k)
-    Q = P // k
+    F = _quadrant(N)
+    Q = P // 4
     rows = M.matrix.reshape((N,) * 4)[F]
-    G = [(_rotate(rows, k, d, axes=(2, 3))[(slice(None),) * 2 + F] * acc[d]).reshape(Q, Q)
-         for d in range(k)]
-    solved = [_hermitian_eigh(sum(_ROOTS[4 // k * r * d % 4] * G[d] for d in range(k)),
+    G = [(_rotate(rows, d, axes=(2, 3))[(slice(None),) * 2 + F] * acc[d]).reshape(Q, Q)
+         for d in range(4)]
+    solved = [_hermitian_eigh(sum(_ROOTS[r * d % 4] * G[d] for d in range(4)),
                               localization or keep_vectors)
-              for r in range(k)]
+              for r in range(4)]
     del G
     vals = np.concatenate([w for w, _ in solved])
     vecs = [y for _, y in solved]
@@ -244,8 +238,8 @@ def _block_spectrum(M: MagneticOperator, k: int, acc, symmetry_defect: float,
 
     scores = None
     if localization:
-        # |v|^2 is |y(o)|^2 / k at each node of the orbit of o
-        share = sum(_rotate(grid.interior_mask(), k, d)[F] for d in range(k)).ravel() / k
+        # |v|^2 is |y(o)|^2 / 4 at each node of the orbit of o
+        share = sum(_rotate(grid.interior_mask(), d)[F] for d in range(4)).ravel() / 4
         mass = [np.abs(y) ** 2 for y in vecs]
         scores = np.concatenate([share @ m / m.sum(axis=0) for m in mass])[order]
     full = None
@@ -256,14 +250,13 @@ def _block_spectrum(M: MagneticOperator, k: int, acc, symmetry_defect: float,
         V4 = full.reshape(N, N, P)
         for r, y in enumerate(vecs):
             cols = column[r * Q:(r + 1) * Q]
-            y = y.reshape(acc[0].shape + (Q,)) / np.sqrt(k)
-            for d in range(k):
-                phase = _ROOTS[4 // k * r * d % 4] * acc[d]
-                _rotate(V4, k, d)[F][..., cols] = phase[..., None] * y
+            y = y.reshape(acc[0].shape + (Q,)) / 2.0
+            for d in range(4):
+                _rotate(V4, d)[F][..., cols] = (_ROOTS[r * d % 4] * acc[d])[..., None] * y
     return SpectrumResult(grid=grid, eigenvalues=vals[order],
                           hermiticity_defect=hermiticity_defect,
                           localization=scores, eigenvectors=full,
-                          symmetry_order=k, symmetry_defect=symmetry_defect)
+                          symmetry_order=4, symmetry_defect=symmetry_defect)
 
 
 def landau_reference(b: float, k_max: int = 9) -> np.ndarray:

@@ -228,11 +228,25 @@ def test_expand_with_an_empty_fit_window_is_diagnosed(tmp_path, capsys):
 @pytest.mark.parametrize("L, N", [(8.0, 16), (6.0, 24), (12.0, 32)])
 def test_expand_widens_a_fit_window_that_holds_fewer_than_two_momenta(tmp_path, L, N):
     # [1.5, 0.25 * xi_max] holds 0, 1 and 1 nodes here; the upper cut is
-    # raised to the second node at or above 1.5
+    # raised to the second node at or above 1.5, and the summary says the
+    # slope is a two-node fit
     cfg = write_cfg(tmp_path / "cfg.json", {"grid": {"n": 2, "L": L, "N": N}, **_EXPAND_2D})
     assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert np.isfinite(summary["fitted_remainder_slope"])
+    dxi = 2 * np.pi / L
+    lo = np.ceil(1.5 / dxi)
+    np.testing.assert_allclose(summary["widened_fit_window"], [lo * dxi, (lo + 1) * dxi])
+    assert summary["narrow_range"] is True
+
+
+@pytest.mark.filterwarnings("ignore:remainder fit window")
+def test_expand_keeps_the_summary_keys_of_a_window_that_holds_two_momenta(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", {"grid": {"n": 2, "L": 4.0, "N": 32}, **_EXPAND_2D})
+    assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert sorted(summary) == ["command", "depth", "expected_remainder_order",
+                               "fitted_remainder_slope", "h0_sup", "h1_sup"]
 
 
 _ORBITS_1D = {"kind": "AsymptoticLimitsPerDirection", "orbits": [

@@ -414,25 +414,3 @@ def test_gauge_shift_calls_the_gradient_once_per_evaluation():
     shifted = gauge_shift(A, grad_psi=grad_psi).evaluate(x)
     assert calls == [(4, 6, 2)]
     assert np.array_equal(shifted, A.evaluate(x) + grad_psi(x))
-
-
-def test_the_transversal_gauge_forms_only_the_coordinates_the_field_reads():
-    assert MagneticField.from_expressions(2, {(1, 2): "1 + 0.5/(1+x1^2)"}).reads == {0}
-    assert MagneticField.from_expressions(2, {(1, 2): "x2*exp(-x1^2)"}).reads == {0, 1}
-    assert MagneticField.constant(2, 0.7).reads == frozenset()
-    assert MagneticField(n=2, components={}).reads is None
-    unread = []
-
-    def component(x):
-        unread.append(x[1] is None)
-        return 1.0 + 0.5 / (1.0 + x[0] * x[0])
-
-    B = MagneticField(n=2, components={(1, 2): component}, reads=frozenset({0}))
-    g = make_grid(2, 8.0, 8)
-    C = circulation_matrix(transversal_gauge(B), g)
-    assert unread and all(unread)
-    unread.clear()
-    # the field that declares nothing gets every coordinate, and the same C
-    assert np.array_equal(C, circulation_matrix(
-        transversal_gauge(dataclasses.replace(B, reads=None)), g))
-    assert unread and not any(unread)

@@ -198,9 +198,10 @@ def test_remainder_order_widens_only_a_window_with_fewer_than_two_momenta():
     g = make_grid(2, 8.0, 16)
     fit = remainder_order(f, h, B, Gauge(transversal_gauge(B), g), depth=2)
     np.testing.assert_array_equal(fit.xi_values, g.xi_nodes[[10, 11]])
+    assert fit.widened and fit.narrow_range
     # L=4, N=32 holds 3 nodes, and keeps its window
     g = make_grid(2, 4.0, 32)
     fit = remainder_order(f, h, B, Gauge(transversal_gauge(B), g), depth=2)
     xi = g.xi_nodes
     np.testing.assert_array_equal(fit.xi_values, xi[(xi >= 1.5) & (xi <= 0.25 * xi.max())])
-    assert len(fit.xi_values) == 3
+    assert len(fit.xi_values) == 3 and not fit.widened

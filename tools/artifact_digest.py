@@ -14,12 +14,12 @@ outputs are equal:
 
 The configs cover all seven commands in 1D and 2D, with zero, constant and
 non-polynomial fields (varying along x1 only, along x2 only and along both),
-explicit non-polynomial, symmetric and Landau gauges, spectra that split by
-the 90-degree and by the 180-degree magnetic rotation and one that just
-misses it (a well centred at 0), a 2D expand whose fit window is widened
-and one whose lattice has no window, polynomial and non-polynomial
-gauge-check shifts, converging and divergent inversions (one
-at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
+explicit non-polynomial, symmetric and Landau gauges, a spectrum that splits
+by the 90-degree magnetic rotation, one with only the 180-degree rotation
+(solved whole) and one that just misses the 90-degree one (a well centred
+at 0), a 2D expand whose fit window is widened and one whose lattice has no
+window, polynomial and non-polynomial gauge-check shifts, converging and
+divergent inversions (one at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
 on either side of the interior bound), a 1D explicit gauge on P = 100
 nodes (a partial last block of the circulation fill and of the phase),
 malformed configs, error exits, and a validate at P = 576, where the
@@ -87,9 +87,9 @@ CONFIGS = {
                            "task": _task("spectrum")},
     "spectrum-2d-rotation-90": {"grid": _grid(2, 12.0, 16), "gauge": _SYMMETRIC,
                                 "symbol": _XI2, "task": _task("spectrum")},
-    "spectrum-2d-rotation-180": {"grid": _grid(2, 12.0, 16),
-                                 "symbol": {**_XI2, "expression": "xi1^2 + 0.5*xi2^2"},
-                                 "task": _task("spectrum")},
+    "spectrum-2d-rotation-180-only": {"grid": _grid(2, 12.0, 16),
+                                      "symbol": {**_XI2, "expression": "xi1^2 + 0.5*xi2^2"},
+                                      "task": _task("spectrum")},
     "spectrum-2d-near-miss": {"grid": _grid(2, 12.0, 16), "gauge": _SYMMETRIC,
                               "symbol": {**_XI2, "expression":
                                          "xi1^2 + xi2^2 - 2*exp(-x1^2-x2^2)"},
