@@ -15,11 +15,15 @@ so only its matrix is needed, and at matrix level the series telescopes:
 Q sum_k R^k = M^(-1).  The inverse is therefore computed as one LU inverse
 of M (getrf, then getri), while ||R|| < 1 is kept as the admissibility
 certificate of a real z and reported with the series length it certifies.
-||R|| is the square root of the top eigenvalue of the Hermitian Gram
-matrix of R, formed by one rank-P update (zherk): the largest singular
-value to rounding, at about half the cost of an SVD.  Nonreal z, reached
-in the paper from a real seed through the resolvent identity, are inverted
-directly in the same way, without a certificate.
+The reported ||R|| (the invert command's series_norm_bound) is a certified
+upper bound t on the largest singular value, at most about 5e-10 relative
+above it.  The Hermitian Gram matrix G of R is formed by one rank-P update
+(zherk); a short Lanczos run on G estimates lambda_max(G) = ||R||^2 by
+theta, and one Cholesky of t^2 I - G with t^2 = theta (1 + 2^-30) succeeds
+only if t^2 is above every eigenvalue of G.  Should it fail, t^2 is the top
+eigenvalue of G from a top-1 eigh, widened by the same margin.  Nonreal z,
+reached in the paper from a real seed through the resolvent identity, are
+inverted directly in the same way, without a certificate.
 """
 
 from __future__ import annotations
@@ -91,22 +95,79 @@ def _shift_diagonal(M: np.ndarray, c: complex) -> np.ndarray:
 
 
 def _series_generator(f: Symbol, z: complex, gauge: Gauge):
-    """M_f - z and the operator norm of R_z = I - (M_f - z) Q with
-    Q = quantize(1/(f - z)).
-
-    The norm is sqrt(lambda_max(G)) for the Gram matrix G of R_z: zherk on
-    the Fortran-ordered view R^T forms R^T conj(R) = conj(R^H R), which has
-    the eigenvalues of R^H R, without copying R.  Q and R are released as
-    soon as their product and G exist."""
-    P = gauge.grid.npoints
+    """M_f - z and a certified upper bound on the operator norm of
+    R_z = I - (M_f - z) Q with Q = quantize(1/(f - z)); Q is released as
+    soon as R exists."""
     Mf = _shift_diagonal(quantize(f, gauge).matrix, -z)
     R = Mf @ quantize(_reciprocal_symbol(f, z), gauge).matrix
     _shift_diagonal(np.negative(R, out=R), 1.0)
+    return Mf, _norm_bound(R)
+
+
+# Lanczos steps at most, and the residual |beta_k s_k| of the top Ritz pair,
+# relative to its Ritz value, at which the estimate stops
+_LANCZOS_STEPS = 64
+_LANCZOS_TOL = 1e-9
+# relative margin of t^2 over the estimate of lambda_max(G): far above the
+# Cholesky backward error (about P u) and the residual of a converged estimate
+_CERTIFICATE_MARGIN = 2.0 ** -30
+
+
+def _norm_bound(R: np.ndarray) -> float:
+    """t >= ||R||_2, at most about 5e-10 relative above it.
+
+    zherk on the Fortran-ordered view R^T forms G = R^T conj(R) =
+    conj(R^H R), which has the eigenvalues of R^H R, without copying R.
+    t^2 is the Lanczos estimate of lambda_max(G) widened by
+    ``_CERTIFICATE_MARGIN``, certified by a Cholesky of t^2 I - G in place
+    of G.  If that factorization fails, G is formed again from R and t^2 is
+    its top eigenvalue from eigh, widened by the same margin."""
+    P = len(R)
     G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
-    del R
-    top = sp_linalg.eigh(G, eigvals_only=True, subset_by_index=[P - 1, P - 1],
-                         overwrite_a=True)[0]
-    return Mf, math.sqrt(max(top, 0.0))
+    t2 = _lanczos_top(G) * (1.0 + _CERTIFICATE_MARGIN)
+    np.negative(G, out=G)
+    # G is Fortran-ordered, so G.reshape(-1) would copy it
+    G[np.diag_indices(P)] += t2
+    if sp_linalg.lapack.zpotrf(G, lower=1, clean=0, overwrite_a=1)[1] != 0:
+        del G
+        G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
+        top = sp_linalg.eigh(G, eigvals_only=True, subset_by_index=[P - 1, P - 1],
+                             overwrite_a=True)[0]
+        t2 = max(top, 0.0) * (1.0 + _CERTIFICATE_MARGIN)
+    return math.sqrt(t2)
+
+
+def _lanczos_top(G: np.ndarray) -> float:
+    """Estimate of lambda_max of the Hermitian G, read from its lower
+    triangle (zhemv): the top Ritz value of a Lanczos run with full
+    reorthogonalization from a fixed-seed start vector.  It stops once
+    |beta_k s_k| <= _LANCZOS_TOL theta, after _LANCZOS_STEPS steps, or when
+    the Krylov space is invariant.  A Ritz value lies at or below
+    lambda_max, so this is not a bound."""
+    P = len(G)
+    Q = np.empty((min(_LANCZOS_STEPS, P), P), dtype=complex)
+    q = np.random.default_rng(0).standard_normal(P).astype(complex)
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(len(Q)):
+        Q[k] = q
+        w = sp_linalg.blas.zhemv(1.0, G, q, lower=1)
+        if k:
+            w -= beta[-1] * Q[k - 1]
+        alpha.append(np.vdot(q, w).real)
+        w -= alpha[-1] * q
+        # one vdot per basis vector: small matmuls run threaded and cost
+        # about ten times as much here
+        for j in range(k + 1):
+            w -= np.vdot(Q[j], w) * Q[j]
+        b = np.linalg.norm(w)
+        ritz, s = sp_linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+        theta = ritz[0]
+        if b == 0.0 or b * abs(s[-1, 0]) <= _LANCZOS_TOL * theta:
+            break
+        beta.append(b)
+        q = w / b
+    return max(theta, 0.0)
 
 
 def norm_Rz(f: Symbol, z: complex, gauge: Gauge) -> float:
@@ -256,25 +317,29 @@ class ResolventFamily:
     :func:`neumann_invert`, which enforces the series certificate
     ||R_z|| < 1.  Every other z, which the paper reaches by marching the
     resolvent identity X' = X + (z' - z) X X' from such a seed, is solved
-    directly once f passes the same real-valued and ellipticity checks; it
-    carries no series certificate (``terms`` 0, ``norm_R`` None).  The
+    directly; it carries no series certificate (``terms`` 0, ``norm_R``
+    None).  Either way f must pass the real-valued and ellipticity checks,
+    which run once, when the family is made.  The
     family invariants below check the resolvent identity and the adjoint
     symmetry of the results."""
 
     f: Symbol
     gauge: Gauge
     entries: dict = field(default_factory=dict)
+    _inf_f: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _require_elliptic(self.f, self.gauge.grid)
+        self._inf_f = _sampled_inf(self.f, self.gauge.grid)
 
     def add(self, z: complex) -> InversionResult:
         z = complex(z)
         key = (z.real, z.imag)
         if key in self.entries:
             return self.entries[key]
-        grid = self.gauge.grid
-        if abs(z.imag) < 1e-14 and z.real <= _sampled_inf(self.f, grid) - 1.0:
-            res = neumann_invert(self.f, z, self.gauge)
+        if abs(z.imag) < 1e-14 and z.real <= self._inf_f - 1.0:
+            res = neumann_invert(self.f, z, self.gauge, validate=False)
         else:
-            _require_elliptic(self.f, grid)
             Mf = _shift_diagonal(quantize(self.f, self.gauge).matrix, -z)
             res = _solved(Mf, z, 0, None, self.gauge)
         self.entries[key] = res

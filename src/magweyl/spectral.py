@@ -185,8 +185,10 @@ def _magnetic_rotation(M: MagneticOperator):
     Then S = D^* Pi_T commutes with M.  The common orbit product is
     normalised to 1 (g shifted by a constant, which leaves D M D^*
     unchanged), so S^4 = I.  The defect is summed over slabs of rows of a
-    reversed-stride view of M and stops at the first slab past the
-    tolerance.
+    reversed-stride view of M, visited from the centre row outward, where
+    a centred well breaks the symmetry most, and stops at the first slab
+    past the tolerance.  An accepted defect is summed again in row order,
+    so that its bits do not depend on the visit order.
     """
     N = M.grid.N
     u = np.exp(1j * M.rotation_phase).reshape(N, N)
@@ -200,12 +202,17 @@ def _magnetic_rotation(M: MagneticOperator):
     norm = np.linalg.norm(M.matrix)
     M4 = M.matrix.reshape((N,) * 4)
     X4 = _rotate(_rotate(M4, 1), 1, axes=(2, 3))  # M[T a, T b]
+    parts = np.empty(N)
     total = 0.0
-    for i in range(N):
+    for i in sorted(range(N), key=lambda i: abs(2 * i - (N - 1))):
         diff = X4[i] - u[i, :, None, None] * M4[i] * np.conj(u)
-        total += np.vdot(diff, diff).real
+        parts[i] = np.vdot(diff, diff).real
+        total += parts[i]
         if total > (_SYMMETRY_TOL * norm) ** 2:
             return None
+    total = 0.0
+    for part in parts:
+        total += part
     return [a * z**d for d, a in enumerate(acc[:4])], float(np.sqrt(total) / max(norm, 1e-300))
 
 

@@ -274,6 +274,9 @@ _TINY_RUNS = {
                 "task": {"command": "expand", "depth": 2}}, 0),
     "invert": ({"grid": {"n": 1, "L": 20.0, "N": 32}, "symbol": _ARCTAN_1D,
                 "task": {"command": "invert", "z": -10}}, 0),
+    "invert-2d": ({"grid": {"n": 2, "L": 8.0, "N": 12}, "field": {"components": {"12": "0.6"}},
+                   "symbol": {"expression": "xi1^2 + xi2^2 + arctan(x1)", "m": 2, "real": True},
+                   "task": {"command": "invert", "z": -20}}, 0),
     "invert-divergent": ({"grid": {"n": 1, "L": 20.0, "N": 32}, "symbol": _ARCTAN_1D,
                           "task": {"command": "invert", "z": 100.0}}, 2),
     "validate": ({"grid": {"n": 2, "L": 8.0, "N": 8},

@@ -12,6 +12,7 @@ from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
 from magweyl.quantize import Gauge, MagneticOperator, quantize
 from magweyl.spectral import (
+    _magnetic_rotation,
     compare_bulk_vs_essential,
     essential_spectrum,
     landau_reference,
@@ -266,6 +267,19 @@ def test_an_operator_without_the_symmetry_takes_the_full_eigh_bit_for_bit(A, exp
     vals, vecs = sp_linalg.eigh(0.5 * (m + m.conj().T))
     assert np.array_equal(res.eigenvalues, vals)
     assert np.array_equal(res.eigenvectors, vecs)
+
+
+def test_the_rotation_check_rejects_a_centred_well_at_its_first_slab(monkeypatch):
+    well = _operator(["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2 - 2*exp(-x1^2-x2^2)")
+    symmetric = _operator(["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2")
+    slabs = []
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: slabs.append(None) or vdot(a, b))
+    # the slabs are visited from the centre row outward, where the well is
+    assert _magnetic_rotation(well) is None
+    assert len(slabs) == 1
+    assert _magnetic_rotation(symmetric) is not None
+    assert len(slabs) == 1 + symmetric.grid.N
 
 
 def test_a_perturbation_above_the_tolerance_or_no_gauge_falls_back():
