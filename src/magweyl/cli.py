@@ -37,7 +37,7 @@ from .magnetics import (
     transversal_gauge,
 )
 from .moyal import expansion_term, remainder_order
-from .quantize import Gauge, dequantize, quantize, wrong_quantize
+from .quantize import Gauge, _sum_squares, dequantize, quantize, wrong_quantize
 from .spectral import essential_spectrum, spectrum
 from .symbols import CoefficientAlgebra, QuasiOrbit, Symbol
 
@@ -375,7 +375,7 @@ def _cmd_gauge_check(config, out_dir):
         np.multiply(phase[:, None], M1, out=M1)
         np.multiply(M1, np.conj(phase)[None, :], out=M1)
         np.subtract(M1, M2, out=M1)
-        return float(np.linalg.norm(M1) / max(np.linalg.norm(M2), 1e-300))
+        return float(np.sqrt(_sum_squares(M1)) / max(np.sqrt(_sum_squares(M2)), 1e-300))
 
     residual = covariance(quantize)
     wrong_residual = covariance(wrong_quantize)

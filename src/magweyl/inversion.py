@@ -35,7 +35,8 @@ import numpy as np
 from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
-from .quantize import Gauge, MagneticOperator, SampledSymbol, _xi1_ray, dequantize, quantize
+from .quantize import (_PHASE_ROWS, Gauge, MagneticOperator, SampledSymbol, _xi1_ray,
+                       dequantize, quantize)
 from .spectral import spectrum
 from .symbols import Symbol, is_elliptic, japanese_bracket
 
@@ -61,9 +62,13 @@ def _require_elliptic(f: Symbol, grid: PhaseSpaceGrid):
 
 
 def _sampled_inf(f: Symbol, grid: PhaseSpaceGrid) -> float:
-    x = grid.x_mesh().reshape((grid.N,) * grid.n + (1,) * grid.n + (grid.n,))
+    """min Re f over the position x momentum lattice, evaluated one block of
+    ``_PHASE_ROWS`` position nodes at a time, so the P^2 table is never
+    held; min is exact, so this is the whole-table minimum to the bit."""
+    x = grid.x_flat().reshape((grid.npoints,) + (1,) * grid.n + (grid.n,))
     xi = grid.xi_mesh()
-    return float(np.min(np.real(f(x, xi))))
+    return float(np.min([np.min(np.real(f(x[a:a + _PHASE_ROWS], xi)))
+                         for a in range(0, grid.npoints, _PHASE_ROWS)]))
 
 
 def _reciprocal_symbol(f: Symbol, z: complex) -> Symbol:

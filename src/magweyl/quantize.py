@@ -26,12 +26,13 @@ xi1 # xi2 - xi2 # xi1 = i B_12.
 
 The phase is the only gauge-dependent ingredient.  :class:`Gauge` owns it:
 it builds the circulation matrix C once and applies e^{-iC} (quantization)
-or e^{+iC} (its inverse) in place, one block of rows at a time, so the
-complex phase is never held whole; every gauge-dependent function here
-takes one.  A reversed segment has the opposite circulation, so C is
-integrated on its upper triangle only, in row blocks that depend on nothing
-but the number of nodes, and the rest is filled from C = -C^T, which holds
-exactly.
+or e^{+iC} (its inverse) in place, by pairs of square tiles (r, c) and
+(c, r) of the upper and lower triangle, so the complex phase is never held
+whole; every gauge-dependent function here takes one.  A reversed segment
+has the opposite circulation, so C is integrated on its upper triangle
+only, in row blocks that depend on nothing but the number of nodes, and the
+rest is filled from C = -C^T, which holds exactly; one tile of the phase
+therefore serves its mirror too, conjugated and transposed.
 
 The inverse transform reads the matrix diagonal-by-diagonal: after stripping
 the circulation phase, the diagonal i - j = d holds fcheck(., d*dx) sampled
@@ -56,6 +57,15 @@ from scipy import linalg as sp_linalg
 from .grid import INTERIOR, PhaseSpaceGrid
 from .magnetics import (DEFAULT_QUAD, FluxQuadrature, VectorPotential, _circulation, circulation,
                         exact_order, omega_cocycle)
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """sum |a|^2 over the entries of ``a``, by einsum over its float view:
+    one fixed summation order and no BLAS call (a threaded level-1 BLAS
+    reduction rounds by the thread count and stalls the next LAPACK call),
+    and no temporary for a C-contiguous ``a``."""
+    v = np.ascontiguousarray(a).view(float).reshape(-1)
+    return float(np.einsum("i,i->", v, v))
 
 
 @dataclass(frozen=True)
@@ -84,12 +94,21 @@ class MagneticOperator:
         return float(sp_linalg.svdvals(self.matrix)[0])
 
     def hermiticity_defect(self) -> float:
-        """Relative Frobenius distance to the Hermitian part."""
+        """Relative Frobenius distance ||M - M^H||_F / ||M||_F to the Hermitian
+        part, one block of ``_PHASE_ROWS`` rows at a time: each is diffed
+        against the conjugate of the matching column block in one work
+        array, and both sums go through :func:`_sum_squares` in block order,
+        so the value does not depend on the thread count."""
         m = self.matrix
-        # m - m^H in one C-ordered work array, so the norm sums in row order
-        diff = np.conjugate(m.T, out=np.empty(m.shape, dtype=complex))
-        np.subtract(m, diff, out=diff)
-        return float(np.linalg.norm(diff) / max(np.linalg.norm(m), 1e-300))
+        work = np.empty((_PHASE_ROWS, len(m)), dtype=complex)
+        defect = norm = 0.0
+        for a in range(0, len(m), _PHASE_ROWS):
+            rows = m[a:a + _PHASE_ROWS]
+            diff = np.conjugate(m[:, a:a + _PHASE_ROWS].T, out=work[:len(rows)])
+            np.subtract(rows, diff, out=diff)
+            defect += _sum_squares(diff)
+            norm += _sum_squares(rows)
+        return float(np.sqrt(defect) / max(np.sqrt(norm), 1e-300))
 
     def __matmul__(self, other: "MagneticOperator") -> "MagneticOperator":
         if other.grid != self.grid:
@@ -180,7 +199,8 @@ _ROWS = 8
 # pair x node points of one circulation call: a block's columns are split
 # into chunks of at most this many, which bounds its work arrays
 _POINTS = 1 << 14
-# rows per block of the in-place phase application
+# the side of the square tiles of the in-place phase application, and rows
+# per block of the Hermiticity defect and of inversion's sampled infimum
 _PHASE_ROWS = 64
 
 
@@ -248,10 +268,14 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
 class Gauge:
     """A vector potential A on a grid, the one owner of the circulation phase:
     the real matrix C = :func:`circulation_matrix` is built on first use and
-    kept.  :meth:`attach` and :meth:`strip` overwrite their argument, one
-    block of ``_PHASE_ROWS`` rows at a time, so the complex phase is never
-    held whole.  A zero potential (``A.is_zero()``) builds no C: its phase
-    is 1, and both leave the argument as it is."""
+    kept.  :meth:`attach` and :meth:`strip` overwrite their argument by
+    square tiles of side ``_PHASE_ROWS``: a tile E = e^{-+iC[r, c]} of the
+    upper triangle multiplies W[r, c], and, since C = -C^T exactly, its
+    conjugate transpose multiplies W[c, r]; diagonal tiles are applied
+    whole.  Each entry gets the phase a whole-matrix e^{-+iC} would give
+    it, to the bit, half the complex exponentials are saved, and the
+    complex phase is never held whole.  A zero potential (``A.is_zero()``)
+    builds no C: its phase is 1, and both leave the argument as it is."""
 
     A: VectorPotential
     grid: PhaseSpaceGrid
@@ -268,10 +292,17 @@ class Gauge:
         if self.A.is_zero():
             return W
         C = self.circulation
-        for a in range(0, len(W), _PHASE_ROWS):
-            rows = slice(a, a + _PHASE_ROWS)
-            # the phase first: W[rows] *= phase rounds differently
-            np.multiply(np.exp(sign * C[rows]), W[rows], out=W[rows])
+        P = len(W)
+        # the phase first: W *= phase rounds differently
+        for a in range(0, P, _PHASE_ROWS):
+            r = slice(a, a + _PHASE_ROWS)
+            np.multiply(np.exp(sign * C[r, r]), W[r, r], out=W[r, r])
+            for b in range(a + _PHASE_ROWS, P, _PHASE_ROWS):
+                c = slice(b, b + _PHASE_ROWS)
+                E = np.exp(sign * C[r, c])
+                np.multiply(E, W[r, c], out=W[r, c])
+                # C[c, r] = -C[r, c]^T, so its phase is conj(E)^T, formed in E
+                np.multiply(np.conjugate(E, out=E).T, W[c, r], out=W[c, r])
         return W
 
     def attach(self, W: np.ndarray) -> np.ndarray:

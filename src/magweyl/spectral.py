@@ -43,7 +43,7 @@ from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
 from .magnetics import MagneticField, transversal_gauge
-from .quantize import Gauge, MagneticOperator, quantize
+from .quantize import Gauge, MagneticOperator, _sum_squares, quantize
 from .symbols import (
     CoefficientAlgebra,
     Symbol,
@@ -188,7 +188,9 @@ def _magnetic_rotation(M: MagneticOperator):
     reversed-stride view of M, visited from the centre row outward, where
     a centred well breaks the symmetry most, and stops at the first slab
     past the tolerance.  An accepted defect is summed again in row order,
-    so that its bits do not depend on the visit order.
+    so that its bits do not depend on the visit order; the norm and every
+    slab go through :func:`magweyl.quantize._sum_squares`, so they do not
+    depend on the thread count either.
     """
     N = M.grid.N
     u = np.exp(1j * M.rotation_phase).reshape(N, N)
@@ -199,14 +201,14 @@ def _magnetic_rotation(M: MagneticOperator):
     z = np.conj(acc[4].flat[0]) ** 0.25
     if np.abs(acc[4] * z**4 - 1.0).max() > _SYMMETRY_TOL:
         return None
-    norm = np.linalg.norm(M.matrix)
+    norm = np.sqrt(_sum_squares(M.matrix))
     M4 = M.matrix.reshape((N,) * 4)
     X4 = _rotate(_rotate(M4, 1), 1, axes=(2, 3))  # M[T a, T b]
     parts = np.empty(N)
     total = 0.0
     for i in sorted(range(N), key=lambda i: abs(2 * i - (N - 1))):
         diff = X4[i] - u[i, :, None, None] * M4[i] * np.conj(u)
-        parts[i] = np.vdot(diff, diff).real
+        parts[i] = _sum_squares(diff)
         total += parts[i]
         if total > (_SYMMETRY_TOL * norm) ** 2:
             return None

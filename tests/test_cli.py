@@ -8,7 +8,10 @@ import importlib.util
 import json
 import math
 import operator
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -370,6 +373,9 @@ def test_each_command_peaks_within_the_multiple_of_p_squared_it_is_refused_by(
            "symbol": _BUMPS_2D, **_PEAK_RUNS[command]}
     P = cfg["grid"]["N"] ** 2
     path = write_cfg(tmp_path / "cfg.json", cfg)
+    # one untraced run first: a lazy import (scipy.optimize in ess-spectrum)
+    # would otherwise count towards the peak of whichever test runs it first
+    run(["--config", path, "--out", str(tmp_path / "warm")])
     tracemalloc.start()
     try:
         code = run(["--config", path, "--out", str(tmp_path / "out")])
@@ -378,6 +384,45 @@ def test_each_command_peaks_within_the_multiple_of_p_squared_it_is_refused_by(
         tracemalloc.stop()
     assert code == (2 if command == "gauge-check" else 0)
     assert peak <= cli._PEAK_P2[command] * P ** 2
+
+
+_THREAD_PROBE = """
+import json, sys
+from pathlib import Path
+from magweyl.cli import run
+out = Path(sys.argv[1])
+summaries = {}
+for name in sys.argv[2:]:
+    assert run(["--config", str(out / name), "--out", str(out / (name + ".out"))]) in (0, 2)
+    summaries[name] = json.loads((out / (name + ".out") / "summary.json").read_text())
+print(json.dumps(summaries))
+"""
+
+
+def test_the_hermiticity_and_gauge_check_residuals_do_not_depend_on_the_blas_threads(tmp_path):
+    # a threaded BLAS reduction rounds by the thread count; the sums of squares
+    # take one order of their own
+    grid = {"n": 2, "L": 8.0, "N": 12}
+    symbol = {"expression": "xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2", "m": 2, "real": True}
+    field = {"components": {"12": "1 + 1/(1+x1^2)"}}
+    write_cfg(tmp_path / "quantize", {"grid": grid, "field": field, "symbol": symbol,
+                                      "task": {"command": "quantize"}})
+    write_cfg(tmp_path / "gauge-check", {"grid": grid, "field": field, "symbol": symbol,
+                                         "gauge": {"kind": "pair", "psi": "sin(x1)*x2"},
+                                         "task": {"command": "gauge-check"}})
+    src = str(Path(cli.__file__).parents[1])
+    fields = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        text = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(tmp_path),
+                               "quantize", "gauge-check"], env=env, check=True,
+                              capture_output=True, text=True).stdout
+        quantized, check = (json.loads(text)[k] for k in ("quantize", "gauge-check"))
+        fields.append((quantized["hermiticity_defect"], check["covariance_residual"],
+                       check["wrong_quantization_residual"]))
+    assert fields[0] == fields[1]
+    assert 0.0 < fields[0][0] < 1e-12 and 0.0 < fields[0][1] < 1e-6 < fields[0][2]
 
 
 def test_ess_spectrum_rejects_a_malformed_gauge_block(tmp_path, capsys):

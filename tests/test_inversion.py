@@ -349,3 +349,26 @@ def test_neumann_invert_peaks_below_76_p_squared_bytes(field):
         tracemalloc.stop()
     assert res.terms > 0
     assert peak <= 76 * g.npoints ** 2
+
+
+@pytest.mark.parametrize("n, N, expression", [
+    (1, 100, "xi1^2 + arctan(x1)"),
+    (2, 32, "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)"),
+])
+def test_the_sampled_infimum_by_row_blocks_is_the_whole_table_minimum(n, N, expression):
+    # 1D P = 100 ends in a partial block; min is exact, so the bits agree
+    g = make_grid(n, 12.0, N)
+    P = g.npoints
+    f = Symbol.from_expression(expression, n, m=2, real=True)
+    x = g.x_mesh().reshape((N,) * n + (1,) * n + (n,))
+    whole = float(np.min(np.real(f(x, g.xi_mesh()))))
+    _sampled_inf(f, g)
+    tracemalloc.start()
+    try:
+        assert _sampled_inf(f, g) == whole
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole complex table with its real part and temporaries took 24 P^2
+    if n == 2:
+        assert peak <= 4 * P ** 2

@@ -1,6 +1,7 @@
 """Quantization, dequantization, magnetic translations, kernel calculus."""
 
 import importlib
+import tracemalloc
 import types
 
 import numpy as np
@@ -20,6 +21,7 @@ from magweyl.magnetics import (
 )
 from magweyl.quantize import (
     Gauge,
+    MagneticOperator,
     SampledSymbol,
     _symbol_table,
     KernelFunction,
@@ -114,6 +116,24 @@ def test_real_symbol_hermitian():
     assert M.hermiticity_defect() < 1e-12
 
 
+def test_the_hermiticity_defect_holds_no_square_work_array():
+    # P = 1296, as in a 2D N = 36 spectrum: one block of 64 rows is 0.8 P^2
+    # bytes; the whole m - m^H took 16 P^2
+    g = make_grid(2, 16.0, 36)
+    P = g.npoints
+    m = np.random.default_rng(1).normal(size=(P, 2 * P)).view(complex)
+    M = MagneticOperator(g, m)
+    tracemalloc.start()
+    try:
+        defect = M.hermiticity_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < P ** 2
+    assert defect == pytest.approx(np.linalg.norm(m - m.conj().T) / np.linalg.norm(m),
+                                   rel=1e-12, abs=0)
+
+
 def _circulation_case(case):
     g2 = make_grid(2, 10.0, 12)
     if case == "linear":
@@ -200,6 +220,26 @@ def test_the_gauge_cache_gives_the_written_out_phase(A, builds, monkeypatch):
     assert np.array_equal(quantize(S, gauge).matrix, np.exp(-1j * C) * S.table)
     # the phase of a zero potential is 1: it builds no C at all
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("case", ["sin1d", "linear", "transversal"])
+def test_the_tile_pairs_give_the_row_block_phase_bit_for_bit(case):
+    # 1D P = 100 and 2D P = 144 end in a partial tile; the symmetric gauge
+    # and the transversal gauge of a non-polynomial field
+    g, A = _circulation_case(case)
+    P = g.npoints
+    quantize_module = importlib.import_module("magweyl.quantize")
+    rows = quantize_module._PHASE_ROWS
+    assert P % rows != 0
+    gauge = Gauge(A, g)
+    C = gauge.circulation
+    W = np.random.default_rng(7).normal(size=(P, 2 * P)).view(complex)
+    for sign, apply in ((-1j, gauge.attach), (1j, gauge.strip)):
+        expect = W.copy()
+        for a in range(0, P, rows):
+            r = slice(a, a + rows)
+            expect[r] = np.exp(sign * C[r]) * expect[r]
+        assert apply(W.copy()).tobytes() == expect.tobytes()
 
 
 def test_dequantize_rejects_a_gauge_on_another_grid():
