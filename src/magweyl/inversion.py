@@ -12,9 +12,12 @@ quantized generator is R = I - M Q, and the series converges when the
 operator norm of R is subunitary, which improves as |z| grows along the
 negative real axis.  By spectral invariance the inverse lies in the algebra,
 so only its matrix is needed, and at matrix level the series telescopes:
-Q sum_k R^k = M^(-1).  The inverse is therefore computed as one LU inverse
-of M (getrf, then getri), while ||R|| < 1 is kept as the admissibility
-certificate of a real z and reported with the series length it certifies.
+Q sum_k R^k = M^(-1).  The inverse is therefore computed directly: for a
+real symbol and a real z, M is Hermitian, and when it is positive definite
+(as at an admissible z) it is inverted from its Cholesky factor (potrf,
+then potri); any other M is inverted by LU (getrf, then getri).
+||R|| < 1 is kept as the admissibility certificate of a real z and
+reported with the series length it certifies.
 The reported ||R|| (the invert command's series_norm_bound) is a certified
 upper bound t on the largest singular value, at most about 5e-10 relative
 above it.  The Hermitian Gram matrix G of R is formed by one rank-P update
@@ -38,7 +41,7 @@ from .grid import PhaseSpaceGrid
 from .quantize import (_PHASE_ROWS, Gauge, MagneticOperator, SampledSymbol, _xi1_ray,
                        dequantize, quantize)
 from .spectral import spectrum
-from .symbols import Symbol, is_elliptic, japanese_bracket
+from .symbols import Symbol, is_elliptic, japanese_bracket, _position_blocks
 
 
 # accuracy the certified series length is counted for
@@ -62,13 +65,10 @@ def _require_elliptic(f: Symbol, grid: PhaseSpaceGrid):
 
 
 def _sampled_inf(f: Symbol, grid: PhaseSpaceGrid) -> float:
-    """min Re f over the position x momentum lattice, evaluated one block of
-    ``_PHASE_ROWS`` position nodes at a time, so the P^2 table is never
-    held; min is exact, so this is the whole-table minimum to the bit."""
-    x = grid.x_flat().reshape((grid.npoints,) + (1,) * grid.n + (grid.n,))
-    xi = grid.xi_mesh()
-    return float(np.min([np.min(np.real(f(x[a:a + _PHASE_ROWS], xi)))
-                         for a in range(0, grid.npoints, _PHASE_ROWS)]))
+    """min Re f over the position x momentum lattice, taken over
+    :func:`_position_blocks`; min is exact, so this is the whole-table
+    minimum to the bit."""
+    return float(np.min([np.min(np.real(vals)) for vals in _position_blocks(f, grid)]))
 
 
 def _reciprocal_symbol(f: Symbol, z: complex) -> Symbol:
@@ -198,7 +198,8 @@ def neumann_invert(f: Symbol, z: complex, gauge: Gauge, validate: bool = True) -
     With ``validate``, f must be real and elliptic and a real z admissible,
     z <= inf f - 1.  Raises :class:`DivergenceError` unless the series
     generator has operator norm below 1; the inverse is then the sum of the
-    series, computed as the LU inverse of M_f - z, exact to rounding.
+    series, computed as the inverse of M_f - z (see :func:`_solved`),
+    exact to rounding.
     ``terms`` is the series length that norm certifies.
     """
     z = complex(z)
@@ -214,18 +215,46 @@ def neumann_invert(f: Symbol, z: complex, gauge: Gauge, validate: bool = True) -
         raise DivergenceError(
             f"series generator has operator norm {nR:.4g} >= 1 at z = {z}; "
             "seed at larger |z| and extend via the resolvent identity")
-    return _solved(Mf, z, certified_terms(nR, grid.npoints), nR, gauge)
+    return _solved(Mf, z, certified_terms(nR, grid.npoints), nR, gauge, f.real)
 
 
 def _solved(Mf_minus_z: np.ndarray, z: complex, terms: int, norm_R: float | None,
-            gauge: Gauge) -> InversionResult:
-    """The inverse of M_f - z (getrf, then getri), its residual, then its
-    dequantization."""
-    X = sp_linalg.inv(Mf_minus_z)
+            gauge: Gauge, real: bool) -> InversionResult:
+    """The inverse of M_f - z, its residual, then its dequantization.  For a
+    real symbol and a real z, M_f - z is Hermitian, and a positive definite
+    one is inverted from its Cholesky factor (:func:`_cholesky_inverse`);
+    otherwise, or when the factorization fails, by LU (getrf, then getri)."""
+    X = _cholesky_inverse(Mf_minus_z) if real and z.imag == 0 else None
+    if X is None:
+        X = sp_linalg.inv(Mf_minus_z)
     residual = inversion_residual(Mf_minus_z, X, gauge)
     sym = dequantize(MagneticOperator(gauge.grid, X), gauge)
     return InversionResult(symbol=sym, z=z, terms=terms, residual=residual,
                            norm_R=norm_R, matrix=X)
+
+
+def _cholesky_inverse(M: np.ndarray) -> np.ndarray | None:
+    """The inverse of the Hermitian matrix with the upper triangle of M, or
+    None when that matrix is not positive definite.
+
+    The Fortran-ordered copy of M^T holds that triangle as its lower one:
+    zpotrf factors it in place and zpotri overwrites the factor with the
+    inverse's triangle, which the transpose returns as the upper triangle
+    of a C-ordered X.  The lower triangle of X is then filled from it by
+    blocks of ``_PHASE_ROWS`` columns."""
+    lapack = sp_linalg.lapack
+    c, info = lapack.zpotrf(M.T.copy(order="A"), lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        c, info = lapack.zpotri(c, lower=1, overwrite_c=1)
+    if info != 0:
+        return None
+    X = c.T
+    for a in range(0, len(X), _PHASE_ROWS):
+        b = a + _PHASE_ROWS
+        D = X[a:b, a:b]
+        D[...] = np.triu(D) + np.conjugate(np.triu(D, 1)).T
+        X[b:, a:b] = np.conjugate(X[a:b, b:]).T
+    return X
 
 
 def inversion_residual(Mf_minus_z: np.ndarray, inverse_mat: np.ndarray, gauge: Gauge) -> float:
@@ -346,7 +375,7 @@ class ResolventFamily:
             res = neumann_invert(self.f, z, self.gauge, validate=False)
         else:
             Mf = _shift_diagonal(quantize(self.f, self.gauge).matrix, -z)
-            res = _solved(Mf, z, 0, None, self.gauge)
+            res = _solved(Mf, z, 0, None, self.gauge, self.f.real)
         self.entries[key] = res
         return res
 

@@ -20,6 +20,14 @@ one midpoint slab at a time, which bounds the memory).  fcheck is exactly
 L-periodic in v, which is the minimal-image rule for non-decaying kernels;
 decaying kernels are never wrapped because |v| < L on the grid.
 
+A xi-independent term V(x) needs no transform: since dx dxi N = 2 pi, its
+fcheck(q, v) = V(q) dxi^n sum_k e^{i v.xi_k} vanishes at every lattice
+difference v != 0, and its diagonal entries are exactly V(q_ii) = V(x_i).
+C_ii = 0 in every gauge, so V quantizes to multiplication by V(x_i).  A
+symbol built from an expression carries its top-level xi-independent terms
+apart (``Symbol.split``), and its table is the table of the other terms
+with V(x_i) added to the diagonal.
+
 Sign convention: with this phase, Op^A(xi_j) = -i d_j - A_j, so for B = dA
 (B_12 = d_1 A_2 - d_2 A_1) the momenta satisfy
 xi1 # xi2 - xi2 # xi1 = i B_12.
@@ -200,7 +208,8 @@ _ROWS = 8
 # into chunks of at most this many, which bounds its work arrays
 _POINTS = 1 << 14
 # the side of the square tiles of the in-place phase application, and rows
-# per block of the Hermiticity defect and of inversion's sampled infimum
+# per block of the Hermiticity defect, of the Cholesky inverse's mirror and
+# of the blocked symbol samples (symbols._position_blocks)
 _PHASE_ROWS = 64
 
 
@@ -343,7 +352,17 @@ def _symbol_table(f, grid: PhaseSpaceGrid) -> np.ndarray:
     with, per axis, the difference d = i - j and the midpoint index p = i + j
     of q = half_nodes[p], and F_q the symbol sampled at q over the centered
     momentum lattice.  Every branch is one gather by (p, d).
+
+    A symbol with a ``split`` (V, rest) gets the table of ``rest`` (zero
+    when there is none) with V(x_i) added to its diagonal in place.
     """
+    split = getattr(f, "split", None)
+    if split is not None:
+        V, rest = split
+        P = grid.npoints
+        W = np.zeros((P, P), dtype=complex) if rest is None else _symbol_table(rest, grid)
+        W.reshape(-1)[::P + 1] += V(grid.x_flat())
+        return W
     N, n = grid.N, grid.n
     xi_mesh = grid.xi_mesh()
     i = np.arange(N)

@@ -17,12 +17,14 @@ xi-derivatives by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import expressions
 from .magnetics import MagneticField
+from .quantize import _PHASE_ROWS
 
 # A multi-index is a tuple of n nonnegative integers.
 
@@ -48,6 +50,14 @@ class Symbol:
     ``fn(x, xi)`` takes arrays of shape (..., n) and returns complex values
     of shape (...).  ``derivatives`` optionally maps (a, alpha) multi-index
     pairs to analytic derivative callables of the same signature.
+
+    ``split`` is, for a symbol built from an expression whose top-level sum
+    (its chain of ``+``, ``-`` and unary minus) has xi-independent terms,
+    the pair (V, rest): ``V(x)`` sums those terms, constants included, and
+    ``rest`` is the Symbol of the other terms, with its own
+    ``x_independent``, or None when there are none.  f = V + rest, and V
+    quantizes to multiplication by V (see :mod:`magweyl.quantize`).  None
+    for every other symbol.
     """
 
     n: int
@@ -59,6 +69,7 @@ class Symbol:
     derivatives: dict = field(default_factory=dict, repr=False)
     x_independent: bool = False
     ast: object = field(default=None, repr=False)
+    split: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.delta <= self.rho <= 1.0):
@@ -70,16 +81,16 @@ class Symbol:
     def from_expression(text: str, n: int, m: float = 0.0, rho: float = 0.0,
                         delta: float = 0.0, real: bool = False) -> "Symbol":
         ast = expressions.parse_expression(text, n_dim=n)
-        xvars = {f"x{j + 1}" for j in range(n)}
-        x_indep = not (ast.variables() & xvars)
+        meta = dict(n=n, m=m, rho=rho, delta=delta, real=real)
+        V, rest = _potential_split(ast, n)
+        if V is None:
+            return _ast_symbol(ast, **meta)
 
-        def fn(x, xi, ast=ast):
-            return expressions.evaluate(ast, x=x, xi=xi) + np.zeros(
-                np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1]), dtype=complex
-            )
+        def potential(x, V=V):
+            return expressions.evaluate(V, x=x) + np.zeros(np.shape(x)[:-1], dtype=complex)
 
-        return Symbol(n=n, fn=fn, m=m, rho=rho, delta=delta, real=real,
-                      x_independent=x_indep, ast=ast)
+        return _ast_symbol(ast, **meta,
+                           split=(potential, None if rest is None else _ast_symbol(rest, **meta)))
 
     @staticmethod
     def from_callable(fn, n: int, m: float = 0.0, rho: float = 0.0, delta: float = 0.0,
@@ -98,7 +109,7 @@ class Symbol:
                        for key, g in self.derivatives.items()}
         base = self.fn
         return replace(self, fn=lambda x, xi: np.conj(base(x, xi)),
-                       derivatives=conj_derivs, ast=None)
+                       derivatives=conj_derivs, ast=None, split=None)
 
     # -- derivatives --------------------------------------------------------
 
@@ -137,6 +148,41 @@ class Symbol:
             f"derivative of order x^{a} xi^{alpha} unavailable: no analytic "
             f"closure declared and finite differences are limited to total order 2"
         )
+
+
+def _ast_symbol(ast, n: int, split=None, **meta) -> Symbol:
+    """The Symbol of a parsed expression."""
+    xvars = {f"x{j + 1}" for j in range(n)}
+
+    def fn(x, xi, ast=ast):
+        return expressions.evaluate(ast, x=x, xi=xi) + np.zeros(
+            np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1]), dtype=complex
+        )
+
+    return Symbol(n=n, fn=fn, x_independent=not (ast.variables() & xvars), ast=ast,
+                  split=split, **meta)
+
+
+def _potential_split(ast, n: int):
+    """(V, rest): the sum of the xi-independent terms of the top-level sum of
+    ``ast`` and the sum of its other terms, each in their order and None
+    when empty; a subtracted term is added negated, which is exact."""
+    xivars = {f"xi{j + 1}" for j in range(n)}
+    parts = ([], [])  # xi-independent terms, the others
+
+    def walk(node, negated):
+        if isinstance(node, expressions.BinOp) and node.op in "+-":
+            walk(node.left, negated)
+            walk(node.right, negated != (node.op == "-"))
+        elif isinstance(node, expressions.Neg):
+            walk(node.arg, not negated)
+        else:
+            parts[bool(node.variables() & xivars)].append(
+                expressions.Neg(node) if negated else node)
+
+    walk(ast, False)
+    return tuple(functools.reduce(lambda a, b: expressions.BinOp("+", a, b), terms)
+                 if terms else None for terms in parts)
 
 
 def _fd_derivative(fn, a, alpha, step: float = 1e-5):
@@ -220,16 +266,29 @@ def _phase_mesh(grid):
     return xm, xim
 
 
+def _position_blocks(f: Symbol, grid):
+    """f over blocks of ``_PHASE_ROWS`` position nodes by the whole momentum
+    lattice, each of shape (block,) + (N,)*n, so the P^2 table is never
+    held."""
+    x = grid.x_flat().reshape((grid.npoints,) + (1,) * grid.n + (grid.n,))
+    xi = grid.xi_mesh()
+    for a in range(0, grid.npoints, _PHASE_ROWS):
+        block = x[a:a + _PHASE_ROWS]
+        yield np.broadcast_to(f(block, xi), block.shape[:1] + xi.shape[:-1])
+
+
 def is_elliptic(f: Symbol, R: float, C: float, region) -> bool:
-    """True iff the sampled infimum of |f| / <xi>^m over |xi| > R exceeds C."""
-    x, xi = _phase_mesh(region)
-    vals = np.abs(f(x, xi))
-    jb = japanese_bracket(xi)
-    mask = np.broadcast_to(np.linalg.norm(xi, axis=-1) > R, vals.shape)
+    """True iff the sampled infimum of |f| / <xi>^m over |xi| > R exceeds C.
+
+    The minimum is taken over :func:`_position_blocks`; min is exact, so it
+    is the whole-table minimum to the bit."""
+    xi = region.xi_mesh()
+    mask = np.linalg.norm(xi, axis=-1) > R
     if not np.any(mask):
         return True
-    ratio = (vals / jb**f.m)[mask]
-    return bool(np.min(ratio) >= C)
+    scale = japanese_bracket(xi)[mask] ** f.m
+    return bool(np.min([np.min(np.abs(vals[:, mask]) / scale)
+                        for vals in _position_blocks(f, region)]) >= C)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +372,14 @@ def project_quasiorbit(f: Symbol, Q: QuasiOrbit) -> Symbol:
         derivs = {key: (lambda g: (lambda x, xi: g(np.asarray(x) + shift, xi)))(g)
                   for key, g in f.derivatives.items()}
         return replace(f, fn=lambda x, xi: base(np.asarray(x) + shift, xi),
-                       derivatives=derivs, ast=None)
+                       derivatives=derivs, ast=None, split=None)
     if Q.kind == "direction":
         if f.x_independent:
             return f
         x0 = Q.project_point(f.n)
         derivs = _FrozenDerivatives(f, x0)
         return replace(f, fn=derivs.freeze(f.fn), derivatives=derivs,
-                       x_independent=True, ast=None)
+                       x_independent=True, ast=None, split=None)
     raise ValueError(f"quasi-orbit {Q.label!r} has no projection rule ({Q.kind!r})")
 
 

@@ -20,6 +20,7 @@ from magweyl.inversion import (
     affiliated_calculus,
     _reciprocal_symbol,
     _sampled_inf,
+    _shift_diagonal,
     build_regularizer,
     certified_terms,
     inversion_residual,
@@ -372,3 +373,50 @@ def test_the_sampled_infimum_by_row_blocks_is_the_whole_table_minimum(n, N, expr
     # the whole complex table with its real part and temporaries took 24 P^2
     if n == 2:
         assert peak <= 4 * P ** 2
+
+
+def _counting_lu(monkeypatch):
+    calls = []
+    lu = sp_linalg.inv
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return lu(a, *args, **kwargs)
+
+    monkeypatch.setattr(sp_linalg, "inv", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a, c, z, field", [
+    (0.5, 0.3, -40.0, "zero"), (-1.0, 1.0, -80.0, "zero"), (1.0, -1.0, -55.0, "zero"),
+    (-0.7, -0.9, -60.0, "const"),
+])
+def test_the_cholesky_inverse_is_the_lu_inverse(a, c, z, field, monkeypatch):
+    g = make_grid(2, 12.0, 16)
+    gauge = Gauge(VectorPotential.zero(2), g) if field == "zero" else _const_gauge(0.6, g)
+    f = Symbol.from_expression(f"xi1^2 + xi2^2 + {a}*arctan(x1) + {c}*exp(-x2^2)", 2,
+                               m=2, rho=1, real=True)
+    calls = _counting_lu(monkeypatch)
+    res = neumann_invert(f, z, gauge)
+    assert calls == []
+    Mf = _shift_diagonal(quantize(f, gauge).matrix, -z)
+    lu = sp_linalg.inv(Mf)
+    assert np.abs(res.matrix - lu).max() <= 1e-12 * np.abs(lu).max()
+    assert res.matrix.flags.c_contiguous
+    assert np.array_equal(res.matrix, res.matrix.conj().T)
+    assert res.residual <= 1e-13
+    assert inversion_residual(Mf, lu, gauge) <= 1e-13
+
+
+def test_the_lu_inverse_serves_nonreal_and_indefinite_shifts(monkeypatch):
+    g = make_grid(2, 12.0, 16)
+    fam = ResolventFamily(BUMPS_2D, Gauge(VectorPotential.zero(2), g))
+    calls = _counting_lu(monkeypatch)
+    fam.add(-40.0)
+    assert calls == []
+    z = _sampled_inf(BUMPS_2D, g) + 5.0
+    assert np.linalg.eigvalsh(quantize(BUMPS_2D, fam.gauge).matrix).min() < z
+    for z, count in ((-3.0 + 1.0j, 1), (z, 2)):
+        res = fam.add(z)
+        assert len(calls) == count
+        assert res.residual <= 1e-10

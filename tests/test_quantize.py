@@ -483,7 +483,8 @@ def _symbol_table_ref(f, grid):
 
 @pytest.mark.parametrize("f", [
     Symbol.from_expression("xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2", 2, m=2),
-    Symbol.from_expression("arctan(x1)", 2),
+    # without its AST, so the x-only expression takes the slab branch
+    Symbol.from_callable(Symbol.from_expression("arctan(x1)", 2).fn, 2),
     Symbol.from_callable(lambda x, xi: np.arctan(x[..., 0]), 2),
     Symbol.from_callable(lambda x, xi: 2.5, 2),
     Symbol.from_expression("xi1^2 + 0.5*xi2^2 + sin(xi1*xi2)", 2, m=2),
@@ -500,7 +501,55 @@ def test_1d_symbol_table_is_bit_identical_to_the_branch_reference(text, N):
     g = make_grid(1, 10.0, N)
     f = Symbol.from_expression(text, 1, m=2)
     assert f.x_independent == ("x1" not in text)
-    assert np.array_equal(_symbol_table(f, g), _symbol_table_ref(f, g))
+    # without its AST, so the potential term stays in the branch's table
+    bare = Symbol.from_callable(f.fn, 1, m=2, x_independent=f.x_independent)
+    assert np.array_equal(_symbol_table(bare, g), _symbol_table_ref(bare, g))
+
+
+@pytest.mark.parametrize("case", ["zero1d", "sin1d", "zero2d", "linear", "transversal"])
+def test_an_x_only_expression_quantizes_to_its_multiplication_operator(case):
+    # dx dxi N = 2 pi and C_ii = 0 in every gauge, so the matrix is diag(V(x_i))
+    if case.startswith("zero"):
+        n = int(case[-2])
+        g, A = make_grid(n, 10.0, 12), VectorPotential.zero(n)
+    else:
+        g, A = _circulation_case(case)
+    text = "arctan(x1) - 0.5*exp(-x1^2) + 2" if g.n == 1 else "arctan(x1) - 0.5*exp(-x2^2) + 2"
+    f = Symbol.from_expression(text, g.n, real=True)
+    assert f.split is not None and f.split[1] is None
+    X = g.x_flat()
+    V = f(X, np.zeros_like(X))
+    assert np.array_equal(quantize(f, Gauge(A, g)).matrix, np.diag(V))
+
+
+@pytest.mark.parametrize("n, text", [
+    (1, "xi1^2 + arctan(x1)"),
+    (2, "xi1^2 + xi2^2 + 0.5*arctan(x1) - 0.3*exp(-x2^2) + 2"),
+    (1, "xi1*x1 + xi1^2 - (x1^2 + 1)"),
+    (2, "xi1*x1 + xi1^2 - (x1^2 + 1)"),
+    (2, "arctan(x1)*exp(-x2^2)"),
+    (2, "2.5"),
+], ids=["1d-arctan", "2d-bumps-const", "1d-mixed-negated", "2d-mixed-negated",
+        "2d-potential", "2d-constant"])
+def test_the_split_table_is_the_table_of_the_whole_symbol(n, text):
+    g = make_grid(n, 10.0, 32 if n == 1 else 12)
+    f = Symbol.from_expression(text, n, m=2)
+    assert f.split is not None
+    bare = Symbol.from_callable(f.fn, n, m=2, x_independent=f.x_independent)
+    W, ref = _symbol_table(f, g), _symbol_table(bare, g)
+    assert np.abs(W - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_a_split_keeps_the_order_and_signs_of_the_terms():
+    f = Symbol.from_expression("xi1*x1 + xi1^2 - (x1^2 + 1) + -sin(x1)", 1)
+    V, rest = f.split
+    assert str(rest.ast) == "xi1*x1 + xi1^2" and not rest.x_independent
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    assert np.allclose(V(x), -(x[:, 0] ** 2 + 1) - np.sin(x[:, 0]), rtol=1e-15, atol=0)
+    # no xi-independent term, or no AST: no split
+    assert Symbol.from_expression("xi1^2 + xi2^2", 2).split is None
+    assert Symbol.from_expression("(xi1 + x1)^2", 1).split is None
+    assert f.conjugate().split is None
 
 
 # -- reference wrong quantization: its own slab loop ------------------------

@@ -1,11 +1,14 @@
 """Symbol classes: seminorms, ellipticity, derivatives, quasi-orbit projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField
 from magweyl.symbols import (
+    _phase_mesh,
     CoefficientAlgebra,
     QuasiOrbit,
     Symbol,
@@ -79,6 +82,57 @@ def test_is_elliptic():
     assert is_elliptic(f, R=3.0, C=1e-3, region=GRID)
     g = Symbol.from_expression("cos(xi1)", 1, m=0)  # vanishes on a lattice ray
     assert not is_elliptic(g, R=3.0, C=1e-3, region=GRID)
+
+
+def _is_elliptic_whole(f, R, C, grid):
+    """is_elliptic over the whole P^2 phase-space table."""
+    x, xi = _phase_mesh(grid)
+    vals = np.abs(f(x, xi))
+    mask = np.broadcast_to(np.linalg.norm(xi, axis=-1) > R, vals.shape)
+    if not np.any(mask):
+        return True
+    return bool(np.min((vals / japanese_bracket(xi) ** f.m)[mask]) >= C)
+
+
+def _min_ratio(f, R, grid):
+    x, xi = _phase_mesh(grid)
+    vals = np.abs(f(x, xi)) / japanese_bracket(xi) ** f.m
+    return np.min(vals[np.broadcast_to(np.linalg.norm(xi, axis=-1) > R, vals.shape)])
+
+
+@pytest.mark.parametrize("text, m, R", [("xi1^2 + arctan(x1)", 2, 3.0), ("cos(xi1)", 0, 3.0),
+                                        ("xi1^2 + arctan(x1)", 2, 1e9)])
+def test_the_blocked_ellipticity_test_is_the_whole_table_test(text, m, R):
+    f = Symbol.from_expression(text, 1, m=m, real=True)
+    for C in (1e-3, 0.5, 2.0):
+        assert is_elliptic(f, R, C, GRID) == _is_elliptic_whole(f, R, C, GRID)
+
+
+def test_the_blocked_ellipticity_test_is_exact_at_its_threshold():
+    # a 2D symbol whose sampled ratio is the threshold itself, then one ulp below it
+    g = make_grid(2, 12.0, 20)
+    f = Symbol.from_expression("xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)", 2, m=2)
+    R = 0.3 * np.max(g.xi_nodes)
+    ratio = _min_ratio(f, R, g)
+    for C in (ratio, np.nextafter(ratio, np.inf), ratio * (1.0 - 1e-12)):
+        assert abs(C - ratio) <= 1e-12 * ratio
+        assert is_elliptic(f, R, C, g) == _is_elliptic_whole(f, R, C, g) == (C <= ratio)
+
+
+def test_the_ellipticity_test_holds_no_phase_space_table():
+    # 2D N = 32: the whole table with its moduli and mask took 24 P^2 bytes
+    g = make_grid(2, 12.0, 32)
+    P = g.npoints
+    f = Symbol.from_expression("xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)", 2, m=2)
+    R = 0.3 * np.max(g.xi_nodes)
+    is_elliptic(f, R, 1e-3, g)
+    tracemalloc.start()
+    try:
+        assert is_elliptic(f, R, 1e-3, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * P ** 2
 
 
 def test_direction_orbit_projects_to_limit():
