@@ -24,9 +24,9 @@ A xi-independent term V(x) needs no transform: since dx dxi N = 2 pi, its
 fcheck(q, v) = V(q) dxi^n sum_k e^{i v.xi_k} vanishes at every lattice
 difference v != 0, and its diagonal entries are exactly V(q_ii) = V(x_i).
 C_ii = 0 in every gauge, so V quantizes to multiplication by V(x_i).  A
-symbol built from an expression carries its top-level xi-independent terms
-apart (``Symbol.split``), and its table is the table of the other terms
-with V(x_i) added to the diagonal.
+symbol with an expression AST has its top-level xi-independent terms split
+off (``Symbol.split``), and its table is the table of the other terms with
+V(x_i) added to the diagonal.
 
 Sign convention: with this phase, Op^A(xi_j) = -i d_j - A_j, so for B = dA
 (B_12 = d_1 A_2 - d_2 A_1) the momenta satisfy
@@ -208,8 +208,7 @@ _ROWS = 8
 # into chunks of at most this many, which bounds its work arrays
 _POINTS = 1 << 14
 # the side of the square tiles of the in-place phase application, and rows
-# per block of the Hermiticity defect, of the Cholesky inverse's mirror and
-# of the blocked symbol samples (symbols._position_blocks)
+# per block of the Hermiticity defect and of the Cholesky inverse's mirror
 _PHASE_ROWS = 64
 
 

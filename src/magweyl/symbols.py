@@ -24,7 +24,6 @@ import numpy as np
 
 from . import expressions
 from .magnetics import MagneticField
-from .quantize import _PHASE_ROWS
 
 # A multi-index is a tuple of n nonnegative integers.
 
@@ -51,13 +50,7 @@ class Symbol:
     of shape (...).  ``derivatives`` optionally maps (a, alpha) multi-index
     pairs to analytic derivative callables of the same signature.
 
-    ``split`` is, for a symbol built from an expression whose top-level sum
-    (its chain of ``+``, ``-`` and unary minus) has xi-independent terms,
-    the pair (V, rest): ``V(x)`` sums those terms, constants included, and
-    ``rest`` is the Symbol of the other terms, with its own
-    ``x_independent``, or None when there are none.  f = V + rest, and V
-    quantizes to multiplication by V (see :mod:`magweyl.quantize`).  None
-    for every other symbol.
+    :attr:`split` is worked out from ``ast``; a symbol without one has none.
     """
 
     n: int
@@ -69,7 +62,6 @@ class Symbol:
     derivatives: dict = field(default_factory=dict, repr=False)
     x_independent: bool = False
     ast: object = field(default=None, repr=False)
-    split: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0.0 <= self.delta <= self.rho <= 1.0):
@@ -81,16 +73,7 @@ class Symbol:
     def from_expression(text: str, n: int, m: float = 0.0, rho: float = 0.0,
                         delta: float = 0.0, real: bool = False) -> "Symbol":
         ast = expressions.parse_expression(text, n_dim=n)
-        meta = dict(n=n, m=m, rho=rho, delta=delta, real=real)
-        V, rest = _potential_split(ast, n)
-        if V is None:
-            return _ast_symbol(ast, **meta)
-
-        def potential(x, V=V):
-            return expressions.evaluate(V, x=x) + np.zeros(np.shape(x)[:-1], dtype=complex)
-
-        return _ast_symbol(ast, **meta,
-                           split=(potential, None if rest is None else _ast_symbol(rest, **meta)))
+        return _ast_symbol(ast, n=n, m=m, rho=rho, delta=delta, real=real)
 
     @staticmethod
     def from_callable(fn, n: int, m: float = 0.0, rho: float = 0.0, delta: float = 0.0,
@@ -104,12 +87,35 @@ class Symbol:
     def __call__(self, x, xi):
         return self.fn(x, xi)
 
+    @functools.cached_property
+    def split(self):
+        """(V, rest) when the top-level sum of ``ast`` (its chain of ``+``,
+        ``-`` and unary minus) has xi-independent terms, else None.
+
+        ``V(x)`` sums those terms, constants included, and ``rest`` is the
+        Symbol of the other terms, with its own ``x_independent``, or None
+        when there are none.  f = V + rest, and V quantizes to
+        multiplication by V (see :mod:`magweyl.quantize`).  Worked out once
+        per symbol, from ``ast`` alone, so a symbol without an AST has none.
+        """
+        if self.ast is None:
+            return None
+        V, rest = _potential_split(self.ast, self.n)
+        if V is None:
+            return None
+
+        def potential(x, V=V):
+            return expressions.evaluate(V, x=x) + np.zeros(np.shape(x)[:-1], dtype=complex)
+
+        meta = dict(n=self.n, m=self.m, rho=self.rho, delta=self.delta, real=self.real)
+        return potential, None if rest is None else _ast_symbol(rest, **meta)
+
     def conjugate(self) -> "Symbol":
         conj_derivs = {key: (lambda g: (lambda x, xi: np.conj(g(x, xi))))(g)
                        for key, g in self.derivatives.items()}
         base = self.fn
         return replace(self, fn=lambda x, xi: np.conj(base(x, xi)),
-                       derivatives=conj_derivs, ast=None, split=None)
+                       derivatives=conj_derivs, ast=None)
 
     # -- derivatives --------------------------------------------------------
 
@@ -150,7 +156,7 @@ class Symbol:
         )
 
 
-def _ast_symbol(ast, n: int, split=None, **meta) -> Symbol:
+def _ast_symbol(ast, n: int, **meta) -> Symbol:
     """The Symbol of a parsed expression."""
     xvars = {f"x{j + 1}" for j in range(n)}
 
@@ -159,8 +165,7 @@ def _ast_symbol(ast, n: int, split=None, **meta) -> Symbol:
             np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1]), dtype=complex
         )
 
-    return Symbol(n=n, fn=fn, x_independent=not (ast.variables() & xvars), ast=ast,
-                  split=split, **meta)
+    return Symbol(n=n, fn=fn, x_independent=not (ast.variables() & xvars), ast=ast, **meta)
 
 
 def _potential_split(ast, n: int):
@@ -266,14 +271,18 @@ def _phase_mesh(grid):
     return xm, xim
 
 
+# position nodes per block of :func:`_position_blocks`
+_POSITION_ROWS = 64
+
+
 def _position_blocks(f: Symbol, grid):
-    """f over blocks of ``_PHASE_ROWS`` position nodes by the whole momentum
-    lattice, each of shape (block,) + (N,)*n, so the P^2 table is never
-    held."""
+    """f over blocks of ``_POSITION_ROWS`` position nodes by the whole
+    momentum lattice, each of shape (block,) + (N,)*n, so the P^2 table is
+    never held."""
     x = grid.x_flat().reshape((grid.npoints,) + (1,) * grid.n + (grid.n,))
     xi = grid.xi_mesh()
-    for a in range(0, grid.npoints, _PHASE_ROWS):
-        block = x[a:a + _PHASE_ROWS]
+    for a in range(0, grid.npoints, _POSITION_ROWS):
+        block = x[a:a + _POSITION_ROWS]
         yield np.broadcast_to(f(block, xi), block.shape[:1] + xi.shape[:-1])
 
 
@@ -372,14 +381,14 @@ def project_quasiorbit(f: Symbol, Q: QuasiOrbit) -> Symbol:
         derivs = {key: (lambda g: (lambda x, xi: g(np.asarray(x) + shift, xi)))(g)
                   for key, g in f.derivatives.items()}
         return replace(f, fn=lambda x, xi: base(np.asarray(x) + shift, xi),
-                       derivatives=derivs, ast=None, split=None)
+                       derivatives=derivs, ast=None)
     if Q.kind == "direction":
         if f.x_independent:
             return f
         x0 = Q.project_point(f.n)
         derivs = _FrozenDerivatives(f, x0)
         return replace(f, fn=derivs.freeze(f.fn), derivatives=derivs,
-                       x_independent=True, ast=None, split=None)
+                       x_independent=True, ast=None)
     raise ValueError(f"quasi-orbit {Q.label!r} has no projection rule ({Q.kind!r})")
 
 

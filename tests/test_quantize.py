@@ -3,6 +3,7 @@
 import importlib
 import tracemalloc
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -550,6 +551,12 @@ def test_a_split_keeps_the_order_and_signs_of_the_terms():
     assert Symbol.from_expression("xi1^2 + xi2^2", 2).split is None
     assert Symbol.from_expression("(xi1 + x1)^2", 1).split is None
     assert f.conjugate().split is None
+    # the split is worked out from the AST, never set: a symbol made with
+    # another fn or AST gets the split of that AST
+    with pytest.raises(TypeError):
+        Symbol(n=1, fn=f.fn, ast=f.ast, split=(V, rest))
+    assert replace(f, ast=None).split is None
+    assert replace(f, ast=rest.ast).split is None
 
 
 # -- reference wrong quantization: its own slab loop ------------------------
