@@ -18,13 +18,10 @@ real symbol and a real z, M is Hermitian, and when it is positive definite
 then potri); any other M is inverted by LU (getrf, then getri).
 ||R|| < 1 is kept as the admissibility certificate of a real z and
 reported with the series length it certifies.
-The reported ||R|| (the invert command's series_norm_bound) is a certified
-upper bound t on the largest singular value, at most about 5e-10 relative
-above it.  The Hermitian Gram matrix G of R is formed by one rank-P update
-(zherk); a short Lanczos run on G estimates lambda_max(G) = ||R||^2 by
-theta, and one Cholesky of t^2 I - G with t^2 = theta (1 + 2^-30) succeeds
-only if t^2 is above every eigenvalue of G.  Should it fail, t^2 is the top
-eigenvalue of G from a top-1 eigh, widened by the same margin.  Nonreal z,
+The reported ||R|| (the invert command's series_norm_bound) is
+:meth:`magweyl.quantize.MagneticOperator.operator_norm` of R, the one
+operator norm of the program: a certified upper bound on the largest
+singular value, at most about 5e-10 relative above it.  Nonreal z,
 reached in the paper from a real seed through the resolvent identity, are
 inverted directly in the same way, without a certificate.
 """
@@ -106,73 +103,7 @@ def _series_generator(f: Symbol, z: complex, gauge: Gauge):
     Mf = _shift_diagonal(quantize(f, gauge).matrix, -z)
     R = Mf @ quantize(_reciprocal_symbol(f, z), gauge).matrix
     _shift_diagonal(np.negative(R, out=R), 1.0)
-    return Mf, _norm_bound(R)
-
-
-# Lanczos steps at most, and the residual |beta_k s_k| of the top Ritz pair,
-# relative to its Ritz value, at which the estimate stops
-_LANCZOS_STEPS = 64
-_LANCZOS_TOL = 1e-9
-# relative margin of t^2 over the estimate of lambda_max(G): far above the
-# Cholesky backward error (about P u) and the residual of a converged estimate
-_CERTIFICATE_MARGIN = 2.0 ** -30
-
-
-def _norm_bound(R: np.ndarray) -> float:
-    """t >= ||R||_2, at most about 5e-10 relative above it.
-
-    zherk on the Fortran-ordered view R^T forms G = R^T conj(R) =
-    conj(R^H R), which has the eigenvalues of R^H R, without copying R.
-    t^2 is the Lanczos estimate of lambda_max(G) widened by
-    ``_CERTIFICATE_MARGIN``, certified by a Cholesky of t^2 I - G in place
-    of G.  If that factorization fails, G is formed again from R and t^2 is
-    its top eigenvalue from eigh, widened by the same margin."""
-    P = len(R)
-    G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
-    t2 = _lanczos_top(G) * (1.0 + _CERTIFICATE_MARGIN)
-    np.negative(G, out=G)
-    # G is Fortran-ordered, so G.reshape(-1) would copy it
-    G[np.diag_indices(P)] += t2
-    if sp_linalg.lapack.zpotrf(G, lower=1, clean=0, overwrite_a=1)[1] != 0:
-        del G
-        G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
-        top = sp_linalg.eigh(G, eigvals_only=True, subset_by_index=[P - 1, P - 1],
-                             overwrite_a=True)[0]
-        t2 = max(top, 0.0) * (1.0 + _CERTIFICATE_MARGIN)
-    return math.sqrt(t2)
-
-
-def _lanczos_top(G: np.ndarray) -> float:
-    """Estimate of lambda_max of the Hermitian G, read from its lower
-    triangle (zhemv): the top Ritz value of a Lanczos run with full
-    reorthogonalization from a fixed-seed start vector.  It stops once
-    |beta_k s_k| <= _LANCZOS_TOL theta, after _LANCZOS_STEPS steps, or when
-    the Krylov space is invariant.  A Ritz value lies at or below
-    lambda_max, so this is not a bound."""
-    P = len(G)
-    Q = np.empty((min(_LANCZOS_STEPS, P), P), dtype=complex)
-    q = np.random.default_rng(0).standard_normal(P).astype(complex)
-    q /= np.linalg.norm(q)
-    alpha, beta = [], []
-    for k in range(len(Q)):
-        Q[k] = q
-        w = sp_linalg.blas.zhemv(1.0, G, q, lower=1)
-        if k:
-            w -= beta[-1] * Q[k - 1]
-        alpha.append(np.vdot(q, w).real)
-        w -= alpha[-1] * q
-        # one vdot per basis vector: small matmuls run threaded and cost
-        # about ten times as much here
-        for j in range(k + 1):
-            w -= np.vdot(Q[j], w) * Q[j]
-        b = np.linalg.norm(w)
-        ritz, s = sp_linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
-        theta = ritz[0]
-        if b == 0.0 or b * abs(s[-1, 0]) <= _LANCZOS_TOL * theta:
-            break
-        beta.append(b)
-        q = w / b
-    return max(theta, 0.0)
+    return Mf, MagneticOperator(gauge.grid, R).operator_norm()
 
 
 def norm_Rz(f: Symbol, z: complex, gauge: Gauge) -> float:
@@ -289,10 +220,10 @@ class Regularizer:
     inversion: InversionResult | None = None
 
 
-def build_regularizer(m: float, gauge: Gauge, lam_start: float = 1.0,
-                      max_doublings: int = 30) -> Regularizer:
-    """Choose lambda by doubling until the series generator norm of
-    p_{m,lambda} at z = 0 drops below 1/2, then invert.
+def build_regularizer(m: float, gauge: Gauge) -> Regularizer:
+    """Choose lambda by doubling from 1, at most 30 times, until the series
+    generator norm of p_{m,lambda} at z = 0 drops below 1/2, then invert
+    the M_f - z of that last series generator.
 
     For m = 0 the regularizer is the constant 1; for m < 0 it is the twisted
     inverse of p_{|m|, lambda}, and ``r_minus`` is p_{|m|, lambda}.
@@ -301,16 +232,18 @@ def build_regularizer(m: float, gauge: Gauge, lam_start: float = 1.0,
         one = _bracket_power_symbol(gauge.grid.n, 0.0)
         return Regularizer(m=0.0, lam=0.0, r_plus=one, r_minus=one)
     mm = abs(m)
-    lam = lam_start
-    for _ in range(max_doublings):
+    lam = 1.0
+    for _ in range(30):
         p = _bracket_power_symbol(gauge.grid.n, mm, lam)
-        if norm_Rz(p, 0.0, gauge) < 0.5:
+        Mf, nR = _series_generator(p, 0j, gauge)
+        if nR < 0.5:
             break
+        del Mf  # so that the next build does not hold it
         lam *= 2.0
     else:
         raise DivergenceError(
             f"no lambda <= {lam} brought the series generator norm below 1/2")
-    inv = neumann_invert(p, 0.0, gauge, validate=False)
+    inv = _solved(Mf, 0j, certified_terms(nR, gauge.grid.npoints), nR, gauge, p.real)
     r_plus, r_minus = (inv.symbol, p) if m < 0 else (p, inv.symbol)
     return Regularizer(m=m, lam=lam, r_plus=r_plus, r_minus=r_minus, inversion=inv)
 
@@ -320,18 +253,16 @@ def build_regularizer(m: float, gauge: Gauge, lam_start: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def order_check_inverse(result: SampledSymbol, grid: PhaseSpaceGrid,
-                        xi_window=(0.35, 0.85)) -> float:
+def order_check_inverse(result: SampledSymbol, grid: PhaseSpaceGrid) -> float:
     """Fit log|result(0, xi)| against log<xi> along the positive xi_1 ray;
     the slope estimates the symbol order of the inverse (about -m).
 
-    The window is given as fractions of the largest momentum node; it starts
+    The window is 0.35 to 0.85 times the largest momentum node; it starts
     well away from zero because the |z|-shift flattens the decay at small xi.
     """
     top = np.max(grid.xi_nodes)
-    xi, ray = _xi1_ray(result, xi_window[0] * top, xi_window[1] * top,
-                       f"order fit window xi in [{xi_window[0]}, {xi_window[1]}] * {top:.4g}",
-                       "raise N")
+    xi, ray = _xi1_ray(result, 0.35 * top, 0.85 * top,
+                       f"order fit window xi in [0.35, 0.85] * {top:.4g}", "raise N")
     vals = np.maximum(np.abs(ray), 1e-300)
     logs = np.log(np.sqrt(1.0 + xi ** 2))
     slope, _ = np.polyfit(logs, np.log(vals), 1)
@@ -402,13 +333,13 @@ class ResolventFamily:
 # ---------------------------------------------------------------------------
 
 
-def affiliated_calculus(f: Symbol, gauge: Gauge, eta,
-                        hermiticity_tol: float = 1e-8) -> MagneticOperator:
+def affiliated_calculus(f: Symbol, gauge: Gauge, eta) -> MagneticOperator:
     """eta(quantize(f)) by dense Hermitian spectral calculus.
 
     ``eta`` is a callable applied to the eigenvalues (a continuous function
-    vanishing at infinity in the intended use)."""
-    res = spectrum(quantize(f, gauge), hermiticity_tol, keep_vectors=True)
+    vanishing at infinity in the intended use); quantize(f) must be
+    Hermitian within :data:`magweyl.spectral.HERMITICITY_TOL`."""
+    res = spectrum(quantize(f, gauge), keep_vectors=True)
     V = res.eigenvectors
     vals = np.asarray(eta(res.eigenvalues), dtype=complex)
     out = (V * vals) @ V.conj().T

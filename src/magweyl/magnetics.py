@@ -379,28 +379,12 @@ def transversal_gauge(B: MagneticField, quad: FluxQuadrature = DEFAULT_QUAD) -> 
     return VectorPotential(B.n, fn, degree=None if B.degree is None else B.degree + 1)
 
 
-def gauge_shift(A: VectorPotential, grad_psi=None, psi=None, step: float = 1e-5) -> VectorPotential:
-    """A' = A + grad(psi).
-
-    Either an analytic gradient ``grad_psi`` (callable x -> shape (..., n))
-    is supplied, or ``psi`` (callable x -> shape (...)) is differentiated by
-    central finite differences with step h = step * (1 + |x|).  Both take
-    points of shape (..., n): each evaluation of A' stacks its coordinates
-    and calls the gradient once.  The result has unknown degree.
+def gauge_shift(A: VectorPotential, grad_psi) -> VectorPotential:
+    """A' = A + grad(psi), for the analytic gradient ``grad_psi`` of psi, a
+    callable on points of shape (..., n) returning shape (..., n).  Each
+    evaluation of A' stacks its coordinates and calls the gradient once.
+    The result has unknown degree.
     """
-    if grad_psi is None:
-        if psi is None:
-            raise ValueError("either grad_psi or psi must be given")
-
-        def grad_psi(x, psi=psi):
-            x = np.asarray(x, dtype=float)
-            h = step * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
-            out = np.empty(x.shape)
-            for j in range(x.shape[-1]):
-                e = np.zeros(x.shape[-1])
-                e[j] = 1.0
-                out[..., j] = (psi(x + h * e) - psi(x - h * e)) / (2.0 * h[..., 0])
-            return out
 
     def fn(x):
         # coordinate-major, so each x_j the gradient reads is contiguous

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .magnetics import DEFAULT_QUAD, FluxQuadrature, MagneticField, flux_triangle, gamma_B
+from .magnetics import MagneticField, flux_triangle, gamma_B
 from .quantize import Gauge, SampledSymbol, _xi1_ray, quantize
 from .symbols import Symbol, japanese_bracket
 
@@ -54,15 +54,14 @@ def moyal_pullback(f, g, gauge: Gauge) -> SampledSymbol:
 # ---------------------------------------------------------------------------
 
 
-def moyal_direct(f, g, B, X, radius: float = 4.5, points: int = 16,
-                 quad: FluxQuadrature = DEFAULT_QUAD) -> complex:
+def moyal_direct(f, g, B, X, points: int = 16) -> complex:
     """(f #^B g)(X) by direct quadrature of the 4n-fold phase-space integral
 
         4^n (2 pi)^(-2n) Int dY dZ e^{-2i sigma(Y,Z)}
             e^{-i Gamma^B(<x-y-z, x+y-z, x-y+z>)} f(X - Y) g(X - Z)
 
     with sigma((y,eta),(z,zeta)) = z.eta - y.zeta, on a centered midpoint
-    lattice of ``points`` nodes per axis over [-radius, radius].  Both
+    lattice of ``points`` nodes per axis over [-4.5, 4.5].  Both
     factors must decay fast enough for absolute convergence (Schwartz-class
     catalog entries); ``points`` is capped at 16 per axis.
     """
@@ -73,7 +72,7 @@ def moyal_direct(f, g, B, X, radius: float = 4.5, points: int = 16,
         raise ValueError("dimension mismatch")
     X = np.asarray(X, dtype=float).reshape(2 * n)
     x, xi = X[:n], X[n:]
-    h = 2.0 * radius / points
+    h = 9.0 / points
     nodes = h * (np.arange(points) - (points - 1) / 2.0)
     axes = np.meshgrid(*([nodes] * (2 * n)), indexing="ij")
     Y = np.stack(axes, axis=-1).reshape(-1, 2 * n)  # (P, 2n): (y, eta)
@@ -83,7 +82,7 @@ def moyal_direct(f, g, B, X, radius: float = 4.5, points: int = 16,
     fvals = np.asarray(f.fn(x - y, xi - eta), dtype=complex)  # f(X - Y)
     total = 0.0 + 0.0j
     chunk = max(1, (1 << 22) // len(Y))
-    zero_field = B is None or B.is_zero()
+    zero_field = B.is_zero()
     for start in range(0, len(Y), chunk):
         sl = slice(start, min(start + chunk, len(Y)))
         z, zeta = y[sl], eta[sl]
@@ -95,7 +94,7 @@ def moyal_direct(f, g, B, X, radius: float = 4.5, points: int = 16,
             c0 = x - y[:, None, :] - z[None, :, :]
             c1 = x + y[:, None, :] - z[None, :, :]
             c2 = x - y[:, None, :] + z[None, :, :]
-            flux = flux_triangle(B, c0, c1, c2, quad)
+            flux = flux_triangle(B, c0, c1, c2)
             phase = phase * np.exp(-1j * flux)
         total += weight * np.sum(fvals[:, None] * phase * gvals[None, :])
     return complex(total)
@@ -183,7 +182,11 @@ def expansion_contributions(n: int, l: int) -> ExpansionTerm:
     return ExpansionTerm(l=l, contributions=tuple(contribs))
 
 
-def flux_phase_derivative(B: MagneticField, my, mz, x, step: float = 1e-3):
+# step of the Richardson-extrapolated central differences of the flux phase
+_FD_STEP = 1e-3
+
+
+def flux_phase_derivative(B: MagneticField, my, mz, x):
     """[d^my_y d^mz_z omega_B](x, 0, 0) for total order <= 3, in closed form.
 
     The flux phase omega = e^{-i Gamma_B} has Gamma_B(x, y, z) =
@@ -198,7 +201,7 @@ def flux_phase_derivative(B: MagneticField, my, mz, x, step: float = 1e-3):
       pure-z derivatives vanish.
 
     Spatial derivatives of B components are taken by Richardson-extrapolated
-    central differences with the given step.
+    central differences with step ``_FD_STEP``.
     """
     my = tuple(my)
     mz = tuple(mz)
@@ -209,7 +212,7 @@ def flux_phase_derivative(B: MagneticField, my, mz, x, step: float = 1e-3):
         raise ValueError(f"flux-phase derivative order {total} exceeds the cap of 3")
     if total == 0:
         return np.ones(base_shape, dtype=complex)
-    if total == 1 or (B is None or B.is_zero()):
+    if total == 1 or B.is_zero():
         return np.zeros(base_shape, dtype=complex)
     if sum(my) == 0 or sum(mz) == 0:
         return np.zeros(base_shape, dtype=complex)
@@ -222,14 +225,14 @@ def flux_phase_derivative(B: MagneticField, my, mz, x, step: float = 1e-3):
         ys = _expand_index(my)
         (k,) = _expand_index(mz)
         j, lidx = ys
-        val = _field_derivative(B, j + 1, k + 1, lidx, x, step) \
-            + _field_derivative(B, lidx + 1, k + 1, j, x, step)
+        val = _field_derivative(B, j + 1, k + 1, lidx, x) \
+            + _field_derivative(B, lidx + 1, k + 1, j, x)
     else:
         (j,) = _expand_index(my)
         zs = _expand_index(mz)
         k, lidx = zs
-        val = _field_derivative(B, j + 1, k + 1, lidx, x, step) \
-            + _field_derivative(B, j + 1, lidx + 1, k, x, step)
+        val = _field_derivative(B, j + 1, k + 1, lidx, x) \
+            + _field_derivative(B, j + 1, lidx + 1, k, x)
     return (2j / 3.0) * np.asarray(val, dtype=complex)
 
 
@@ -241,7 +244,7 @@ def _expand_index(m):
     return out
 
 
-def _field_derivative(B: MagneticField, j, k, axis, x, step):
+def _field_derivative(B: MagneticField, j, k, axis, x):
     """d_axis B_jk(x) by two-level Richardson central differences."""
     fn = B.component(j, k)
     e = np.zeros(x.shape[-1])
@@ -251,12 +254,12 @@ def _field_derivative(B: MagneticField, j, k, axis, x, step):
         return (np.asarray(fn(x + h * e), dtype=float)
                 - np.asarray(fn(x - h * e), dtype=float)) / (2.0 * h)
 
-    d1 = cd(step)
-    d2 = cd(step / 2.0)
+    d1 = cd(_FD_STEP)
+    d2 = cd(_FD_STEP / 2.0)
     return (4.0 * d2 - d1) / 3.0
 
 
-def flux_phase_derivative_fd(B: MagneticField, my, mz, x, step: float = 1e-3):
+def flux_phase_derivative_fd(B: MagneticField, my, mz, x):
     """Validation twin of :func:`flux_phase_derivative`: nested central
     differences of e^{-i gamma_B} in the (y, z) slots with two-level
     Richardson extrapolation.  Slower and less accurate; used to cross-check
@@ -285,8 +288,8 @@ def flux_phase_derivative_fd(B: MagneticField, my, mz, x, step: float = 1e-3):
 
         return (nested(shifted(+1.0), rest, h) - nested(shifted(-1.0), rest, h)) / (2.0 * h)
 
-    d1 = nested(omega, slots, step)
-    d2 = nested(omega, slots, step / 2.0)
+    d1 = nested(omega, slots, _FD_STEP)
+    d2 = nested(omega, slots, _FD_STEP / 2.0)
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -359,33 +362,32 @@ class RemainderFit:
     widened: bool = False  # True when the window was widened to reach 2 nodes
 
 
-def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge, depth: int,
-                    xi_window=(1.5, 0.25)) -> RemainderFit:
+def remainder_order(f: Symbol, g: Symbol, B: MagneticField, gauge: Gauge,
+                    depth: int) -> RemainderFit:
     """Fit the decay order of R_depth = f #^B g - sum_{l<depth} h_l.
 
     The product is evaluated by pullback; the remainder is read along the
-    positive xi_1-ray at x = 0 between |xi| = xi_window[0] and
-    xi_window[1] * xi_max, and log|R| is fitted against log<xi>.  The upper
-    cut stays well below the momentum-lattice seam, where periodization
-    error of growing symbols dominates the true remainder.  When fewer than
-    the 2 momentum nodes a fit needs lie in the window, as on coarse 2D
-    grids, the upper cut is raised to the second node at or above the lower
-    one; such a fit is two adjacent nodes, less than a decade apart, and
-    says ``widened``.
+    positive xi_1-ray at x = 0 between |xi| = 1.5 and 0.25 * xi_max, and
+    log|R| is fitted against log<xi>.  The upper cut stays well below the
+    momentum-lattice seam, where periodization error of growing symbols
+    dominates the true remainder.  When fewer than the 2 momentum nodes a
+    fit needs lie in the window, as on coarse 2D grids, the upper cut is
+    raised to the second node at or above the lower one; such a fit is two
+    adjacent nodes, less than a decade apart, and says ``widened``.
     """
     prod = moyal_pullback(f, g, gauge)
     expn = expansion_sum(f, g, B, depth)
     n = gauge.grid.n
     xi = gauge.grid.xi_nodes
     top = np.max(xi)
-    hi = xi_window[1] * top
-    window = f"remainder fit window xi in [{xi_window[0]}, {xi_window[1]} * {top:.4g}]"
-    above = xi[xi >= xi_window[0]]
+    lo, hi = 1.5, 0.25 * top
+    window = f"remainder fit window xi in [{lo}, 0.25 * {top:.4g}]"
+    above = xi[xi >= lo]
     widened = bool(np.count_nonzero(above <= hi) < 2 <= len(above))
     if widened:
         hi = float(above[1])
-        window = f"remainder fit window xi in [{xi_window[0]}, {hi:.4g}] (widened)"
-    xi_sel, ray = _xi1_ray(prod, xi_window[0], hi, window, "raise N or lower L")
+        window = f"remainder fit window xi in [{lo}, {hi:.4g}] (widened)"
+    xi_sel, ray = _xi1_ray(prod, lo, hi, window, "raise N or lower L")
     pts_xi = np.zeros((len(xi_sel), n))
     pts_xi[:, 0] = xi_sel
     expn_vals = np.asarray(expn.fn(np.zeros((len(xi_sel), n)), pts_xi), dtype=complex)

@@ -56,6 +56,7 @@ algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,8 @@ from scipy import fft as sp_fft
 from scipy import linalg as sp_linalg
 
 from .grid import INTERIOR, PhaseSpaceGrid
-from .magnetics import (DEFAULT_QUAD, FluxQuadrature, VectorPotential, _circulation, circulation,
-                        exact_order, omega_cocycle)
+from .magnetics import (DEFAULT_QUAD, VectorPotential, _circulation, circulation, exact_order,
+                        omega_cocycle)
 
 
 def _sum_squares(a: np.ndarray) -> float:
@@ -74,6 +75,72 @@ def _sum_squares(a: np.ndarray) -> float:
     and no temporary for a C-contiguous ``a``."""
     v = np.ascontiguousarray(a).view(float).reshape(-1)
     return float(np.einsum("i,i->", v, v))
+
+
+# Lanczos steps at most, and the residual |beta_k s_k| of the top Ritz pair,
+# relative to its Ritz value, at which the estimate stops
+_LANCZOS_STEPS = 64
+_LANCZOS_TOL = 1e-9
+# relative margin of t^2 over the estimate of lambda_max(G): far above the
+# Cholesky backward error (about P u) and the residual of a converged estimate
+_CERTIFICATE_MARGIN = 2.0 ** -30
+
+
+def _norm_bound(R: np.ndarray) -> float:
+    """t >= ||R||_2, at most about 5e-10 relative above it.
+
+    zherk on the Fortran-ordered view R^T forms G = R^T conj(R) =
+    conj(R^H R), which has the eigenvalues of R^H R, without copying R.
+    t^2 is the Lanczos estimate of lambda_max(G) widened by
+    ``_CERTIFICATE_MARGIN``, certified by a Cholesky of t^2 I - G in place
+    of G.  If that factorization fails, G is formed again from R and t^2 is
+    its top eigenvalue from eigh, widened by the same margin."""
+    P = len(R)
+    G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
+    t2 = _lanczos_top(G) * (1.0 + _CERTIFICATE_MARGIN)
+    np.negative(G, out=G)
+    # G is Fortran-ordered, so G.reshape(-1) would copy it
+    G[np.diag_indices(P)] += t2
+    if sp_linalg.lapack.zpotrf(G, lower=1, clean=0, overwrite_a=1)[1] != 0:
+        del G
+        G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
+        top = sp_linalg.eigh(G, eigvals_only=True, subset_by_index=[P - 1, P - 1],
+                             overwrite_a=True)[0]
+        t2 = max(top, 0.0) * (1.0 + _CERTIFICATE_MARGIN)
+    return math.sqrt(t2)
+
+
+def _lanczos_top(G: np.ndarray) -> float:
+    """Estimate of lambda_max of the Hermitian G, read from its lower
+    triangle (zhemv): the top Ritz value of a Lanczos run with full
+    reorthogonalization from a fixed-seed start vector.  It stops once
+    |beta_k s_k| <= _LANCZOS_TOL theta, after _LANCZOS_STEPS steps, or when
+    the Krylov space is invariant.  A Ritz value lies at or below
+    lambda_max, so this is not a bound."""
+    P = len(G)
+    Q = np.empty((min(_LANCZOS_STEPS, P), P), dtype=complex)
+    q = np.random.default_rng(0).standard_normal(P).astype(complex)
+    q /= np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(len(Q)):
+        Q[k] = q
+        w = sp_linalg.blas.zhemv(1.0, G, q, lower=1)
+        if k:
+            w -= beta[-1] * Q[k - 1]
+        alpha.append(np.vdot(q, w).real)
+        w -= alpha[-1] * q
+        # one vdot per basis vector: small matmuls run threaded and cost
+        # about ten times as much here
+        for j in range(k + 1):
+            w -= np.vdot(Q[j], w) * Q[j]
+        b = np.linalg.norm(w)
+        ritz, s = sp_linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+        theta = ritz[0]
+        if b == 0.0 or b * abs(s[-1, 0]) <= _LANCZOS_TOL * theta:
+            break
+        beta.append(b)
+        q = w / b
+    return max(theta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -98,8 +165,9 @@ class MagneticOperator:
         object.__setattr__(self, "matrix", mat)
 
     def operator_norm(self) -> float:
-        """Largest singular value (dense decomposition)."""
-        return float(sp_linalg.svdvals(self.matrix)[0])
+        """A certified upper bound on the largest singular value, at most
+        about 5e-10 relative above it (:func:`_norm_bound`)."""
+        return _norm_bound(self.matrix)
 
     def hermiticity_defect(self) -> float:
         """Relative Frobenius distance ||M - M^H||_F / ||M||_F to the Hermitian
@@ -233,7 +301,7 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
     and chunks.
     """
     P, N = grid.npoints, grid.N
-    if A is None or A.is_zero():
+    if A.is_zero():
         return np.zeros((P, P))
     nodes = grid.x_nodes
     q = exact_order(DEFAULT_QUAD, A.degree)
@@ -425,7 +493,7 @@ def wrong_quantize(f, gauge: Gauge) -> MagneticOperator:
     argument is shifted by -A at each midpoint and no circulation phase is
     applied.  Coincides with :func:`quantize` when A = 0."""
     A, grid = gauge.A, gauge.grid
-    if A is None or A.is_zero():
+    if A.is_zero():
         return quantize(f, gauge)
     return MagneticOperator(grid, _symbol_table(lambda x, xi: f(x, xi - A.evaluate(x)), grid))
 
@@ -666,8 +734,7 @@ def partial_fourier_inverse(f, grid: PhaseSpaceGrid) -> KernelFunction:
     return KernelFunction(grid, _lattice_sum(summand, g, 1 << 22, scale))
 
 
-def twisted_product(F: KernelFunction, G: KernelFunction, B, grid: PhaseSpaceGrid,
-                    quad: FluxQuadrature = DEFAULT_QUAD) -> KernelFunction:
+def twisted_product(F: KernelFunction, G: KernelFunction, B, grid: PhaseSpaceGrid) -> KernelFunction:
     """The twisted convolution product on kernel functions:
 
     (F <>B G)(q, v) = (2 pi)^(-n/2) dx^n sum_w
@@ -682,14 +749,14 @@ def twisted_product(F: KernelFunction, G: KernelFunction, B, grid: PhaseSpaceGri
     g = grid
     wlat = F.difference_lattice().reshape(-1, g.n)
     scale = g.dx**g.n / (2.0 * np.pi) ** (g.n / 2.0)
-    zero_field = B is None or B.is_zero()
+    zero_field = B.is_zero()
 
     def summand(q, v):
         qs, vs, w = q[:, None, :], v[:, None, :], wlat[None, :, :]
         fvals = F.fn(qs + 0.5 * (w - vs), w)
         gvals = G.fn(qs + 0.5 * w, vs - w)
         phase = 1.0 if zero_field else omega_cocycle(
-            B, qs - 0.5 * vs, np.broadcast_to(w, fvals.shape + (g.n,)), vs - w, quad)
+            B, qs - 0.5 * vs, np.broadcast_to(w, fvals.shape + (g.n,)), vs - w)
         return fvals * gvals * phase
 
     return KernelFunction(grid, _lattice_sum(summand, g, 1 << 18, scale))

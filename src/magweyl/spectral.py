@@ -47,6 +47,7 @@ from .quantize import Gauge, MagneticOperator, _sum_squares, quantize
 from .symbols import (
     CoefficientAlgebra,
     Symbol,
+    _position_blocks,
     project_field,
     project_quasiorbit,
 )
@@ -60,6 +61,11 @@ __all__ = [
     "essential_spectrum",
     "compare_bulk_vs_essential",
 ]
+
+# relative Frobenius defect ||M - M^H||_F / ||M||_F up to which an operator
+# counts as Hermitian
+HERMITICITY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -92,8 +98,7 @@ class SpectrumResult:
         object.__setattr__(self, "eigenvalues", vals)
 
 
-def spectrum(M: MagneticOperator, hermiticity_tol: float = 1e-8,
-             localization: bool = False,
+def spectrum(M: MagneticOperator, localization: bool = False,
              keep_vectors: bool = False) -> SpectrumResult:
     """Full spectrum of a Hermitian grid operator, eigenvalues ascending.
 
@@ -106,7 +111,7 @@ def spectrum(M: MagneticOperator, hermiticity_tol: float = 1e-8,
     Parameters
     ----------
     M : MagneticOperator
-        Must be Hermitian within ``hermiticity_tol`` (relative Frobenius
+        Must be Hermitian within ``HERMITICITY_TOL`` (relative Frobenius
         defect); the measured asymmetry is reported otherwise.
     localization : bool
         Also compute per-eigenvector interior-mass scores.
@@ -114,10 +119,10 @@ def spectrum(M: MagneticOperator, hermiticity_tol: float = 1e-8,
         Retain the eigenvector matrix (columns, same order as eigenvalues).
     """
     defect = M.hermiticity_defect()
-    if defect > hermiticity_tol:
+    if defect > HERMITICITY_TOL:
         raise ValueError(
             f"operator is not Hermitian: relative asymmetry {defect:.3e} "
-            f"exceeds tolerance {hermiticity_tol:.1e}")
+            f"exceeds tolerance {HERMITICITY_TOL:.1e}")
     need_vectors = localization or keep_vectors
     symmetry = None if M.rotation_phase is None else _magnetic_rotation(M)
     if symmetry is not None:
@@ -365,24 +370,26 @@ def _continuum_range(f: Symbol, grid: PhaseSpaceGrid):
 
 
 def _default_merge_tol(symbols, grid: PhaseSpaceGrid) -> float:
-    """2 * dxi * max |grad_xi f_Q|, the local momentum-lattice resolution."""
-    xi = grid.xi_mesh()
-    x = grid.x_mesh()
+    """2 * dxi * max |grad_xi f_Q|, the local momentum-lattice resolution.
+
+    The gradient is taken along the momentum axes of
+    :func:`magweyl.symbols._position_blocks`, at every position node, and
+    the maximum over all of them."""
+    axes = tuple(range(1, grid.n + 1))
     top = 0.0
     for f in symbols:
-        vals = np.real(np.asarray(f.fn(x, xi), dtype=complex))
-        grads = np.gradient(vals, grid.dxi, axis=tuple(range(grid.n)))
-        if grid.n == 1:
-            grads = [grads]
-        mag = np.sqrt(sum(np.abs(g) ** 2 for g in grads))
-        top = max(top, float(mag.max()))
+        for vals in _position_blocks(f, grid):
+            grads = np.gradient(np.real(vals), grid.dxi, axis=axes)
+            if grid.n == 1:
+                grads = [grads]
+            mag = np.sqrt(sum(np.abs(g) ** 2 for g in grads))
+            top = max(top, float(mag.max()))
     return 2.0 * grid.dxi * top
 
 
 def essential_spectrum(f: Symbol, algebra: CoefficientAlgebra,
                        B: MagneticField, grid: PhaseSpaceGrid,
-                       merge_tol: float | None = None,
-                       hermiticity_tol: float = 1e-8) -> EssentialSpectrumResult:
+                       merge_tol: float | None = None) -> EssentialSpectrumResult:
     """Essential spectrum as the union of quasi-orbit operator spectra.
 
     For each quasi-orbit Q declared by the algebra, the symbol and field are
@@ -406,7 +413,7 @@ def essential_spectrum(f: Symbol, algebra: CoefficientAlgebra,
     raw_intervals = []
     for Q, f_Q, B_Q in projections:
         M = quantize(f_Q, Gauge(transversal_gauge(B_Q), grid))
-        res = spectrum(M, hermiticity_tol=hermiticity_tol)
+        res = spectrum(M)
         orbit_spectra[Q.label] = res
         if f_Q.x_independent and B_Q.is_zero():
             lo, hi = _continuum_range(f_Q, grid)
@@ -435,8 +442,9 @@ class BulkComparison:
 
     Eigenvalues below the essential lower edge (minus ``edge_tol``) are
     flagged as discrete-spectrum candidates; the report records whether each
-    candidate's eigenvector is interior-localized and whether every
-    delocalized eigenvalue falls inside the merged essential intervals.
+    candidate's eigenvector is interior-localized (interior mass at least
+    ``localization_threshold``) and whether every delocalized eigenvalue
+    falls inside the merged essential intervals.
     """
 
     full: SpectrumResult
@@ -460,22 +468,20 @@ class BulkComparison:
 
 
 def compare_bulk_vs_essential(f: Symbol, algebra: CoefficientAlgebra,
-                              B: MagneticField, grid: PhaseSpaceGrid,
-                              merge_tol: float | None = None,
-                              edge_tol: float | None = None,
-                              localization_threshold: float = 0.9) -> BulkComparison:
+                              B: MagneticField, grid: PhaseSpaceGrid) -> BulkComparison:
     """Diagonalize the full operator and classify its eigenvalues against
-    the quasi-orbit essential spectrum.
+    the quasi-orbit essential spectrum (with its default ``merge_tol``).
 
     The full operator is quantized in the transversal gauge of ``B``.
-    ``edge_tol`` pads the essential lower edge before flagging candidates;
-    the default dxi^2 is the momentum-lattice level spacing at a quadratic
+    ``edge_tol`` = dxi^2 pads the essential lower edge before flagging
+    candidates: it is the momentum-lattice level spacing at a quadratic
     band bottom, i.e. the finite-box discretization error of the spectral
-    edge itself.
+    edge itself.  An eigenvector counts as localized from an interior mass
+    of 0.9 on.
     """
-    ess = essential_spectrum(f, algebra, B, grid, merge_tol=merge_tol)
-    if edge_tol is None:
-        edge_tol = grid.dxi**2
+    ess = essential_spectrum(f, algebra, B, grid)
+    edge_tol = grid.dxi**2
+    localization_threshold = 0.9
     M = quantize(f, Gauge(transversal_gauge(B), grid))
     full = spectrum(M, localization=True)
 

@@ -77,10 +77,9 @@ class Symbol:
 
     @staticmethod
     def from_callable(fn, n: int, m: float = 0.0, rho: float = 0.0, delta: float = 0.0,
-                      real: bool = False, derivatives: dict | None = None,
-                      x_independent: bool = False) -> "Symbol":
+                      real: bool = False, x_independent: bool = False) -> "Symbol":
         return Symbol(n=n, fn=fn, m=m, rho=rho, delta=delta, real=real,
-                      derivatives=dict(derivatives or {}), x_independent=x_independent)
+                      x_independent=x_independent)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -190,8 +189,9 @@ def _potential_split(ast, n: int):
                  if terms else None for terms in parts)
 
 
-def _fd_derivative(fn, a, alpha, step: float = 1e-5):
-    """Nested central finite differences in the requested coordinates."""
+def _fd_derivative(fn, a, alpha):
+    """Nested central finite differences in the requested coordinates, with
+    step h = 1e-5 * (1 + |coordinate|)."""
     coords = []  # (slot, axis): slot 0 = x, slot 1 = xi
     for j, order in enumerate(a):
         coords.extend([(0, j)] * order)
@@ -203,7 +203,7 @@ def _fd_derivative(fn, a, alpha, step: float = 1e-5):
             x = np.asarray(x, dtype=float)
             xi = np.asarray(xi, dtype=float)
             target = x if slot == 0 else xi
-            h = step * (1.0 + np.linalg.norm(target, axis=-1, keepdims=True))
+            h = 1e-5 * (1.0 + np.linalg.norm(target, axis=-1, keepdims=True))
             e = np.zeros(target.shape[-1])
             e[axis] = 1.0
             hv = h * e
@@ -242,25 +242,13 @@ def seminorm(f: Symbol, alpha, a, region) -> float:
     return float(np.max(weight * vals))
 
 
-def seminorm_samples(values, grid, m: float, rho: float = 0.0, delta: float = 0.0,
-                     a=None, alpha=None) -> float:
-    """Sampled seminorm for a symbol given only by samples on the phase-space
-    lattice (shape (N,)*n x (N,)*n, position axes first).  Derivatives are
-    taken by lattice finite differences (np.gradient), total order <= 2.
+def seminorm_samples(values, grid, m: float) -> float:
+    """Sampled order-m seminorm sup <xi>^(-m) |f| of a symbol given only by
+    its samples on the phase-space lattice of ``grid`` (shape (N,)*n x
+    (N,)*n, position axes first).
     """
-    n = grid.n
-    a = tuple(a) if a is not None else zero_index(n)
-    alpha = tuple(alpha) if alpha is not None else zero_index(n)
-    vals = np.asarray(values, dtype=complex)
-    for j, order in enumerate(a):
-        for _ in range(order):
-            vals = np.gradient(vals, grid.dx, axis=j)
-    for j, order in enumerate(alpha):
-        for _ in range(order):
-            vals = np.gradient(vals, grid.dxi, axis=n + j)
-    x, xi = _phase_mesh(grid)
-    weight = japanese_bracket(xi) ** (-m + rho * multi_order(alpha) - delta * multi_order(a))
-    return float(np.max(weight * np.abs(vals)))
+    _, xi = _phase_mesh(grid)
+    return float(np.max(japanese_bracket(xi) ** -m * np.abs(values)))
 
 
 def _phase_mesh(grid):

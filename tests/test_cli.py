@@ -306,7 +306,10 @@ def test_every_command_reruns_from_its_effective_config_to_the_same_bytes(tmp_pa
         f = Symbol.from_expression(cfg["symbol"]["expression"], 2, m=2)
         summary = json.loads((out1 / "summary.json").read_text())
         assert summary["dimension"] == grid.npoints
-        assert summary["operator_norm"] == float(svdvals(quantize(f, Gauge(A, grid)).matrix)[0])
+        M = quantize(f, Gauge(A, grid))
+        top = float(svdvals(M.matrix)[0])
+        assert summary["operator_norm"] == M.operator_norm()
+        assert top <= summary["operator_norm"] <= top * (1 + 1e-9)
 
 
 def test_a_grid_too_large_for_memory_is_diagnosed(tmp_path, capsys, monkeypatch):

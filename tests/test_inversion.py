@@ -7,13 +7,11 @@ import pytest
 from scipy import linalg as sp_linalg
 from scipy.linalg import svdvals
 
+from magweyl import inversion
 from magweyl.grid import make_grid
 from magweyl.inversion import (
     DivergenceError,
     EllipticityError,
-    _LANCZOS_STEPS,
-    _lanczos_top,
-    _norm_bound,
     Regularizer,
     ResolventFamily,
     SERIES_TOL,
@@ -29,7 +27,16 @@ from magweyl.inversion import (
     order_check_inverse,
 )
 from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
-from magweyl.quantize import Gauge, MagneticOperator, SampledSymbol, dequantize, quantize
+from magweyl.quantize import (
+    _LANCZOS_STEPS,
+    _lanczos_top,
+    _norm_bound,
+    Gauge,
+    MagneticOperator,
+    SampledSymbol,
+    dequantize,
+    quantize,
+)
 from magweyl.symbols import Symbol
 
 GRID = make_grid(1, 20.0, 128)
@@ -100,6 +107,25 @@ def test_build_regularizer_round_trip():
     # m = 0 degenerates to the constant 1
     triv = build_regularizer(0.0, Gauge(A0, g))
     assert triv.r_plus is triv.r_minus
+
+
+def test_build_regularizer_builds_one_series_generator_per_lambda(monkeypatch):
+    # in a field, lambda = 1 leaves ||R|| above 1/2
+    gauge = _const_gauge(1.0, make_grid(2, 6.0, 8))
+    calls = []
+    build = inversion._series_generator
+    monkeypatch.setattr(inversion, "_series_generator",
+                        lambda f, z, gauge: calls.append(f) or build(f, z, gauge))
+    reg = build_regularizer(2.0, gauge)
+    # lambda = 1, 2, 4, ..., reg.lam were tried
+    assert reg.lam > 1.0
+    assert len(calls) == 1 + int(np.log2(reg.lam))
+    monkeypatch.undo()
+    ref = neumann_invert(reg.r_plus, 0.0, gauge, validate=False)
+    assert reg.inversion.matrix.tobytes() == ref.matrix.tobytes()
+    assert reg.inversion.symbol.table.tobytes() == ref.symbol.table.tobytes()
+    assert (reg.inversion.terms, reg.inversion.norm_R, reg.inversion.residual) == (
+        ref.terms, ref.norm_R, ref.residual)
 
 
 def test_build_regularizer_negative_order():
@@ -215,7 +241,7 @@ def test_affiliated_calculus_matches_eigendecomposition():
         lambda x, xi: 1j * np.asarray(x)[..., 0] + 0.0 * np.asarray(xi)[..., 0],
         1, m=0)
     with pytest.raises(ValueError):
-        affiliated_calculus(bad, Gauge(A0, g), eta, hermiticity_tol=1e-8)
+        affiliated_calculus(bad, Gauge(A0, g), eta)
 
 
 def _svdvals_norm(f, z, gauge):

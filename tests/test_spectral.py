@@ -130,6 +130,16 @@ def test_essential_spectrum_well_edge_and_bound_state():
     assert cmp.delocalized_consistent
 
 
+@pytest.mark.parametrize("potential", ["arctan(x1)", "0.2*x1^2"])
+def test_the_default_merge_tol_reads_the_momentum_gradient_alone(potential):
+    # d_xi (xi^2 + V(x)) = 2 xi for every V, so an identity orbit's default
+    # tolerance is that of the free symbol: 2 dxi max |2 xi| on the lattice
+    g = make_grid(1, 20.0, 64)
+    f = Symbol.from_expression(f"xi1^2 + {potential}", 1, m=2, real=True)
+    algebra = CoefficientAlgebra("ConstantCoefficients", (QuasiOrbit("identity"),))
+    assert essential_spectrum(f, algebra, B0, g).merge_tol == 12.43570154537258
+
+
 def test_redundant_orbit_is_idempotent():
     g = make_grid(1, 20.0, 128)
     f = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)

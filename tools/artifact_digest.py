@@ -18,9 +18,11 @@ explicit non-polynomial, symmetric and Landau gauges, a spectrum that splits
 by the 90-degree magnetic rotation, one with only the 180-degree rotation
 (solved whole) and one that just misses the 90-degree one (a well centred
 at 0), a 2D expand whose fit window is widened and one whose lattice has no
-window, polynomial and non-polynomial gauge-check shifts, converging and
-divergent inversions (one at L=7.3, N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L
-on either side of the interior bound), a 1D explicit gauge on P = 100
+window, an essential spectrum over an identity orbit (the default merge
+tolerance of an x-dependent symbol), polynomial and non-polynomial
+gauge-check shifts, converging and divergent inversions (one at L=7.3,
+N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L on
+either side of the interior bound), a 1D explicit gauge on P = 100
 nodes (a partial last block of the circulation fill and of the phase),
 malformed configs, error exits, and a validate at P = 576, where the
 circulation fill splits its row blocks into column chunks.  An
@@ -99,6 +101,11 @@ CONFIGS = {
                                      "task": _task("spectrum")},
     "ess-spectrum-1d-arctan": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
                                "algebra": _ORBITS_1D, "task": _task("ess-spectrum")},
+    # an x-dependent orbit: its default merge_tol reads the xi-gradient of f
+    "ess-spectrum-1d-identity": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                                 "algebra": {"orbits": [{"label": "identity",
+                                                         "kind": "identity"}]},
+                                 "task": _task("ess-spectrum")},
     "ess-spectrum-1d-well": {"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
                              "algebra": _ORBITS_1D, "task": _task("ess-spectrum")},
     "gauge-check-2d-zero": {"grid": _grid(2, 8.0, 12), "symbol": _XI2_X,
