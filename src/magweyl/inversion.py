@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sp_linalg
@@ -82,12 +83,17 @@ def _reciprocal_symbol(f: Symbol, z: complex) -> Symbol:
 class InversionResult:
     """Twisted inverse of f - z with its certificate."""
 
-    symbol: SampledSymbol
     z: complex
     terms: int               # series length ||R|| certifies (0 without a series)
     residual: float          # sup of |(f - z) # result - 1| on the interior 80%
     norm_R: float | None     # operator norm of the series generator R_z, if computed
     matrix: np.ndarray = field(repr=False)  # quantized inverse (gauge of the build)
+    gauge: Gauge = field(repr=False)
+
+    @cached_property
+    def symbol(self) -> SampledSymbol:
+        """The dequantized inverse, built on first read (it copies ``matrix``)."""
+        return dequantize(MagneticOperator(self.gauge.grid, self.matrix), self.gauge)
 
 
 def _shift_diagonal(M: np.ndarray, c: complex) -> np.ndarray:
@@ -151,17 +157,16 @@ def neumann_invert(f: Symbol, z: complex, gauge: Gauge, validate: bool = True) -
 
 def _solved(Mf_minus_z: np.ndarray, z: complex, terms: int, norm_R: float | None,
             gauge: Gauge, real: bool) -> InversionResult:
-    """The inverse of M_f - z, its residual, then its dequantization.  For a
-    real symbol and a real z, M_f - z is Hermitian, and a positive definite
-    one is inverted from its Cholesky factor (:func:`_cholesky_inverse`);
-    otherwise, or when the factorization fails, by LU (getrf, then getri)."""
+    """The inverse of M_f - z and its residual.  For a real symbol and a real
+    z, M_f - z is Hermitian, and a positive definite one is inverted from its
+    Cholesky factor (:func:`_cholesky_inverse`); otherwise, or when the
+    factorization fails, by LU (getrf, then getri)."""
     X = _cholesky_inverse(Mf_minus_z) if real and z.imag == 0 else None
     if X is None:
         X = sp_linalg.inv(Mf_minus_z)
     residual = inversion_residual(Mf_minus_z, X, gauge)
-    sym = dequantize(MagneticOperator(gauge.grid, X), gauge)
-    return InversionResult(symbol=sym, z=z, terms=terms, residual=residual,
-                           norm_R=norm_R, matrix=X)
+    return InversionResult(z=z, terms=terms, residual=residual, norm_R=norm_R, matrix=X,
+                           gauge=gauge)
 
 
 def _cholesky_inverse(M: np.ndarray) -> np.ndarray | None:

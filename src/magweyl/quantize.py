@@ -47,17 +47,19 @@ the circulation phase, the diagonal i - j = d holds fcheck(., d*dx) sampled
 on a midpoint lattice of spacing dx.  Values at the output nodes x_l (offset
 by dx/2 for odd d, or missing near the box edge) are recovered by 8-point
 Lagrange interpolation along the diagonal, which is exact for
-x-independent symbols and spectrally small otherwise; a final FFT over d
-returns the symbol samples.  The phase-stripped table is kept on the result
-(:class:`SampledSymbol`), so re-quantizing a transform product is exact and
-the symbol product inherits associativity and gauge independence from matrix
-algebra.
+x-independent symbols and spectrally small otherwise: one sparse banded
+matrix L_d per offset, applied on every axis (L_d D in 1D, L_d1 D L_d2^T in
+2D); a final FFT over d returns the symbol samples.  The phase-stripped
+table is kept on the result (:class:`SampledSymbol`), so re-quantizing a
+transform product is exact and the symbol product inherits associativity
+and gauge independence from matrix algebra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -220,8 +222,8 @@ class SampledSymbol:
         return g.interior_mask(fraction).reshape((g.N,) * g.n + (1,) * g.n)
 
     def interior_sup(self) -> float:
-        """sup |values| over :meth:`interior_mask`; only the interior nodes
-        are interpolated, with the stencils and summation order of
+        """sup |values| over :meth:`interior_mask`; only the interior rows
+        of the stencil matrices are applied, each summed in the order of
         :attr:`values`, so the result is the same to the bit."""
         samples = _table_to_samples(self.table, self.grid, self.grid.interior_nodes())
         return float(np.abs(samples).max())
@@ -515,84 +517,76 @@ def dequantize(M: MagneticOperator, gauge: Gauge) -> SampledSymbol:
 _STENCIL = 8
 
 
-def _stencils(N: int):
-    """8-point Lagrange stencils for every diagonal offset d in
-    -N//2 .. N//2 - 1: the offsets, absolute row indices of shape
-    (8, N_d, N_l) and weights of shape (N_d, N_l, 8).
+@cache
+def _lagrange(pts: int) -> np.ndarray:
+    """The weights of the pts-point Lagrange stencil on nodes 0 .. pts - 1 at
+    the targets tau = 0, 1/2, .., pts - 1 (those of :func:`_stencil`, whose
+    targets sit on nodes or midpoints): shape (2 pts - 1, pts)."""
+    tau = np.arange(2 * pts - 1)[:, None] / 2.0
+    r = np.arange(pts)
+    w = np.ones((2 * pts - 1, pts))
+    for rp in range(pts):
+        w *= np.where(r == rp, 1.0, (tau - rp) / np.where(r == rp, 1, r - rp))
+    return w
 
-    Diagonal i - j = d has entries on rows i_lo .. i_lo + m - 1 with
+
+def _stencil(N: int, e: int, rows: np.ndarray):
+    """The 8-point Lagrange stencil matrix L_d of the diagonal offset d = e
+    mod N in -N//2 .. (N - 1)//2 on an axis of N nodes, restricted to the
+    output nodes ``rows``: a real banded (len(rows), N) matrix whose row l
+    weights the rows i of diagonal i - j = d, times the exact sign (-1)^d of
+    the centred FFT over d.
+
+    Diagonal d has entries on rows i_lo .. i_lo + m - 1 with
     i_lo = max(0, d) and m = N - |d|; row i sits at midpoint index i - d/2,
     so output node l is read at row position l + d/2.  Targets are clamped
     to the sampled range (extrapolation beyond the box edge would amplify
     rounding, and edge regions are quarantined anyway), and a stencil is
     exact when a target hits a node.  A diagonal shorter than the stencil
-    uses all of its m points; the unused slots get weight 0 and a valid row.
+    uses all of its m points.  A product sums each output over its own CSR
+    row, in the order of i, whatever other rows the matrix holds.
     """
-    ds = np.arange(-N // 2, N // 2)
-    i_lo = np.maximum(ds, 0)[:, None]
-    m = (N - np.abs(ds))[:, None]
-    pts = np.minimum(_STENCIL, m)
-    t = np.clip(np.arange(N) + ds[:, None] / 2.0 - i_lo, 0.0, m - 1.0)
+    from scipy import sparse  # imported on first use: 1.7 MB of RSS that most commands never need
+    d = e if e < (N + 1) // 2 else e - N
+    i_lo, m = max(d, 0), N - abs(d)
+    pts = min(_STENCIL, m)
+    t = np.clip(rows + d / 2.0 - i_lo, 0.0, m - 1.0)
     starts = np.clip(np.floor(t).astype(int) - (pts // 2 - 1), 0, m - pts)
-    tau = t - starts
-    weights = np.ones(tau.shape + (_STENCIL,))
-    for r in range(_STENCIL):
-        for rp in range(_STENCIL):
-            if rp != r:
-                weights[..., r] *= np.where(rp < pts, (tau - rp) / (r - rp), 1.0)
-    used = np.arange(_STENCIL) < pts[..., None]
-    rows = i_lo[..., None] + starts[..., None] + np.where(used, np.arange(_STENCIL), 0)
-    return ds, np.ascontiguousarray(np.moveaxis(rows, -1, 0)), np.where(used, weights, 0.0)
-
-
-def _interpolate(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_r weights[..., r] * data[r] for complex ``data`` of shape
-    (8, ...), accumulated in the order r = 0..7.
-
-    Works on the real and imaginary parts (the value of a real-by-complex
-    product is the pair of real products), which avoids casting the
-    weights to complex."""
-    parts = data.view(float).reshape(data.shape + (2,))
-    out = np.zeros(parts.shape[1:])
-    for r in range(_STENCIL):
-        out += weights[..., r, None] * parts[r]
-    return out.view(complex)[..., 0]
+    w = _lagrange(pts)[(2 * (t - starts)).astype(int)] * (-1.0) ** d
+    return sparse.csr_array((w.ravel(), (i_lo + starts[:, None] + np.arange(pts)).ravel(),
+                             np.arange(len(rows) + 1) * pts), shape=(len(rows), N))
 
 
 def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid, keep=None) -> np.ndarray:
     """Symbol samples f(x_l, xi_k) from a phase-stripped kernel table, at the
     position nodes where the boolean ``keep`` (one axis, default all) holds
-    on every axis: shape (K,)*n + (N,)*n for K kept nodes."""
+    on every axis: shape (K,)*n + (N,)*n for K kept nodes.
+
+    The offsets (d1, d2) give L_d1 D L_d2^T (:func:`_stencil`), with
+    D[i1, i2] = W[i1 N + i2, (i1 - d1) N + i2 - d2] mod N (a wrapped entry
+    is in no stencil), one d1 at a time, then an FFT over (d1, d2); a 1D
+    table has a second axis of one node, whose one stencil is [[1]].
+    ``keep`` picks rows of the stencil matrices, so kept samples are those
+    of a full call to the bit."""
+    from scipy import sparse
     N, n = grid.N, grid.n
-    W = np.asarray(W, dtype=complex)
-    ds, rows, weights = _stencils(N)
-    if keep is not None:
-        # gathers take the layout of their index, and _interpolate needs it C-ordered
-        rows, weights = np.ascontiguousarray(rows[:, :, keep]), weights[:, keep]
-    K = rows.shape[2]
-    sign = (-1.0) ** ds
-    cs = np.zeros((K,) * n + (N,) * n, dtype=complex)  # [l..., d mod N ...]
-    if n == 1:
-        vals = _interpolate(W[rows, rows - ds[:, None]], weights)
-        cs[:, ds % N] = (sign[:, None] * vals).T
-        return sp_fft.fft(cs, axis=1, overwrite_x=True)
-    # The pair (d1, d2) reads the diagonal W[i1 N + i2, (i1 - d1) N + i2 - d2]
-    # at flat offset (i1 N^2 + i1 - d1) N + i2 N^2 + (i2 - d2).  Offsets of
-    # every i2 of every d2 are gathered; those off the read set wrap and are
-    # never used.
-    k = np.arange(N)
-    axis1 = k * N * N + (k - ds[:, None]) % N  # (N_d, N)
-    flat = np.ravel(W)
-    # the axis-1 stencils read the axis-0 result A[d2, l1, k]
-    reread = (np.arange(len(ds))[:, None, None] * K * N
-              + np.arange(K)[:, None] * N + rows[:, :, None, :])  # (8, N_d, K, K)
-    for e, d1 in enumerate(ds):
-        axis0 = (rows[:, e] * N * N + rows[:, e] - d1) * N  # (8, K)
-        A = _interpolate(flat[axis0[:, None, :, None] + axis1[None, :, None, :]],
-                         weights[e][:, None, :])
-        vals = _interpolate(np.ravel(A)[reread], weights[:, None, :, :])
-        cs[:, :, d1 % N, ds % N] = np.moveaxis(sign[e] * sign[:, None, None] * vals, 0, -1)
-    return sp_fft.fft2(cs, axes=(2, 3), overwrite_x=True)
+    rows = np.arange(N) if keep is None else np.flatnonzero(keep)
+    R = N ** (n - 1)  # nodes of the second axis
+    rows2 = rows if n == 2 else np.zeros(1, int)
+    # the second axis applies its L_d2 to all of its diagonals by one block-diagonal product
+    L2 = sparse.block_diag([_stencil(R, e, rows2) for e in range(R)], format="csr")
+    i, i2, k = np.arange(N), np.arange(R), np.arange(len(rows))
+    cols2 = (i2 - i2[:, None]) % R  # row i2 of diagonal d2 lies in column cols2[d2 mod R, i2]
+    W = np.asarray(W, dtype=complex).reshape(N, R, N, R)  # [i1, i2, j1, j2]
+    cs = np.empty((N, R, len(rows2), len(rows)), dtype=complex)  # [d1, d2, l2, l1]
+    for e in range(N):  # e = d1 mod N
+        # the real view puts the real and imaginary parts in columns of their own
+        T = W[i, :, (i - e) % N].view(float).reshape(N, -1)  # [i1, (i2, j2)]
+        T = (_stencil(N, e, rows) @ T).view(complex).reshape(-1, R, R)  # [l1, i2, j2]
+        T = T[k, i2[:, None], cols2[:, :, None]].view(float).reshape(R * R, -1)  # [(d2, i2), l1]
+        cs[e] = (L2 @ T).view(complex).reshape(R, len(rows2), -1)  # [d2, l2, l1]
+    cs = sp_fft.fft2(cs, axes=(0, 1), overwrite_x=True)
+    return cs.transpose(3, 2, 0, 1).reshape((len(rows),) * n + (N,) * n)
 
 
 # ---------------------------------------------------------------------------

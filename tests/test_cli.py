@@ -139,6 +139,20 @@ def test_invert_command(tmp_path):
     assert run(["--config", cfg2, "--out", str(tmp_path / "bad")]) == 2
 
 
+@pytest.mark.parametrize("name", ["invert", "invert-2d"])
+def test_invert_never_dequantizes_the_inverse(tmp_path, monkeypatch, name):
+    # the command reads the residual and the certificate, not the inverse's symbol
+    def refuse(*args, **kwargs):
+        raise AssertionError("dequantize called")
+
+    for module in ("magweyl.quantize", "magweyl.inversion", "magweyl.cli"):
+        monkeypatch.setattr(importlib.import_module(module), "dequantize", refuse)
+    cfg = write_cfg(tmp_path / "cfg.json", _TINY_RUNS[name][0])
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["converged"] is True
+
+
 def test_ess_spectrum_command(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {
         "grid": {"n": 1, "L": 20.0, "N": 64},

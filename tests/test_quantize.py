@@ -1,9 +1,13 @@
 """Quantization, dequantization, magnetic translations, kernel calculus."""
 
 import importlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +399,51 @@ def test_vectorized_sampler_is_bit_identical_to_the_diagonal_loop(n, N):
     rng = np.random.default_rng(N + 100 * n)
     W = rng.standard_normal((g.npoints,) * 2) + 1j * rng.standard_normal((g.npoints,) * 2)
     assert np.array_equal(_table_to_samples(W, g), _table_to_samples_ref(W, g))
+
+
+_SAMPLER_PROBE = """
+import hashlib
+import numpy as np
+from magweyl.grid import make_grid
+from magweyl.quantize import _table_to_samples
+for n, N in ((1, 64), (2, 32)):
+    g = make_grid(n, 8.0, N)
+    rng = np.random.default_rng(N + 100 * n)
+    W = rng.standard_normal((g.npoints,) * 2) + 1j * rng.standard_normal((g.npoints,) * 2)
+    for keep in (None, g.interior_nodes()):
+        print(hashlib.sha256(_table_to_samples(W, g, keep).tobytes()).hexdigest())
+"""
+
+
+def test_the_samples_do_not_depend_on_the_blas_threads():
+    # the stencil products are sparse row sums in a fixed order; no threaded
+    # BLAS call may enter the sampler
+    src = str(Path(magweyl.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        digests.append(subprocess.run([sys.executable, "-c", _SAMPLER_PROBE], env=env,
+                                      check=True, capture_output=True, text=True).stdout)
+    assert len(digests[0].split()) == 4
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("n, N", [(1, 512), (2, 32)])
+def test_the_sampler_peaks_within_two_tables(n, N):
+    # the samples take one complex P x P array; the stencil matrices and the
+    # work arrays of one offset d1 are O(N^2) in 1D and O(P^1.5) in 2D
+    g = make_grid(n, 8.0, N)
+    rng = np.random.default_rng(N)
+    W = rng.standard_normal((g.npoints,) * 2) + 1j * rng.standard_normal((g.npoints,) * 2)
+    for keep in (None, g.interior_nodes()):
+        tracemalloc.start()
+        try:
+            _table_to_samples(W, g, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * W.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2])
