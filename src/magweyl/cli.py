@@ -62,7 +62,8 @@ _COMMANDS = ("quantize", "spectrum", "ess-spectrum", "gauge-check",
 _MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 # peak bytes of each command per P^2 (P = N^n points), as traced by
-# tests/test_cli.py at 2D L=12 N=24 with a zero and a non-polynomial field;
+# tests/test_cli.py at 2D L=12 N=24 with a zero and a non-polynomial field
+# (and, for quantize, spectrum, expand and invert, at 1D L=20 N=512);
 # the work arrays of the circulation fill are bounded by a constant, a larger
 # share of a peak there than on larger grids, so the figures bound those
 # from above

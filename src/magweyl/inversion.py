@@ -19,11 +19,23 @@ then potri); any other M is inverted by LU (getrf, then getri).
 ||R|| < 1 is kept as the admissibility certificate of a real z and
 reported with the series length it certifies.
 The reported ||R|| (the invert command's series_norm_bound) is
-:meth:`magweyl.quantize.MagneticOperator.operator_norm` of R, the one
-operator norm of the program: a certified upper bound on the largest
-singular value, at most about 5e-10 relative above it.  Nonreal z,
-reached in the paper from a real seed through the resolvent identity, are
-inverted directly in the same way, without a certificate.
+:func:`magweyl.quantize._norm_bound` of R, the one operator norm of the
+program (:meth:`magweyl.quantize.MagneticOperator.operator_norm`): a
+certified upper bound on the largest singular value, at most about 5e-10
+relative above it.  Nonreal z, reached in the paper from a real seed
+through the resolvent identity, are inverted directly in the same way,
+without a certificate.
+
+At zero field the twisted product is the Moyal product, and a real symbol
+even in xi quantizes to an operator that commutes with complex
+conjugation: its kernel table is real.  In the zero gauge the tables of f
+and of 1/(f - z) are therefore tested exactly, with no threshold: every
+momentum sample real and equal to its reflection k -> (-k) mod N (see
+:func:`magweyl.quantize._symbol_table`).  When both pass and z is real,
+R, its certificate, the Cholesky inverse and the residual are computed in
+real symmetric arithmetic, on the real parts of the complex tables to the
+bit, at about a quarter of the complex flops.  A magnetic field, a term
+odd in xi or a nonreal z keeps the complex path.
 """
 
 from __future__ import annotations
@@ -36,8 +48,8 @@ import numpy as np
 from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
-from .quantize import (_PHASE_ROWS, Gauge, MagneticOperator, SampledSymbol, _xi1_ray,
-                       dequantize, quantize)
+from .quantize import (_PHASE_ROWS, Gauge, MagneticOperator, SampledSymbol, _norm_bound,
+                       _symbol_table, _xi1_ray, dequantize, quantize)
 from .spectral import spectrum
 from .symbols import Symbol, is_elliptic, japanese_bracket, _position_blocks
 
@@ -97,19 +109,42 @@ class InversionResult:
 
 
 def _shift_diagonal(M: np.ndarray, c: complex) -> np.ndarray:
-    """M + c I, in place."""
+    """M + c I, in place; a real M takes a real c as a real number, and is
+    copied to complex for a nonreal one."""
+    c = complex(c)
+    if not np.iscomplexobj(M):
+        if c.imag:
+            M = M.astype(complex)
+        else:
+            c = c.real
     M.reshape(-1)[::len(M) + 1] += c
     return M
+
+
+def _matrix(f: Symbol, gauge: Gauge) -> np.ndarray:
+    """quantize(f, gauge).matrix; in the zero gauge the kernel table, which
+    is real when it is exactly real (``_symbol_table(.., real=True)``)."""
+    if gauge.A.is_zero():
+        return _symbol_table(f, gauge.grid, real=True)
+    return quantize(f, gauge).matrix
 
 
 def _series_generator(f: Symbol, z: complex, gauge: Gauge):
     """M_f - z and a certified upper bound on the operator norm of
     R_z = I - (M_f - z) Q with Q = quantize(1/(f - z)); Q is released as
-    soon as R exists."""
-    Mf = _shift_diagonal(quantize(f, gauge).matrix, -z)
-    R = Mf @ quantize(_reciprocal_symbol(f, z), gauge).matrix
+    soon as R exists.
+
+    In the zero gauge, M_f and Q are the kernel tables (:func:`_matrix`).
+    For a real f even in xi and a real z both are exactly real, and the
+    product, the norm certificate (dsyrk, dsymv, dpotrf), the inverse and
+    the residual of :func:`_solved` all run in real arithmetic; the tables
+    are the real parts of the complex ones to the bit.  A table that fails
+    the exact test (nonzero imaginary samples, or samples unequal to their
+    momentum reflection) stays complex, and so does everything it enters."""
+    Mf = _shift_diagonal(_matrix(f, gauge), -z)
+    R = Mf @ _matrix(_reciprocal_symbol(f, z), gauge)
     _shift_diagonal(np.negative(R, out=R), 1.0)
-    return Mf, MagneticOperator(gauge.grid, R).operator_norm()
+    return Mf, _norm_bound(R)
 
 
 def norm_Rz(f: Symbol, z: complex, gauge: Gauge) -> float:
@@ -174,14 +209,15 @@ def _cholesky_inverse(M: np.ndarray) -> np.ndarray | None:
     None when that matrix is not positive definite.
 
     The Fortran-ordered copy of M^T holds that triangle as its lower one:
-    zpotrf factors it in place and zpotri overwrites the factor with the
+    potrf factors it in place and potri overwrites the factor with the
     inverse's triangle, which the transpose returns as the upper triangle
-    of a C-ordered X.  The lower triangle of X is then filled from it by
+    of a C-ordered X (zpotrf and zpotri for a complex M, dpotrf and dpotri
+    for a real one).  The lower triangle of X is then filled from it by
     blocks of ``_PHASE_ROWS`` columns."""
-    lapack = sp_linalg.lapack
-    c, info = lapack.zpotrf(M.T.copy(order="A"), lower=1, clean=0, overwrite_a=1)
+    potrf, potri = sp_linalg.get_lapack_funcs(("potrf", "potri"), (M,))
+    c, info = potrf(M.T.copy(order="A"), lower=1, clean=0, overwrite_a=1)
     if info == 0:
-        c, info = lapack.zpotri(c, lower=1, overwrite_c=1)
+        c, info = potri(c, lower=1, overwrite_c=1)
     if info != 0:
         return None
     X = c.T
@@ -310,7 +346,7 @@ class ResolventFamily:
         if abs(z.imag) < 1e-14 and z.real <= self._inf_f - 1.0:
             res = neumann_invert(self.f, z, self.gauge, validate=False)
         else:
-            Mf = _shift_diagonal(quantize(self.f, self.gauge).matrix, -z)
+            Mf = _shift_diagonal(_matrix(self.f, self.gauge), -z)
             res = _solved(Mf, z, 0, None, self.gauge, self.f.real)
         self.entries[key] = res
         return res

@@ -88,24 +88,32 @@ _LANCZOS_TOL = 1e-9
 _CERTIFICATE_MARGIN = 2.0 ** -30
 
 
-def _norm_bound(R: np.ndarray) -> float:
-    """t >= ||R||_2, at most about 5e-10 relative above it.
+def _gram(R: np.ndarray) -> np.ndarray:
+    """The lower triangle of G = R^T conj(R) = conj(R^H R), which has the
+    eigenvalues of R^H R, by zherk (dsyrk for a real R) on the
+    Fortran-ordered view R^T, without copying R."""
+    rk = sp_linalg.get_blas_funcs("herk" if np.iscomplexobj(R) else "syrk", (R,))
+    return rk(1.0, R.T, lower=1)
 
-    zherk on the Fortran-ordered view R^T forms G = R^T conj(R) =
-    conj(R^H R), which has the eigenvalues of R^H R, without copying R.
-    t^2 is the Lanczos estimate of lambda_max(G) widened by
-    ``_CERTIFICATE_MARGIN``, certified by a Cholesky of t^2 I - G in place
-    of G.  If that factorization fails, G is formed again from R and t^2 is
-    its top eigenvalue from eigh, widened by the same margin."""
+
+def _norm_bound(R: np.ndarray) -> float:
+    """t >= ||R||_2, at most about 5e-10 relative above it, for a complex or
+    a real R, in the arithmetic of R.
+
+    t^2 is the Lanczos estimate of lambda_max of G = :func:`_gram` widened
+    by ``_CERTIFICATE_MARGIN``, certified by a Cholesky (potrf) of t^2 I - G
+    in place of G.  If that factorization fails, G is formed again from R
+    and t^2 is its top eigenvalue from eigh, widened by the same margin."""
     P = len(R)
-    G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
+    G = _gram(R)
     t2 = _lanczos_top(G) * (1.0 + _CERTIFICATE_MARGIN)
     np.negative(G, out=G)
     # G is Fortran-ordered, so G.reshape(-1) would copy it
     G[np.diag_indices(P)] += t2
-    if sp_linalg.lapack.zpotrf(G, lower=1, clean=0, overwrite_a=1)[1] != 0:
+    potrf = sp_linalg.get_lapack_funcs("potrf", (G,))
+    if potrf(G, lower=1, clean=0, overwrite_a=1)[1] != 0:
         del G
-        G = sp_linalg.blas.zherk(1.0, R.T, lower=1)
+        G = _gram(R)
         top = sp_linalg.eigh(G, eigvals_only=True, subset_by_index=[P - 1, P - 1],
                              overwrite_a=True)[0]
         t2 = max(top, 0.0) * (1.0 + _CERTIFICATE_MARGIN)
@@ -113,20 +121,21 @@ def _norm_bound(R: np.ndarray) -> float:
 
 
 def _lanczos_top(G: np.ndarray) -> float:
-    """Estimate of lambda_max of the Hermitian G, read from its lower
-    triangle (zhemv): the top Ritz value of a Lanczos run with full
-    reorthogonalization from a fixed-seed start vector.  It stops once
-    |beta_k s_k| <= _LANCZOS_TOL theta, after _LANCZOS_STEPS steps, or when
-    the Krylov space is invariant.  A Ritz value lies at or below
-    lambda_max, so this is not a bound."""
+    """Estimate of lambda_max of the Hermitian (or real symmetric) G, read
+    from its lower triangle (zhemv, or dsymv): the top Ritz value of a
+    Lanczos run with full reorthogonalization from a fixed-seed start
+    vector.  It stops once |beta_k s_k| <= _LANCZOS_TOL theta, after
+    _LANCZOS_STEPS steps, or when the Krylov space is invariant.  A Ritz
+    value lies at or below lambda_max, so this is not a bound."""
     P = len(G)
-    Q = np.empty((min(_LANCZOS_STEPS, P), P), dtype=complex)
-    q = np.random.default_rng(0).standard_normal(P).astype(complex)
+    mv = sp_linalg.get_blas_funcs("hemv" if np.iscomplexobj(G) else "symv", (G,))
+    Q = np.empty((min(_LANCZOS_STEPS, P), P), dtype=G.dtype)
+    q = np.random.default_rng(0).standard_normal(P).astype(G.dtype)
     q /= np.linalg.norm(q)
     alpha, beta = [], []
     for k in range(len(Q)):
         Q[k] = q
-        w = sp_linalg.blas.zhemv(1.0, G, q, lower=1)
+        w = mv(1.0, G, q, lower=1)
         if k:
             w -= beta[-1] * Q[k - 1]
         alpha.append(np.vdot(q, w).real)
@@ -278,7 +287,8 @@ _ROWS = 8
 # into chunks of at most this many, which bounds its work arrays
 _POINTS = 1 << 14
 # the side of the square tiles of the in-place phase application, and rows
-# per block of the Hermiticity defect and of the Cholesky inverse's mirror
+# per block of the 1D symbol table, the Hermiticity defect and the Cholesky
+# inverse's mirror
 _PHASE_ROWS = 64
 
 
@@ -414,58 +424,103 @@ class Gauge:
 # ---------------------------------------------------------------------------
 
 
-def _symbol_table(f, grid: PhaseSpaceGrid) -> np.ndarray:
+def _real_even(F: np.ndarray, n: int) -> bool:
+    """Whether the samples F (momentum axes last, n of them) are real and
+    equal to their reflection k -> (-k) mod N on every momentum axis, so
+    that their inverse FFT is real and its imaginary part is rounding.
+    Index 0, the Nyquist node, is its own reflection."""
+    if F.imag.any():
+        return False
+    axes = tuple(range(-n, 0))
+    # the flip takes k to N - 1 - k, the roll by one to N - k
+    return np.array_equal(F.real, np.roll(np.flip(F.real, axes), 1, axes))
+
+
+def _table_1d(G: np.ndarray, real: bool) -> np.ndarray:
+    """W[i, j] = (-1)^d G[i + j, d mod N] with d = i - j, from the transforms
+    G of the 2N - 1 midpoints, by blocks of ``_PHASE_ROWS`` rows; with
+    ``real``, the real part of each block."""
+    N = G.shape[1]
+    j = np.arange(N)
+    W = np.empty((N, N), dtype=float if real else complex)
+    for a in range(0, N, _PHASE_ROWS):
+        i = np.arange(a, min(a + _PHASE_ROWS, N))[:, None]
+        d = i - j
+        block = (-1.0) ** d * G[i + j, d % N]
+        W[a:a + _PHASE_ROWS] = block.real if real else block
+    return W
+
+
+def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
     """Phase-stripped kernel table W[i, j] = dx^n (2 pi)^-n fcheck(q_ij, v_ij).
 
     All measure factors cancel:  W[i, j] = (-1)^(sum d) ifftn(F_q)[d mod N]
     with, per axis, the difference d = i - j and the midpoint index p = i + j
     of q = half_nodes[p], and F_q the symbol sampled at q over the centered
-    momentum lattice.  Every branch is one gather by (p, d).
+    momentum lattice.  Every branch is one gather by (p, d), in 1D by blocks
+    of ``_PHASE_ROWS`` rows.
 
     A symbol with a ``split`` (V, rest) gets the table of ``rest`` (zero
     when there is none) with V(x_i) added to its diagonal in place.
+
+    With ``real``, a table that is exactly real (V real and every F_q
+    :func:`_real_even`) is float64, the real part of the complex table to
+    the bit (signed zeros included: the real part is taken after the
+    complex sign product); any other table is complex, as without ``real``.
     """
     split = getattr(f, "split", None)
     if split is not None:
         V, rest = split
         P = grid.npoints
-        W = np.zeros((P, P), dtype=complex) if rest is None else _symbol_table(rest, grid)
-        W.reshape(-1)[::P + 1] += V(grid.x_flat())
+        v = V(grid.x_flat())
+        real = real and not v.imag.any()
+        W = (np.zeros((P, P), dtype=float if real else complex) if rest is None
+             else _symbol_table(rest, grid, real))
+        W.reshape(-1)[::P + 1] += v if np.iscomplexobj(W) else v.real
         return W
     N, n = grid.N, grid.n
     xi_mesh = grid.xi_mesh()
     i = np.arange(N)
-    p = i[:, None] + i[None, :]
-    d = i[:, None] - i[None, :]
-    sign = (-1.0) ** d
     if getattr(f, "x_independent", False):
-        G = sp_fft.ifftn(np.asarray(f(np.zeros_like(xi_mesh), xi_mesh), dtype=complex))
+        F = np.asarray(f(np.zeros_like(xi_mesh), xi_mesh), dtype=complex)
+        G = sp_fft.ifftn(F)
+        real = real and _real_even(F, n)
         if n == 1:
-            return sign * G[d % N]
+            # one G serves every midpoint
+            return _table_1d(np.broadcast_to(G, (2 * N - 1, N)), real)
         # the signed table S[d1, d2] over d = 1-N .. N-1 (stored at d + N - 1),
         # read at d1 = i1 - j1 and d2 = i2 - j2 of W[i1 N + i2, j1 N + j2]
         k = np.arange(1 - N, N)
         S = (-1.0) ** (k[:, None] + k[None, :]) * G[np.ix_(k % N, k % N)]
-        at = d + N - 1
+        S = S.real if real else S
+        at = i[:, None] - i[None, :] + N - 1
         return S[at[:, None, :, None], at[None, :, None, :]].reshape(grid.npoints, -1)
 
     half = grid.half_nodes()
     if n == 1:
         F = np.asarray(f(half[:, None, None], xi_mesh[None, :, :]), dtype=complex)  # (2N-1, N)
-        return sign * sp_fft.ifft(F, axis=1)[p, d % N]
+        real = real and _real_even(F, 1)
+        # in place: F and its transform together would hold 64 P^2 bytes
+        return _table_1d(sp_fft.ifft(F, axis=1, overwrite_x=True), real)
 
     # n == 2: one midpoint slab p1 along the first axis at a time bounds the
     # memory; a slab holds every block (i1, j1 = p1 - i1) of W4[i1, i2, j1, j2]
-    W4 = np.empty((N,) * 4, dtype=complex)
+    p = i[:, None] + i[None, :]
+    d = i[:, None] - i[None, :]
+    sign = (-1.0) ** d
+    W4 = np.empty((N,) * 4, dtype=float if real else complex)
     for p1, q1 in enumerate(half):
         # one point per midpoint, shape (2N-1, 1, 1, 2); the momentum axes broadcast
         qgrid = np.stack(np.broadcast_arrays(q1, half[:, None, None]), axis=-1)
         F = np.broadcast_to(np.asarray(f(qgrid, xi_mesh[None]), dtype=complex),
                             (2 * N - 1, N, N))
+        if real and not _real_even(F, 2):
+            return _symbol_table(f, grid)  # start again, complex
         G = sp_fft.ifft2(F, axes=(1, 2))
         i1 = np.arange(max(0, p1 - N + 1), min(N, p1 + 1))
         d1 = (2 * i1 - p1)[:, None, None]
-        W4[i1, :, p1 - i1, :] = (-1.0) ** d1 * sign * G[p, d1 % N, d % N]
+        block = (-1.0) ** d1 * sign * G[p, d1 % N, d % N]
+        W4[i1, :, p1 - i1, :] = block.real if real else block
     return W4.reshape(grid.npoints, -1)
 
 
@@ -577,11 +632,12 @@ def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid, keep=None) -> np.ndar
     L2 = sparse.block_diag([_stencil(R, e, rows2) for e in range(R)], format="csr")
     i, i2, k = np.arange(N), np.arange(R), np.arange(len(rows))
     cols2 = (i2 - i2[:, None]) % R  # row i2 of diagonal d2 lies in column cols2[d2 mod R, i2]
-    W = np.asarray(W, dtype=complex).reshape(N, R, N, R)  # [i1, i2, j1, j2]
+    W = np.asarray(W).reshape(N, R, N, R)  # [i1, i2, j1, j2], real or complex
     cs = np.empty((N, R, len(rows2), len(rows)), dtype=complex)  # [d1, d2, l2, l1]
     for e in range(N):  # e = d1 mod N
-        # the real view puts the real and imaginary parts in columns of their own
-        T = W[i, :, (i - e) % N].view(float).reshape(N, -1)  # [i1, (i2, j2)]
+        # the real view puts the real and imaginary parts in columns of their
+        # own; a real table is made complex one gathered slice at a time
+        T = W[i, :, (i - e) % N].astype(complex, copy=False).view(float).reshape(N, -1)
         T = (_stencil(N, e, rows) @ T).view(complex).reshape(-1, R, R)  # [l1, i2, j2]
         T = T[k, i2[:, None], cols2[:, :, None]].view(float).reshape(R * R, -1)  # [(d2, i2), l1]
         cs[e] = (L2 @ T).view(complex).reshape(R, len(rows2), -1)  # [d2, l2, l1]

@@ -380,15 +380,31 @@ _PEAK_RUNS = {
 }
 
 
+# 1D runs (there is no field in 1D) of the commands with 1D branches of their own
+_PEAK_RUNS_1D = {
+    **{command: _PEAK_RUNS[command] for command in ("quantize", "spectrum", "invert")},
+    "expand": {"symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
+               "symbol2": {"expression": "xi1 + exp(-x1^2)", "m": 1, "rho": 1},
+               "task": {"command": "expand", "depth": 2}},
+}
+
+
 @pytest.mark.filterwarnings("ignore:remainder fit window")
-@pytest.mark.parametrize("field", sorted(_FIELDS))
-@pytest.mark.parametrize("command", sorted(_PEAK_RUNS))
+@pytest.mark.parametrize("command, field",
+                         [(command, field) for command in sorted(_PEAK_RUNS)
+                          for field in sorted(_FIELDS)]
+                         + [(command, "1d") for command in sorted(_PEAK_RUNS_1D)])
 def test_each_command_peaks_within_the_multiple_of_p_squared_it_is_refused_by(
         tmp_path, command, field):
     # the traced peak of a whole CLI run, against the multiple _build_grid enforces
-    cfg = {"grid": {"n": 2, "L": 12.0, "N": 24}, "field": _FIELDS[field],
-           "symbol": _BUMPS_2D, **_PEAK_RUNS[command]}
-    P = cfg["grid"]["N"] ** 2
+    if field == "1d":
+        cfg = {"grid": {"n": 1, "L": 20.0, "N": 512},
+               "symbol": {**_BUMPS_2D, "expression": "xi1^2 + 0.5*arctan(x1) + 0.3*exp(-x1^2)"},
+               **_PEAK_RUNS_1D[command]}
+    else:
+        cfg = {"grid": {"n": 2, "L": 12.0, "N": 24}, "field": _FIELDS[field],
+               "symbol": _BUMPS_2D, **_PEAK_RUNS[command]}
+    P = cfg["grid"]["N"] ** cfg["grid"]["n"]
     path = write_cfg(tmp_path / "cfg.json", cfg)
     # one untraced run first: a lazy import (scipy.optimize in ess-spectrum)
     # would otherwise count towards the peak of whichever test runs it first

@@ -29,11 +29,13 @@ from magweyl.inversion import (
 from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
 from magweyl.quantize import (
     _LANCZOS_STEPS,
+    _gram,
     _lanczos_top,
     _norm_bound,
     Gauge,
     MagneticOperator,
     SampledSymbol,
+    _symbol_table,
     dequantize,
     quantize,
 )
@@ -291,20 +293,23 @@ def _square_root_of(P, case):
 @pytest.mark.parametrize("case", ["top-orthogonal-to-the-start", "top-two-1e-13-apart"])
 def test_the_norm_bound_is_an_upper_bound_on_spectra_hard_for_lanczos(case):
     P = 64
-    R = _square_root_of(P, case)
-    if case == "top-orthogonal-to-the-start":
-        # the estimate misses lambda_max, so the certificate fails and the
-        # bound comes from the eigh fallback
-        G = sp_linalg.blas.zherk(1.0, R.astype(complex).T, lower=1)
-        assert _lanczos_top(G) == pytest.approx(0.25, rel=1e-12)
-    bound = _norm_bound(R.astype(complex))
-    assert 1.0 <= bound <= 1.0 + 1e-9
-    assert bound >= svdvals(R)[0]
+    # the complex path (zherk, zhemv, zpotrf) and the real one (dsyrk, dsymv, dpotrf)
+    for R in (_square_root_of(P, case).astype(complex), _square_root_of(P, case)):
+        if case == "top-orthogonal-to-the-start":
+            # the estimate misses lambda_max, so the certificate fails and the
+            # bound comes from the eigh fallback
+            G = _gram(R)
+            assert G.dtype == R.dtype
+            assert _lanczos_top(G) == pytest.approx(0.25, rel=1e-12)
+        bound = _norm_bound(R)
+        assert 1.0 <= bound <= 1.0 + 1e-9
+        assert bound >= svdvals(R)[0]
 
 
 def test_the_norm_bound_of_zero_is_zero():
     P = 16
     assert _norm_bound(np.zeros((P, P), dtype=complex)) == 0.0
+    assert _norm_bound(np.zeros((P, P))) == 0.0
     assert certified_terms(0.0, P) == 1
 
 
@@ -348,7 +353,10 @@ def test_residuals_are_the_sup_of_the_values_on_the_interior_mask(n):
                    else (ARCTAN_2D, -20.0, _const_gauge(0.6, make_grid(2, 8.0, 12))))
     grid, P = gauge.grid, gauge.grid.npoints
     res = neumann_invert(f, z, gauge)
-    Mf = quantize(f, gauge).matrix - z * np.eye(P)
+    # M_f as the inversion builds it: the real kernel table in the zero gauge
+    Mf = (_symbol_table(f, grid, real=True) if n == 1 else quantize(f, gauge).matrix) \
+        - z * np.eye(P)
+    assert Mf.dtype == res.matrix.dtype == (float if n == 1 else complex)
     E = MagneticOperator(grid, Mf @ res.matrix - np.eye(P))
     expected = _interior_sup_of_the_values(dequantize(E, gauge))
     assert res.residual == inversion_residual(Mf, res.matrix, gauge) == expected
@@ -362,6 +370,33 @@ def test_residuals_are_the_sup_of_the_values_on_the_interior_mask(n):
     rzb = fam.add(np.conj(z2))
     diff = SampledSymbol(grid, r2.symbol.table.conj().T) - rzb.symbol
     assert fam.adjoint_symmetry_residual(z2) == _interior_sup_of_the_values(diff)
+
+
+def test_the_real_zero_gauge_inversion_agrees_with_a_complex_curl_free_gauge():
+    # A = (x2/2, x1/2) = grad(x1 x2 / 2) has B = 0 but a nonzero phase, so it
+    # keeps the complex path; the zero gauge takes the real one
+    g = make_grid(2, 8.0, 16)
+    real = neumann_invert(BUMPS_2D, -40.0, Gauge(VectorPotential.zero(2), g))
+    curl_free = VectorPotential.from_expressions(2, ["0.5*x2", "0.5*x1"])
+    cplx = neumann_invert(BUMPS_2D, -40.0, Gauge(curl_free, g))
+    assert (real.matrix.dtype, cplx.matrix.dtype) == (float, complex)
+    assert real.terms == cplx.terms
+    assert real.norm_R == pytest.approx(cplx.norm_R, rel=1e-12, abs=0)
+    assert max(real.residual, cplx.residual) <= 1e-13
+
+
+def test_a_nonreal_z_takes_a_real_zero_gauge_table_to_complex():
+    g = make_grid(2, 12.0, 16)
+    gauge = Gauge(VectorPotential.zero(2), g)
+    assert inversion._matrix(BUMPS_2D, gauge).dtype == float
+    M = _shift_diagonal(inversion._matrix(BUMPS_2D, gauge), 40.0)
+    assert M.dtype == float
+    z = -3.0 + 1.0j
+    res = ResolventFamily(BUMPS_2D, gauge).add(z)
+    assert res.matrix.dtype == complex and res.norm_R is None
+    lu = sp_linalg.inv(_shift_diagonal(quantize(BUMPS_2D, gauge).matrix, -z))
+    assert np.abs(res.matrix - lu).max() <= 1e-12 * np.abs(lu).max()
+    assert res.residual <= 1e-10
 
 
 @pytest.mark.parametrize("field", ["zero", "const"])

@@ -556,6 +556,46 @@ def test_1d_symbol_table_is_bit_identical_to_the_branch_reference(text, N):
     assert np.array_equal(_symbol_table(bare, g), _symbol_table_ref(bare, g))
 
 
+@pytest.mark.parametrize("n, text", [
+    (1, "xi1^2 + arctan(x1)*xi1^2"),
+    (2, "xi1^2 + xi2^2 + arctan(x1)*xi2^2"),
+    (1, "xi1^2 + cos(xi1)"),
+    (2, "xi1^2 + 0.5*xi2^2"),
+    (2, "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)"),
+], ids=["1d-slab", "2d-slab", "1d-x-independent", "2d-x-independent", "2d-split"])
+def test_a_real_table_is_the_real_part_of_the_complex_table_to_the_bit(n, text):
+    g = make_grid(n, 10.0, 32 if n == 1 else 12)
+    f = Symbol.from_expression(text, n, m=2, real=True)
+    W, real = _symbol_table(f, g), _symbol_table(f, g, real=True)
+    assert (W.dtype, real.dtype) == (complex, float)
+    assert real.tobytes() == W.real.tobytes()
+    # what the real table drops is FFT rounding
+    assert 0.0 < np.abs(W.imag).max() <= 1e-15 * np.abs(W).max()
+    # the sampler reads a real table as its complex copy, to the bit
+    assert (SampledSymbol(g, real).interior_sup()
+            == SampledSymbol(g, real.astype(complex)).interior_sup())
+    assert SampledSymbol(g, real).values.tobytes() == \
+        SampledSymbol(g, real.astype(complex)).values.tobytes()
+
+
+@pytest.mark.parametrize("f", [
+    Symbol.from_expression("xi1 + arctan(x1)", 1, m=1, real=True),
+    Symbol.from_expression("xi1^2 + xi2^2 + xi1*xi2", 2, m=2, real=True),
+    Symbol.from_callable(lambda x, xi: xi[..., 0] ** 2 + 0.5j * np.exp(-x[..., 0] ** 2), 1, m=2),
+], ids=["xi-odd", "nyquist-line", "nonreal"])
+def test_a_table_that_is_not_exactly_real_stays_complex(f):
+    g = make_grid(f.n, 10.0, 32 if f.n == 1 else 12)
+    W = _symbol_table(f, g, real=True)
+    assert W.dtype == complex and W.tobytes() == _symbol_table(f, g).tobytes()
+    if f.n == 2:
+        # xi1 xi2 is even, but the Nyquist node -N/2 is its own reflection,
+        # where xi1 xi2 changes sign: only that line fails the test
+        F = f(np.zeros((g.N, g.N, 2)), g.xi_mesh())
+        r = -np.arange(g.N) % g.N
+        bad = F != F[np.ix_(r, r)]
+        assert bad.any() and not bad[1:, 1:].any()
+
+
 @pytest.mark.parametrize("case", ["zero1d", "sin1d", "zero2d", "linear", "transversal"])
 def test_an_x_only_expression_quantizes_to_its_multiplication_operator(case):
     # dx dxi N = 2 pi and C_ii = 0 in every gauge, so the matrix is diag(V(x_i))
