@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import dataclasses
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .magnetics import (
     FluxQuadrature,
     MagneticField,
     VectorPotential,
+    _position_callable,
     gauge_shift,
     omega_cocycle,
     transversal_gauge,
@@ -39,7 +40,7 @@ from .magnetics import (
 from .moyal import expansion_term, remainder_order
 from .quantize import Gauge, _sum_squares, dequantize, quantize, wrong_quantize
 from .spectral import essential_spectrum, spectrum
-from .symbols import CoefficientAlgebra, QuasiOrbit, Symbol
+from .symbols import CoefficientAlgebra, QuasiOrbit, Symbol, _position_blocks
 
 __all__ = ["main", "run"]
 
@@ -54,9 +55,6 @@ _DEFAULTS = {
     "output": {"eigenvalue_format": ".17g"},
     "task": {"seed": 0},
 }
-
-_COMMANDS = ("quantize", "spectrum", "ess-spectrum", "gauge-check",
-             "expand", "invert", "validate")
 
 # physical memory in bytes, the budget a dense grid must fit in
 _MEMORY_BYTES = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -193,11 +191,6 @@ def _build_field(config, n):
         return MagneticField.from_expressions(n, exprs)
 
 
-def _position_expr(text, n):
-    ast = expressions.parse_expression(text, n_dim=n)
-    return ast, (lambda x, ast=ast: np.real(expressions.evaluate(ast, x=x)))
-
-
 def _build_gauge(config, B, n):
     block = config["gauge"]
     kind = _value(block, "gauge block", "kind", str)
@@ -255,21 +248,21 @@ def _psi_pair(config, A, n):
     if text is None:
         raise ConfigError("gauge block needs a 'psi' expression for gauge pairs")
     with _naming("gauge block 'psi'"):
-        ast, psi = _position_expr(text, n)
-    grads = [ast.diff(f"x{j + 1}") for j in range(n)]
+        ast = expressions.parse_expression(text, n_dim=n)
+    grads = [_position_callable(ast.diff(f"x{j + 1}")) for j in range(n)]
 
     def grad_psi(x):
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape)
         for j, g in enumerate(grads):
-            out[..., j] = np.real(expressions.evaluate(g, x=x)) + np.zeros(x.shape[:-1])
+            out[..., j] = g(x) + np.zeros(x.shape[:-1])
         return out
 
     # A + grad(psi) is a polynomial when both are; its phase still comes from
     # its own quadrature, never from C_A + psi(y) - psi(x)
     d = expressions.degree(ast)
     degree = None if A.degree is None or d is None else max(A.degree, d - 1)
-    return psi, dataclasses.replace(gauge_shift(A, grad_psi=grad_psi), degree=degree)
+    return _position_callable(ast), replace(gauge_shift(A, grad_psi=grad_psi), degree=degree)
 
 
 def _eigenvalue_format(config):
@@ -396,12 +389,10 @@ def _cmd_expand(config, out_dir):
     depth = _value(config["task"], "task block", "depth", int, 2)
     if depth < 0:
         raise ConfigError(f"task block 'depth' must be non-negative, got {depth!r}")
-    x = grid.x_mesh()
-    xi = grid.xi_mesh()
-    sup_values = {}
-    for l in range(depth):
-        h_l = expansion_term(f, g, B, l)
-        sup_values[f"h{l}_sup"] = float(np.abs(h_l.fn(x, xi)).max())
+    # sup over the whole phase-space lattice, by blocks of position nodes
+    sup_values = {f"h{l}_sup": float(np.max([np.abs(vals).max() for vals in
+                                             _position_blocks(expansion_term(f, g, B, l), grid)]))
+                  for l in range(depth)}
     fit = remainder_order(f, g, B, gauge, depth)
     expected = f.m + g.m - depth  # rho = 1 symbol classes
     # a widened window is a two-node fit, flagged so that its slope is not
@@ -542,9 +533,9 @@ def run(argv=None) -> int:
         config = _effective_config(config, args.seed)
         task = _require_block(config, "task")
         command = task.get("command")
-        if command not in _COMMANDS:
+        if not isinstance(command, str) or command not in _DISPATCH:
             raise ConfigError(
-                f"task block needs 'command', one of {', '.join(_COMMANDS)}")
+                f"task block needs 'command', one of {', '.join(_DISPATCH)}")
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "effective_config.json"), "w") as fh:
             fh.write(json.dumps(config, sort_keys=True, indent=2))

@@ -11,25 +11,31 @@ than unary minus, which binds tighter than ``* /``, which bind tighter than
     atom   :=  number | 'pi' | 'e' | variable | function '(' expr ')'
             |  '(' expr ')'
 
-Variables are ``x1..xn`` (position) and ``xi1..xin`` (momentum).  Supported
-functions: sin, cos, exp, log, sqrt, arctan, tanh, abs and the japanese
-bracket ``jap(t) = sqrt(1 + t^2)``.
+Numbers (``2``, ``.5``, ``1.e-3``) and names are ASCII.  Variables are
+``x1..xn`` (position) and ``xi1..xin`` (momentum).  The functions are the
+keys of :data:`FUNCTIONS`: sin, cos, exp, log, sqrt, arctan, tanh, abs and
+the japanese bracket ``jap(t) = sqrt(1 + t^2)``.  Every malformed expression
+raises :class:`ParseError`, with the offset of the first token that does not
+fit.
 
 Evaluation is vectorized over numpy arrays and total on the declared domain;
 division by a value with modulus below 1e-300 raises EvalError.  Every AST
 can be differentiated symbolically to any order with respect to any variable,
 and printed back to a string such that parse(print(parse(s))) is a fixed
-point.
+point.  Each function and each operator is one row of a table
+(:data:`FUNCTIONS`, ``_OPS``) that holds its evaluation and its derivative
+rule.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "arctan", "tanh", "abs", "jap")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -134,54 +140,21 @@ class Var(Node):
         return {self.name}
 
 
-# precedence levels: add=1, mul=2, unary minus=3, pow=4, atom=5
 @dataclass(frozen=True)
 class BinOp(Node):
     op: str
     left: Node
     right: Node
 
-    _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
     def __call__(self, env):
-        a = self.left(env)
-        b = self.right(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.fmin.reduce(np.abs(b), axis=None, initial=np.inf) < 1e-300:
-                raise EvalError("division by (near-)zero denominator")
-            return a / b
-        # power: use complex-safe rules only for integer exponents on negatives
-        return np.power(a, b)
+        return _OPS[self.op][1](self.left(env), self.right(env))
 
     def diff(self, var):
         f, g = self.left, self.right
-        df, dg = f.diff(var), g.diff(var)
-        if self.op == "+":
-            return _add(df, dg)
-        if self.op == "-":
-            return _sub(df, dg)
-        if self.op == "*":
-            return _add(_mul(df, g), _mul(f, dg))
-        if self.op == "/":
-            return _div(_sub(_mul(df, g), _mul(f, dg)), _mul(g, g))
-        # f^g: support the common cases f^const and const^g
-        if isinstance(g, Num):
-            # d f^c = c * f^(c-1) * df
-            return _mul(_mul(g, _pow(f, Num(g.value - 1.0))), df)
-        if not f.variables():
-            # c^g: d = c^g * log(c) * dg
-            return _mul(_mul(self, Func("log", f)), dg)
-        # general case: f^g = exp(g log f)
-        return _mul(self, _add(_mul(dg, Func("log", f)), _div(_mul(g, df), f)))
+        return _OPS[self.op][2](self, f, g, f.diff(var), g.diff(var))
 
     def to_string(self, parent_prec=0):
-        p = self._PREC[self.op]
+        p = _OPS[self.op][0]
         left_s = self.left.to_string(p)
         # left-assoc for +-*/: right operand needs strictly higher precedence;
         # right-assoc for ^: left operand needs strictly higher precedence.
@@ -226,60 +199,61 @@ class Func(Node):
 
     def __call__(self, env):
         t = self.arg(env)
-        if self.name == "sin":
-            return np.sin(t)
-        if self.name == "cos":
-            return np.cos(t)
-        if self.name == "exp":
-            return np.exp(t)
-        if self.name == "log":
-            if np.any(np.real(t) <= 0):
-                raise EvalError("log of a nonpositive value")
-            return np.log(t)
-        if self.name == "sqrt":
-            if np.any(np.real(t) < 0):
-                raise EvalError("sqrt of a negative value")
-            return np.sqrt(t)
-        if self.name == "arctan":
-            return np.arctan(t)
-        if self.name == "tanh":
-            return np.tanh(t)
-        if self.name == "abs":
-            return np.abs(t)
-        if self.name == "jap":
-            return np.sqrt(1.0 + t * t)
-        raise EvalError(f"unknown function {self.name}")
+        fn, domain, _ = FUNCTIONS[self.name]
+        if domain and np.any(domain[1](np.real(t), 0)):
+            raise EvalError(f"{self.name} of a {domain[0]} value")
+        return fn(t)
 
     def diff(self, var):
-        t = self.arg
-        dt = t.diff(var)
-        if self.name == "sin":
-            d = Func("cos", t)
-        elif self.name == "cos":
-            d = _neg(Func("sin", t))
-        elif self.name == "exp":
-            d = self
-        elif self.name == "log":
-            d = _div(Num(1.0), t)
-        elif self.name == "sqrt":
-            d = _div(Num(0.5), self)
-        elif self.name == "arctan":
-            d = _div(Num(1.0), _add(Num(1.0), _mul(t, t)))
-        elif self.name == "tanh":
-            d = _sub(Num(1.0), _mul(self, self))
-        elif self.name == "abs":
-            d = _div(t, self)  # sign(t); undefined at 0
-        elif self.name == "jap":
-            d = _div(t, self)
-        else:
-            raise EvalError(f"unknown function {self.name}")
-        return _mul(d, dt)
+        return _mul(FUNCTIONS[self.name][2](self.arg, self), self.arg.diff(var))
 
     def to_string(self, parent_prec=0):
         return f"{self.name}({self.arg.to_string(0)})"
 
     def variables(self):
         return self.arg.variables()
+
+
+# name -> (numpy evaluation, (what it rejects, the test of the real part
+# against 0) or None, derivative d f / d t of the call f = name(t))
+FUNCTIONS = {
+    "sin": (np.sin, None, lambda t, f: Func("cos", t)),
+    "cos": (np.cos, None, lambda t, f: _neg(Func("sin", t))),
+    "exp": (np.exp, None, lambda t, f: f),
+    "log": (np.log, ("nonpositive", np.less_equal), lambda t, f: _div(Num(1.0), t)),
+    "sqrt": (np.sqrt, ("negative", np.less), lambda t, f: _div(Num(0.5), f)),
+    "arctan": (np.arctan, None, lambda t, f: _div(Num(1.0), _add(Num(1.0), _mul(t, t)))),
+    "tanh": (np.tanh, None, lambda t, f: _sub(Num(1.0), _mul(f, f))),
+    "abs": (np.abs, None, lambda t, f: _div(t, f)),  # sign(t); undefined at 0
+    "jap": (lambda t: np.sqrt(1.0 + t * t), None, lambda t, f: _div(t, f)),
+}
+
+
+def _divide(a, b):
+    if np.fmin.reduce(np.abs(b), axis=None, initial=np.inf) < 1e-300:
+        raise EvalError("division by (near-)zero denominator")
+    return a / b
+
+
+def _power_rule(h, f, g, df, dg):
+    """d(f^g) for h = f^g: the cases f^const and const^g, else exp(g log f)."""
+    if isinstance(g, Num):
+        return _mul(_mul(g, _pow(f, Num(g.value - 1.0))), df)
+    if not f.variables():
+        return _mul(_mul(h, Func("log", f)), dg)
+    return _mul(h, _add(_mul(dg, Func("log", f)), _div(_mul(g, df), f)))
+
+
+# op -> (precedence, evaluation, derivative of h = f op g given df and dg);
+# precedence levels: add=1, mul=2, unary minus=3, pow=4, atom=5
+_OPS = {
+    "+": (1, operator.add, lambda h, f, g, df, dg: _add(df, dg)),
+    "-": (1, operator.sub, lambda h, f, g, df, dg: _sub(df, dg)),
+    "*": (2, operator.mul, lambda h, f, g, df, dg: _add(_mul(df, g), _mul(f, dg))),
+    "/": (2, _divide,
+          lambda h, f, g, df, dg: _div(_sub(_mul(df, g), _mul(f, dg)), _mul(g, g))),
+    "^": (4, np.power, _power_rule),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -363,52 +337,24 @@ class Token:
     offset: int
 
 
+# one token after optional whitespace, named by its kind; digits and letters
+# are ASCII, and any other non-space character is ``bad``
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\)) | (?P<end>\Z) | (?P<bad>\S))""",
+                    re.VERBOSE)
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_exp = False
-            while j < n and (
-                text[j].isdigit()
-                or text[j] == "."
-                or (text[j] in "eE" and j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-"))
-                or (seen_exp and text[j] in "+-" and text[j - 1] in "eE")
-            ):
-                if text[j] in "eE":
-                    seen_exp = True
-                j += 1
-            tokens.append(Token("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append(Token("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(Token("rparen", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(Token("end", "", n))
-    return tokens
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append(Token(kind, m[kind], m.start(kind)))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:

@@ -138,13 +138,7 @@ class Symbol:
             for j, order in enumerate(alpha):
                 for _ in range(order):
                     node = node.diff(f"xi{j + 1}")
-
-            def fn(x, xi, node=node):
-                return expressions.evaluate(node, x=x, xi=xi) + np.zeros(
-                    np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1]), dtype=complex
-                )
-
-            return fn
+            return _ast_callable(node)
         if (a, alpha) in self.derivatives:
             return self.derivatives[(a, alpha)]
         if total <= 2:
@@ -155,16 +149,23 @@ class Symbol:
         )
 
 
-def _ast_symbol(ast, n: int, **meta) -> Symbol:
-    """The Symbol of a parsed expression."""
-    xvars = {f"x{j + 1}" for j in range(n)}
+def _ast_callable(ast):
+    """fn(x, xi): the complex values of ``ast`` on the broadcast shape of x
+    and xi, arrays of shape (..., n)."""
 
-    def fn(x, xi, ast=ast):
+    def fn(x, xi):
         return expressions.evaluate(ast, x=x, xi=xi) + np.zeros(
             np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1]), dtype=complex
         )
 
-    return Symbol(n=n, fn=fn, x_independent=not (ast.variables() & xvars), ast=ast, **meta)
+    return fn
+
+
+def _ast_symbol(ast, n: int, **meta) -> Symbol:
+    """The Symbol of a parsed expression."""
+    xvars = {f"x{j + 1}" for j in range(n)}
+    return Symbol(n=n, fn=_ast_callable(ast), x_independent=not (ast.variables() & xvars),
+                  ast=ast, **meta)
 
 
 def _potential_split(ast, n: int):

@@ -26,6 +26,7 @@ from magweyl import cli
 from magweyl.cli import run
 from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField, transversal_gauge
+from magweyl.moyal import expansion_term
 from magweyl.quantize import Gauge, quantize
 from magweyl.symbols import Symbol
 
@@ -224,6 +225,24 @@ def test_unknown_command_rejected(tmp_path, capsys):
     assert "command" in capsys.readouterr().err
 
 
+def test_a_malformed_number_is_diagnosed_with_its_offset(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    dict(SPECTRUM_CFG, symbol={"expression": "xi1^2 + 1.2.3", "m": 2}))
+    assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: symbol block: cannot parse 'xi1^2 + 1.2.3': unexpected '.3' at offset 12 "
+        "(expected operator or end of input)\n")
+
+
+@pytest.mark.parametrize("command", ["frobnicate", ["spectrum"], {"spectrum": 1}, None])
+def test_a_command_that_is_not_one_of_the_seven_lists_them_in_order(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path / "cfg.json", dict(SPECTRUM_CFG, task={"command": command}))
+    assert run(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: task block needs 'command', one of quantize, spectrum, ess-spectrum, "
+        "gauge-check, expand, invert, validate\n")
+
+
 _EXPAND_2D = {
     "field": {"components": {"12": "0.7"}},
     "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
@@ -264,6 +283,29 @@ def test_expand_keeps_the_summary_keys_of_a_window_that_holds_two_momenta(tmp_pa
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert sorted(summary) == ["command", "depth", "expected_remainder_order",
                                "fitted_remainder_slope", "h0_sup", "h1_sup"]
+
+
+@pytest.mark.filterwarnings("ignore:remainder fit window")
+@pytest.mark.parametrize("cfg", [
+    {"grid": {"n": 1, "L": 10.0, "N": 64}, "task": {"command": "expand", "depth": 2},
+     "symbol": {"expression": "xi1^2 + arctan(x1)", "m": 2, "rho": 1},
+     "symbol2": {"expression": "exp(-x1^2)*xi1", "m": 1, "rho": 1}},
+    {"grid": {"n": 2, "L": 8.0, "N": 16}, **_EXPAND_2D},
+], ids=["1d", "2d"])
+def test_expand_reports_each_term_s_sup_over_the_whole_phase_space_lattice(tmp_path, cfg):
+    # every position node against every momentum node, not the N^n pairs
+    # (x_k, xi_k) of two meshes of one shape
+    path = write_cfg(tmp_path / "cfg.json", cfg)
+    assert run(["--config", path, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    grid = make_grid(**cfg["grid"])
+    n = grid.n
+    x = grid.x_mesh().reshape((grid.N,) * n + (1,) * n + (n,))
+    f, g = (Symbol.from_expression(cfg[key]["expression"], n) for key in ("symbol", "symbol2"))
+    B = MagneticField.constant(n, 0.7 if n == 2 else 0.0)
+    for l in range(2):
+        full = np.abs(expansion_term(f, g, B, l)(x, grid.xi_mesh())).max()
+        assert summary[f"h{l}_sup"] == pytest.approx(full, rel=1e-12)
 
 
 _ORBITS_1D = {"kind": "AsymptoticLimitsPerDirection", "orbits": [
@@ -657,7 +699,7 @@ def test_the_artifact_digest_tool_runs_every_command_with_pinned_exit_codes():
     tool = _artifact_digest_tool()
     commands = {cfg["task"]["command"] for cfg in tool.CONFIGS.values()
                 if isinstance(cfg["task"], dict)}
-    assert commands == set(cli._COMMANDS)
+    assert commands == set(cli._DISPATCH)
     exits = {path.split("/")[0]: code for path, code in tool.digests(cli)
              if path.endswith("/exit")}
     expect = dict.fromkeys(tool.CONFIGS, "exit=0")

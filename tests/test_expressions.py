@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magweyl.expressions import EvalError, ParseError, degree, evaluate, parse_expression
+from magweyl.expressions import (FUNCTIONS, EvalError, Node, ParseError, degree, evaluate,
+                                 parse_expression)
 
 
 def ev(text, n=1, **bindings):
@@ -167,3 +168,65 @@ def test_parse_print_parse_property(a, b):
     ast = parse_expression(text, n_dim=1)
     printed = ast.to_string()
     assert parse_expression(printed, n_dim=1).to_string() == printed
+
+
+# the numpy call each function has always evaluated by
+_NUMPY_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+                "arctan": np.arctan, "tanh": np.tanh, "abs": np.abs,
+                "jap": lambda t: np.sqrt(1.0 + t * t)}
+
+
+@pytest.mark.parametrize("name", sorted(_NUMPY_CALLS))
+def test_each_function_evaluates_by_its_numpy_call_bit_for_bit(name):
+    assert set(FUNCTIONS) == set(_NUMPY_CALLS)
+    t = np.linspace(0.05, 3.0, 37) if name in ("log", "sqrt") else np.linspace(-3.0, 3.0, 37)
+    for arg in (t, t * (1 + 0.5j), 0.7):
+        value = evaluate(parse_expression(f"{name}(x1)", n_dim=1), x=(arg,))
+        assert np.array_equal(value, _NUMPY_CALLS[name](arg))
+
+
+@pytest.mark.parametrize("text, bad, message", [
+    ("log(x1)", [1.0, 0.0], "log of a nonpositive value"),
+    ("log(x1)", [-2.0], "log of a nonpositive value"),
+    ("sqrt(x1)", [4.0, -1e-300], "sqrt of a negative value"),
+])
+def test_log_and_sqrt_raise_eval_error_off_their_domain(text, bad, message):
+    with pytest.raises(EvalError, match=message):
+        evaluate(parse_expression(text, n_dim=1), x=(np.array(bad),))
+    assert evaluate(parse_expression("sqrt(x1)", n_dim=1), x=(np.array([0.0]),))[0] == 0.0
+
+
+@pytest.mark.parametrize("name, text", [
+    ("sin", "cos(x1^2)*(2*x1)"),
+    ("cos", "-sin(x1^2)*(2*x1)"),
+    ("exp", "exp(x1^2)*(2*x1)"),
+    ("log", "1/x1^2*(2*x1)"),
+    ("sqrt", "0.5/sqrt(x1^2)*(2*x1)"),
+    ("arctan", "1/(1 + x1^2*x1^2)*(2*x1)"),
+    ("tanh", "(1 - tanh(x1^2)*tanh(x1^2))*(2*x1)"),
+    ("abs", "x1^2/abs(x1^2)*(2*x1)"),
+    ("jap", "x1^2/jap(x1^2)*(2*x1)"),
+])
+def test_each_derivative_rule_prints_the_chain_rule_term(name, text):
+    assert str(parse_expression(f"{name}(x1^2)", 1).diff("x1")) == text
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("1.2.3", 4), ("1..5", 3), ("1e+", 2), ("2e3e4", 4), ("x1²", 3), ("٣ + x1", 1),
+    ("xi1^2 + 1.2.3", 12),
+])
+def test_a_malformed_number_or_a_non_ascii_character_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text, n_dim=1)
+    assert info.value.offset == offset
+    assert info.value.text == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789.eE+-*/^()xiabcjnopqrst²٣ \t", max_size=16))
+def test_any_text_parses_to_a_node_or_raises_parse_error(text):
+    try:
+        node = parse_expression(text, n_dim=2)
+    except ParseError:
+        return
+    assert isinstance(node, Node)

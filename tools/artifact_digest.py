@@ -17,10 +17,11 @@ non-polynomial fields (varying along x1 only, along x2 only and along both),
 explicit non-polynomial, symmetric and Landau gauges, a spectrum that splits
 by the 90-degree magnetic rotation, one with only the 180-degree rotation
 (solved whole) and one that just misses the 90-degree one (a well centred
-at 0), a 2D expand whose fit window is widened and one whose lattice has no
-window, an essential spectrum over an identity orbit (the default merge
-tolerance of an x-dependent symbol), polynomial and non-polynomial
-gauge-check shifts, converging and divergent inversions (one at L=7.3,
+at 0), an expand whose two symbols use every function of the expression
+language (``expand-1d-functions``), a 2D expand whose fit window is widened
+and one whose lattice has no window, an essential spectrum over an identity
+orbit (the default merge tolerance of an x-dependent symbol), polynomial and
+non-polynomial gauge-check shifts, converging and divergent inversions (one at L=7.3,
 N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L on
 either side of the interior bound), zero-field inversions in real
 arithmetic (a symbol even in xi, whose kernel table is exactly real) and
@@ -125,6 +126,15 @@ CONFIGS = {
                   "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
                   "symbol2": {"expression": "xi1 + exp(-x1^2)", "m": 1, "rho": 1},
                   "task": _task("expand", depth=2)},
+    # every function of the expression language: sin, cos, exp, log, sqrt,
+    # arctan, tanh, abs and jap
+    "expand-1d-functions": {"grid": _grid(1, 20.0, 64),
+                            "symbol": {"expression": "xi1^2 + tanh(x1) + 0.1*log(2 + x1^2)"
+                                                     " - 0.1*sqrt(1 + x1^2)", "m": 2},
+                            "symbol2": {"expression": "jap(xi1)*exp(-x1^2) + 0.05*cos(x1)*sin(x1)"
+                                                      " + 0.01*abs(x1 - 0.3) + arctan(x1)/(2 + x1^2)",
+                                        "m": 1},
+                            "task": _task("expand", depth=2)},
     "expand-2d-widened-window": {"grid": _grid(2, 8.0, 16), "field": _CONST, "symbol": _XI2,
                                  "symbol2": _XI2, "task": _task("expand", depth=2)},
     "expand-2d-no-window": {"grid": _grid(2, 8.0, 4), "field": _CONST, "symbol": _XI2,
