@@ -30,12 +30,12 @@ At zero field the twisted product is the Moyal product, and a real symbol
 even in xi quantizes to an operator that commutes with complex
 conjugation: its kernel table is real.  In the zero gauge the tables of f
 and of 1/(f - z) are therefore tested exactly, with no threshold: every
-momentum sample real and equal to its reflection k -> (-k) mod N (see
-:func:`magweyl.quantize._symbol_table`).  When both pass and z is real,
-R, its certificate, the Cholesky inverse and the residual are computed in
-real symmetric arithmetic, on the real parts of the complex tables to the
-bit, at about a quarter of the complex flops.  A magnetic field, a term
-odd in xi or a nonreal z keeps the complex path.
+momentum sample real and equal to its reflection k -> (-k) mod N on each
+momentum axis (see :func:`magweyl.quantize._symbol_table`); tables that
+pass are built in float64 by a DCT-I.  When both pass and z is real, R,
+its certificate, the Cholesky inverse and the residual are computed in
+real symmetric arithmetic, at about a quarter of the complex flops.  A
+magnetic field, a term odd in xi or a nonreal z keeps the complex path.
 """
 
 from __future__ import annotations
@@ -82,10 +82,14 @@ def _sampled_inf(f: Symbol, grid: PhaseSpaceGrid) -> float:
 
 
 def _reciprocal_symbol(f: Symbol, z: complex) -> Symbol:
+    """1/(f - z) pointwise; float64 (the complex one's real part) where z and f are real."""
     base = f.fn
 
     def fn(x, xi, base=base, z=z):
-        return 1.0 / (np.asarray(base(x, xi), dtype=complex) - z)
+        v = np.asarray(base(x, xi))
+        if z.imag == 0 and not v.imag.any():
+            return 1.0 / (v.real - z.real)
+        return 1.0 / (np.asarray(v, dtype=complex) - z)
 
     return Symbol.from_callable(fn, n=f.n, m=-f.m, rho=f.rho, delta=f.delta,
                                 real=False, x_independent=f.x_independent)
@@ -137,10 +141,11 @@ def _series_generator(f: Symbol, z: complex, gauge: Gauge):
     In the zero gauge, M_f and Q are the kernel tables (:func:`_matrix`).
     For a real f even in xi and a real z both are exactly real, and the
     product, the norm certificate (dsyrk, dsymv, dpotrf), the inverse and
-    the residual of :func:`_solved` all run in real arithmetic; the tables
-    are the real parts of the complex ones to the bit.  A table that fails
-    the exact test (nonzero imaginary samples, or samples unequal to their
-    momentum reflection) stays complex, and so does everything it enters."""
+    the residual of :func:`_solved` all run in real arithmetic, on tables
+    within a few ulps of the real parts of the complex ones.  A table that
+    fails the exact test (nonzero imaginary samples, or samples unequal to
+    their reflection on a momentum axis) stays complex, and so does
+    everything it enters."""
     Mf = _shift_diagonal(_matrix(f, gauge), -z)
     R = Mf @ _matrix(_reciprocal_symbol(f, z), gauge)
     _shift_diagonal(np.negative(R, out=R), 1.0)

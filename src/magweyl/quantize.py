@@ -28,6 +28,9 @@ symbol with an expression AST has its top-level xi-independent terms split
 off (``Symbol.split``), and its table is the table of the other terms with
 V(x_i) added to the diagonal.
 
+The zero-gauge inversion asks for float64 tables of samples that are real
+and even in each momentum: a DCT-I of their xi >= 0 half (``real=True``).
+
 Sign convention: with this phase, Op^A(xi_j) = -i d_j - A_j, so for B = dA
 (B_12 = d_1 A_2 - d_2 A_1) the momenta satisfy
 xi1 # xi2 - xi2 # xi1 = i B_12.
@@ -423,28 +426,42 @@ class Gauge:
 
 def _real_even(F: np.ndarray, n: int) -> bool:
     """Whether the samples F (momentum axes last, n of them) are real and
-    equal to their reflection k -> (-k) mod N on every momentum axis, so
-    that their inverse FFT is real and its imaginary part is rounding.
-    Index 0, the Nyquist node, is its own reflection."""
-    if F.imag.any():
+    equal to their reflection k -> (-k) mod N on each momentum axis alone,
+    as :func:`_even_transform` needs; node 0 (Nyquist) is its own."""
+    if np.iscomplexobj(F) and F.imag.any():
         return False
-    axes = tuple(range(-n, 0))
-    # the flip takes k to N - 1 - k, the roll by one to N - k
-    return np.array_equal(F.real, np.roll(np.flip(F.real, axes), 1, axes))
+    N = F.shape[-1]
+    # on each axis, nodes 1 .. N/2 - 1 against N - 1 .. N/2 + 1
+    return all(np.array_equal(F_a[..., 1:N // 2], F_a[..., :N // 2:-1])
+               for F_a in (np.moveaxis(F.real, a, -1) for a in range(-n, 0)))
+
+
+def _even_transform(F: np.ndarray, n: int) -> np.ndarray:
+    """T[.., t] = N^-n sum_k F_k e^{i t.(xi_k dx)} at t = 0 .. N/2 on the
+    last n axes, for samples that pass :func:`_real_even`: the DCT-I of the
+    samples at xi = 0 .. (N/2) dxi (by evenness, the reversed nodes N/2 .. 0),
+    over N^n.  Difference d reads T[.., min(|d|, N - |d|)], with no sign."""
+    N = F.shape[-1]
+    half = F[(...,) + (slice(N // 2, None, -1),) * n]
+    return sp_fft.dctn(half, type=1, axes=tuple(range(-n, 0))) / N ** n
+
+
+def _fold(d: np.ndarray, N: int) -> np.ndarray:
+    """min(|d|, N - |d|): where :func:`_even_transform` holds difference d."""
+    return np.minimum(np.abs(d), N - np.abs(d))
 
 
 def _table_1d(G: np.ndarray, real: bool) -> np.ndarray:
-    """W[i, j] = (-1)^d G[i + j, d mod N] with d = i - j, from the transforms
-    G of the 2N - 1 midpoints, by blocks of ``_PHASE_ROWS`` rows; with
-    ``real``, the real part of each block."""
-    N = G.shape[1]
+    """W[i, j] = (-1)^d G[i + j, d mod N] with d = i - j, from the ifft G of
+    the 2N - 1 midpoints, by blocks of ``_PHASE_ROWS`` rows; with ``real``,
+    G[i + j, min(|d|, N - |d|)] from their :func:`_even_transform` G."""
+    N = len(G) // 2 + 1
     j = np.arange(N)
     W = np.empty((N, N), dtype=float if real else complex)
     for a in range(0, N, _PHASE_ROWS):
         i = np.arange(a, min(a + _PHASE_ROWS, N))[:, None]
         d = i - j
-        block = (-1.0) ** d * G[i + j, d % N]
-        W[a:a + _PHASE_ROWS] = block.real if real else block
+        W[a:a + _PHASE_ROWS] = G[i + j, _fold(d, N)] if real else (-1.0) ** d * G[i + j, d % N]
     return W
 
 
@@ -461,9 +478,9 @@ def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
     when there is none) with V(x_i) added to its diagonal in place.
 
     With ``real``, a table that is exactly real (V real and every F_q
-    :func:`_real_even`) is float64, the real part of the complex table to
-    the bit (signed zeros included: the real part is taken after the
-    complex sign product); any other table is complex, as without ``real``.
+    :func:`_real_even`) is float64, gathered from :func:`_even_transform`:
+    exactly symmetric, and within a few ulps of max|W| of the real part of
+    the complex table.  Any other table is complex, as without ``real``.
     """
     split = getattr(f, "split", None)
     if split is not None:
@@ -479,45 +496,47 @@ def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
     xi_mesh = grid.xi_mesh()
     i = np.arange(N)
     if getattr(f, "x_independent", False):
-        F = np.asarray(f(np.zeros_like(xi_mesh), xi_mesh), dtype=complex)
-        G = sp_fft.ifftn(F)
+        F = np.asarray(f(np.zeros_like(xi_mesh), xi_mesh))
         real = real and _real_even(F, n)
+        G = _even_transform(F.real, n) if real else sp_fft.ifftn(np.asarray(F, dtype=complex))
         if n == 1:
-            # one G serves every midpoint
-            return _table_1d(np.broadcast_to(G, (2 * N - 1, N)), real)
-        # the signed table S[d1, d2] over d = 1-N .. N-1 (stored at d + N - 1),
+            # one transform serves every midpoint
+            return _table_1d(np.broadcast_to(G, (2 * N - 1,) + G.shape), real)
+        # the table S[d1, d2] over d = 1-N .. N-1 (stored at d + N - 1),
         # read at d1 = i1 - j1 and d2 = i2 - j2 of W[i1 N + i2, j1 N + j2]
         k = np.arange(1 - N, N)
-        S = (-1.0) ** (k[:, None] + k[None, :]) * G[np.ix_(k % N, k % N)]
-        S = S.real if real else S
+        S = (G[np.ix_(_fold(k, N), _fold(k, N))] if real
+             else (-1.0) ** (k[:, None] + k[None, :]) * G[np.ix_(k % N, k % N)])
         at = i[:, None] - i[None, :] + N - 1
         return S[at[:, None, :, None], at[None, :, None, :]].reshape(grid.npoints, -1)
 
     half = grid.half_nodes()
     if n == 1:
-        F = np.asarray(f(half[:, None, None], xi_mesh[None, :, :]), dtype=complex)  # (2N-1, N)
-        real = real and _real_even(F, 1)
+        F = np.asarray(f(half[:, None, None], xi_mesh[None, :, :]))  # (2N-1, N)
+        if real and _real_even(F, 1):
+            return _table_1d(_even_transform(F.real, 1), True)
         # in place: F and its transform together would hold 64 P^2 bytes
-        return _table_1d(sp_fft.ifft(F, axis=1, overwrite_x=True), real)
+        F = np.asarray(F, dtype=complex)
+        return _table_1d(sp_fft.ifft(F, axis=1, overwrite_x=True), False)
 
     # n == 2: one midpoint slab p1 along the first axis at a time bounds the
     # memory; a slab holds every block (i1, j1 = p1 - i1) of W4[i1, i2, j1, j2]
-    p = i[:, None] + i[None, :]
-    d = i[:, None] - i[None, :]
-    sign = (-1.0) ** d
+    p, d = i[:, None] + i, i[:, None] - i
+    sign, fd = (-1.0) ** d, _fold(d, N)
     W4 = np.empty((N,) * 4, dtype=float if real else complex)
     for p1, q1 in enumerate(half):
         # one point per midpoint, shape (2N-1, 1, 1, 2); the momentum axes broadcast
         qgrid = np.stack(np.broadcast_arrays(q1, half[:, None, None]), axis=-1)
-        F = np.broadcast_to(np.asarray(f(qgrid, xi_mesh[None]), dtype=complex),
-                            (2 * N - 1, N, N))
-        if real and not _real_even(F, 2):
-            return _symbol_table(f, grid)  # start again, complex
-        G = sp_fft.ifft2(F, axes=(1, 2))
+        F = np.broadcast_to(f(qgrid, xi_mesh[None]), (2 * N - 1, N, N))
         i1 = np.arange(max(0, p1 - N + 1), min(N, p1 + 1))
         d1 = (2 * i1 - p1)[:, None, None]
-        block = (-1.0) ** d1 * sign * G[p, d1 % N, d % N]
-        W4[i1, :, p1 - i1, :] = block.real if real else block
+        if real and not _real_even(F, 2):
+            return _symbol_table(f, grid)  # start again, complex
+        if real:
+            W4[i1, :, p1 - i1, :] = _even_transform(F.real, 2)[p, _fold(d1, N), fd]
+        else:
+            G = sp_fft.ifft2(np.asarray(F, dtype=complex), axes=(1, 2))
+            W4[i1, :, p1 - i1, :] = (-1.0) ** d1 * sign * G[p, d1 % N, d % N]
     return W4.reshape(grid.npoints, -1)
 
 
@@ -609,6 +628,16 @@ def _stencil(N: int, e: int, rows: np.ndarray):
                              np.arange(len(rows) + 1) * pts), shape=(len(rows), N))
 
 
+@cache
+def _stencils(N: int, rows: tuple) -> tuple:
+    """The L_d (:func:`_stencil`) of d = 0 .. N - 1 mod N for the output
+    nodes ``rows`` of a 2D table, and their block-diagonal, which applies
+    L_d2 to all second-axis diagonals at once: 8 P weights, built once."""
+    from scipy import sparse
+    L = tuple(_stencil(N, e, np.array(rows)) for e in range(N))
+    return L, sparse.block_diag(L, format="csr")
+
+
 def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid, keep=None) -> np.ndarray:
     """Symbol samples f(x_l, xi_k) from a phase-stripped kernel table, at the
     position nodes where the boolean ``keep`` (one axis, default all) holds
@@ -618,26 +647,25 @@ def _table_to_samples(W: np.ndarray, grid: PhaseSpaceGrid, keep=None) -> np.ndar
     D[i1, i2] = W[i1 N + i2, (i1 - d1) N + i2 - d2] mod N (a wrapped entry
     is in no stencil), one d1 at a time, then an FFT over (d1, d2); a 1D
     table has a second axis of one node, whose one stencil is [[1]].
-    ``keep`` picks rows of the stencil matrices, so kept samples are those
-    of a full call to the bit."""
-    from scipy import sparse
+    ``keep`` picks rows of the stencil matrices (:func:`_stencils`), so kept
+    samples are those of a full call to the bit."""
     N, n = grid.N, grid.n
     rows = np.arange(N) if keep is None else np.flatnonzero(keep)
-    R = N ** (n - 1)  # nodes of the second axis
-    rows2 = rows if n == 2 else np.zeros(1, int)
-    # the second axis applies its L_d2 to all of its diagonals by one block-diagonal product
-    L2 = sparse.block_diag([_stencil(R, e, rows2) for e in range(R)], format="csr")
+    R, K2 = (N, len(rows)) if n == 2 else (1, 1)  # nodes and kept nodes of the second axis
+    # 1D stencils hold 8 P^2 weights, more than the table: one offset at a time
+    L1, L2 = (_stencils(N, tuple(rows.tolist())) if n == 2 else
+              ((_stencil(N, e, rows) for e in range(N)), _stencil(1, 0, np.zeros(1, int))))
     i, i2, k = np.arange(N), np.arange(R), np.arange(len(rows))
     cols2 = (i2 - i2[:, None]) % R  # row i2 of diagonal d2 lies in column cols2[d2 mod R, i2]
     W = np.asarray(W).reshape(N, R, N, R)  # [i1, i2, j1, j2], real or complex
-    cs = np.empty((N, R, len(rows2), len(rows)), dtype=complex)  # [d1, d2, l2, l1]
-    for e in range(N):  # e = d1 mod N
+    cs = np.empty((N, R, K2, len(rows)), dtype=complex)  # [d1, d2, l2, l1]
+    for e, L in enumerate(L1):  # e = d1 mod N
         # the real view puts the real and imaginary parts in columns of their
         # own; a real table is made complex one gathered slice at a time
         T = W[i, :, (i - e) % N].astype(complex, copy=False).view(float).reshape(N, -1)
-        T = (_stencil(N, e, rows) @ T).view(complex).reshape(-1, R, R)  # [l1, i2, j2]
+        T = (L @ T).view(complex).reshape(-1, R, R)  # [l1, i2, j2]
         T = T[k, i2[:, None], cols2[:, :, None]].view(float).reshape(R * R, -1)  # [(d2, i2), l1]
-        cs[e] = (L2 @ T).view(complex).reshape(R, len(rows2), -1)  # [d2, l2, l1]
+        cs[e] = (L2 @ T).view(complex).reshape(R, K2, -1)  # [d2, l2, l1]
     cs = sp_fft.fft2(cs, axes=(0, 1), overwrite_x=True)
     return cs.transpose(3, 2, 0, 1).reshape((len(rows),) * n + (N,) * n)
 

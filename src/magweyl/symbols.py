@@ -46,8 +46,8 @@ def japanese_bracket(xi) -> np.ndarray:
 class Symbol:
     """An evaluable phase-space function with S^m_{rho,delta} metadata.
 
-    ``fn(x, xi)`` takes arrays of shape (..., n) and returns complex values
-    of shape (...).  ``derivatives`` optionally maps (a, alpha) multi-index
+    ``fn(x, xi)`` takes arrays of shape (..., n) and returns real or complex
+    values of shape (...).  ``derivatives`` optionally maps (a, alpha) multi-index
     pairs to analytic derivative callables of the same signature.
 
     :attr:`split` is worked out from ``ast``; a symbol without one has none.
@@ -104,7 +104,7 @@ class Symbol:
             return None
 
         def potential(x, V=V):
-            return expressions.evaluate(V, x=x) + np.zeros(np.shape(x)[:-1], dtype=complex)
+            return expressions.evaluate(V, x=x) + np.zeros(np.shape(x)[:-1])
 
         meta = dict(n=self.n, m=self.m, rho=self.rho, delta=self.delta, real=self.real)
         return potential, None if rest is None else _ast_symbol(rest, **meta)
@@ -150,13 +150,14 @@ class Symbol:
 
 
 def _ast_callable(ast):
-    """fn(x, xi): the complex values of ``ast`` on the broadcast shape of x
-    and xi, arrays of shape (..., n)."""
+    """fn(x, xi): the values of ``ast`` on the broadcast shape of x and xi,
+    arrays of shape (..., n), in their own dtype: float64 for a real
+    expression.  The float zeros that broadcast them also turn -0.0 to
+    +0.0, as complex zeros did to the real part."""
 
     def fn(x, xi):
         return expressions.evaluate(ast, x=x, xi=xi) + np.zeros(
-            np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1]), dtype=complex
-        )
+            np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1]))
 
     return fn
 

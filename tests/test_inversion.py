@@ -481,3 +481,20 @@ def test_the_lu_inverse_serves_nonreal_and_indefinite_shifts(monkeypatch):
         res = fam.add(z)
         assert len(calls) == count
         assert res.residual <= 1e-10
+
+
+def test_the_reciprocal_of_a_real_symbol_at_a_real_z_is_the_real_part_of_the_complex_one():
+    g = make_grid(2, 12.0, 16)
+    f = Symbol.from_expression("xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)", 2, m=2,
+                               real=True)
+    x, xi = g.x_flat()[:, None], g.xi_mesh().reshape(1, -1, 2)
+    v = f(x, xi)
+    for z in (-60.0, complex(-60.0, -0.0), -7.5):
+        r = _reciprocal_symbol(f, complex(z))(x, xi)
+        full = 1.0 / (np.asarray(v, dtype=complex) - complex(z))
+        assert r.dtype == np.float64 and r.tobytes() == full.real.tobytes()
+        assert not np.signbit(full.imag).any() and not full.imag.any()
+    # a nonreal z, or a symbol with nonzero imaginary values, stays complex
+    assert _reciprocal_symbol(f, -60.0 + 1.0j)(x, xi).dtype == complex
+    g_c = Symbol.from_callable(lambda x, xi: f(x, xi) + 0.5j * np.exp(-x[..., 0] ** 2), 2, m=2)
+    assert _reciprocal_symbol(g_c, -60.0 + 0j)(x, xi).dtype == complex

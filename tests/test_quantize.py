@@ -28,6 +28,8 @@ from magweyl.quantize import (
     Gauge,
     MagneticOperator,
     SampledSymbol,
+    _real_even,
+    _stencils,
     _symbol_table,
     KernelFunction,
     circulation_matrix,
@@ -568,7 +570,12 @@ def test_a_real_table_is_the_real_part_of_the_complex_table_to_the_bit(n, text):
     f = Symbol.from_expression(text, n, m=2, real=True)
     W, real = _symbol_table(f, g), _symbol_table(f, g, real=True)
     assert (W.dtype, real.dtype) == (complex, float)
-    assert real.tobytes() == W.real.tobytes()
+    # the DCT-I of the even samples: a few ulps of max|W| from the complex
+    # table's real part, and exactly symmetric.  A wrong (-1)^d sign is the
+    # similarity S W S with S = diag((-1)^i): symmetric, and invisible to
+    # every inversion summary, so only the distance to W shows it
+    assert np.abs(real - W.real).max() <= 1e-15 * np.abs(W).max()
+    assert np.array_equal(real, real.T)
     # what the real table drops is FFT rounding
     assert 0.0 < np.abs(W.imag).max() <= 1e-15 * np.abs(W).max()
     # the sampler reads a real table as its complex copy, to the bit
@@ -762,3 +769,37 @@ def test_the_interior_mask_is_symmetric_under_reflection(n, N):
     mask = S.interior_mask().reshape((N,) * n)[(slice(1, None),) * n]
     assert np.array_equal(mask, np.flip(mask))
     assert 0 < np.count_nonzero(mask) < (N - 1) ** n
+
+
+def test_the_2d_stencils_are_built_once_and_1d_ones_per_call():
+    g = make_grid(2, 8.0, 20)
+    W = np.random.default_rng(20).standard_normal((g.npoints,) * 2)
+    keep = g.interior_nodes()
+    first = _table_to_samples(W, g, keep)
+    hits, size = _stencils.cache_info().hits, _stencils.cache_info().currsize
+    assert _table_to_samples(W, g, keep).tobytes() == first.tobytes()
+    assert _stencils.cache_info().hits == hits + 1
+    # 1D stencils hold 8 P^2 weights and are not kept
+    g1 = make_grid(1, 8.0, 64)
+    _table_to_samples(np.eye(64), g1, g1.interior_nodes())
+    assert _stencils.cache_info().currsize == size
+
+
+def test_samples_even_only_in_both_momenta_together_keep_the_complex_table():
+    # sin(xi1 xi2), zeroed on the Nyquist lines (each its own reflection),
+    # equals its reflection xi -> -xi but not its reflection on one axis,
+    # which the DCT-I of the nonnegative half needs
+    g = make_grid(2, 10.0, 12)
+    nyquist = g.xi_nodes[0]
+
+    def fn(x, xi):
+        odd = np.where((xi == nyquist).any(axis=-1), 0.0, np.sin(xi[..., 0] * xi[..., 1]))
+        return xi[..., 0] ** 2 + xi[..., 1] ** 2 + odd
+
+    f = Symbol.from_callable(fn, 2, m=2, real=True, x_independent=True)
+    F = f(np.zeros((g.N, g.N, 2)), g.xi_mesh())
+    r = -np.arange(g.N) % g.N
+    assert np.array_equal(F, F[np.ix_(r, r)]) and not _real_even(F, 2)
+    assert _real_even(F + F[:, r], 2)
+    W = _symbol_table(f, g, real=True)
+    assert W.dtype == complex and W.tobytes() == _symbol_table(f, g).tobytes()

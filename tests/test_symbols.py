@@ -7,7 +7,9 @@ import pytest
 
 from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField
+from magweyl import expressions
 from magweyl.symbols import (
+    _ast_callable,
     _phase_mesh,
     CoefficientAlgebra,
     QuasiOrbit,
@@ -202,3 +204,21 @@ def test_algebra_validation():
     alg = CoefficientAlgebra(kind="Periodic", quasi_orbits=(QuasiOrbit("q"),),
                              lattice=((2.0,),))
     assert alg.lattice == ((2.0,),)
+
+
+@pytest.mark.parametrize("text", [
+    "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)",
+    "-x1*xi2 + sin(xi1)",
+    "2.5",
+], ids=["bench", "signed-zeros", "constant"])
+def test_a_real_expression_evaluates_to_float64_on_the_broadcast_shape(text):
+    ast = expressions.parse_expression(text, n_dim=2)
+    x = np.linspace(-2.0, 2.0, 5)[:, None, None] * np.array([1.0, 0.5])  # (5, 1, 2), x = 0 included
+    xi = np.linspace(-3.0, 3.0, 7)[:, None] * np.array([1.0, -1.0])  # (7, 2)
+    vals = _ast_callable(ast)(x, xi)
+    assert vals.dtype == np.float64 and vals.shape == (5, 7)
+    # the bytes of the real part of the complex evaluation it replaces
+    old = expressions.evaluate(ast, x=x, xi=xi) + np.zeros((5, 7), dtype=complex)
+    assert vals.tobytes() == old.real.tobytes()
+    V = Symbol.from_expression("xi1^2 - 0.5*x1 - x2^2", 2).split[0]
+    assert V(x).dtype == np.float64 and V(x).shape == (5, 1)

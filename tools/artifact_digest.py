@@ -24,9 +24,11 @@ orbit (the default merge tolerance of an x-dependent symbol), polynomial and
 non-polynomial gauge-check shifts, converging and divergent inversions (one at L=7.3,
 N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L on
 either side of the interior bound), zero-field inversions in real
-arithmetic (a symbol even in xi, whose kernel table is exactly real) and
-in complex arithmetic (``invert-2d-zero-odd``: a term odd in xi keeps the
-table complex), a 1D explicit gauge on P = 100
+arithmetic (a symbol even in each momentum, whose float64 kernel tables
+are DCT-I transforms of the even samples; ``invert-2d-zero-32`` is the
+benchmark's ``resolvent2d`` path at P = 1024) and in complex arithmetic
+(``invert-2d-zero-odd``: a term odd in xi keeps the table complex), a 1D
+explicit gauge on P = 100
 nodes (a partial last block of the circulation fill and of the phase),
 malformed configs, error exits, and a validate at P = 576, where the
 circulation fill splits its row blocks into column chunks.  An
@@ -149,6 +151,11 @@ CONFIGS = {
                        "symbol": {**_XI2, "expression":
                                   "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)"},
                        "task": _task("invert", z=-40)},
+    # the benchmark's resolvent2d path: the real zero-field inversion at P = 1024
+    "invert-2d-zero-32": {"grid": _grid(2, 12.0, 32),
+                          "symbol": {**_XI2, "expression":
+                                     "xi1^2 + xi2^2 + 0.5*arctan(x1) + 0.3*exp(-x2^2)"},
+                          "task": _task("invert", z=-60)},
     # zero field, but xi-odd: the kernel table is not real, so the inversion stays complex
     "invert-2d-zero-odd": {"grid": _grid(2, 8.0, 16),
                            "symbol": {**_XI2, "expression":
