@@ -21,8 +21,8 @@ fit.
 Evaluation is vectorized over numpy arrays and total on the declared domain;
 division by a value with modulus below 1e-300 raises EvalError.  Every AST
 can be differentiated symbolically to any order with respect to any variable,
-and printed back to a string such that parse(print(parse(s))) is a fixed
-point.  Each function and each operator is one row of a table
+rewritten by substituting nodes for variables (:func:`substitute`), and
+printed back to a string such that parse(print(parse(s))) is a fixed point.  Each function and each operator is one row of a table
 (:data:`FUNCTIONS`, ``_OPS``) that holds its evaluation and its derivative
 rule.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -495,6 +495,18 @@ def degree(node: Node) -> int | None:
     if a is not None and k >= 0 and k.is_integer():
         return a * int(k)
     return 0 if a == 0 and b == 0 else None
+
+
+def substitute(node: Node, values: dict) -> Node:
+    """``node`` with each variable named in ``values`` replaced by the node
+    it maps to; the rest of the tree is rebuilt as it is, unsimplified."""
+    if isinstance(node, Var):
+        return values.get(node.name, node)
+    if isinstance(node, BinOp):
+        return BinOp(node.op, substitute(node.left, values), substitute(node.right, values))
+    if isinstance(node, (Neg, Func)):
+        return replace(node, arg=substitute(node.arg, values))
+    return node
 
 
 def evaluate(node: Node, x=None, xi=None) -> np.ndarray:

@@ -263,8 +263,10 @@ def _xi1_ray(S: SampledSymbol, lo: float, hi: float, window: str, advice: str):
     if np.count_nonzero(keep) < 2:
         raise ValueError(f"{window} holds {np.count_nonzero(keep)} momentum node(s) at "
                          f"N={g.N}, L={g.L}; a fit needs 2 ({advice})")
+    # the x = 0 node alone, as in a full :attr:`SampledSymbol.values` to the bit
     mid = g.N // 2
-    ray = S.values[(mid,) * g.n + (slice(None),) + (mid,) * (g.n - 1)]
+    at_zero = _table_to_samples(S.table, g, np.arange(g.N) == mid)
+    ray = at_zero[(0,) * g.n + (slice(None),) + (mid,) * (g.n - 1)]
     return xi[keep], ray[keep]
 
 

@@ -2,17 +2,18 @@
 ellipticity tests, and coefficient algebras with enumerated quasi-orbits.
 
 A Symbol is an evaluable function f(x, xi) together with its order m and type
-parameters (rho, delta).  Symbols built from expression strings carry exact
-analytic derivatives of every order (by symbolic differentiation of the AST);
-symbols built from bare callables fall back to central finite differences for
-derivative orders <= 2.
+parameters (rho, delta).  Its derivatives come from its AST when it has one
+(symbols built from expression strings and their quasi-orbit projections),
+exactly and of every order; a symbol built from a bare callable falls back
+to central finite differences of order <= 2.
 
 A CoefficientAlgebra enumerates the admissible x-behavior of coefficients
 (constant, vanishing at infinity plus constants, per-direction asymptotic
 limits, periodic) together with a finite list of quasi-orbits; each
 quasi-orbit carries an explicit projection rule acting on the x-dependence
 only, so it is an algebra morphism on samples and commutes with
-xi-derivatives by construction.
+xi-derivatives by construction.  An expression symbol is projected by
+substituting into its AST, so the projection is again an expression symbol.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ def multi_order(idx) -> int:
     return int(sum(idx))
 
 
-def zero_index(n: int) -> tuple:
-    return (0,) * n
-
-
 def japanese_bracket(xi) -> np.ndarray:
     """<xi> = sqrt(1 + |xi|^2) for xi of shape (..., n)."""
     xi = np.asarray(xi, dtype=float)
@@ -47,10 +44,9 @@ class Symbol:
     """An evaluable phase-space function with S^m_{rho,delta} metadata.
 
     ``fn(x, xi)`` takes arrays of shape (..., n) and returns real or complex
-    values of shape (...).  ``derivatives`` optionally maps (a, alpha) multi-index
-    pairs to analytic derivative callables of the same signature.
-
-    :attr:`split` is worked out from ``ast``; a symbol without one has none.
+    values of shape (...).  Derivatives (:meth:`derivative`) and
+    :attr:`split` are worked out from ``ast``; a symbol without one has no
+    split, and only the finite-difference derivatives of ``fn``.
     """
 
     n: int
@@ -59,7 +55,6 @@ class Symbol:
     rho: float = 0.0
     delta: float = 0.0
     real: bool = False
-    derivatives: dict = field(default_factory=dict, repr=False)
     x_independent: bool = False
     ast: object = field(default=None, repr=False)
 
@@ -109,21 +104,14 @@ class Symbol:
         meta = dict(n=self.n, m=self.m, rho=self.rho, delta=self.delta, real=self.real)
         return potential, None if rest is None else _ast_symbol(rest, **meta)
 
-    def conjugate(self) -> "Symbol":
-        conj_derivs = {key: (lambda g: (lambda x, xi: np.conj(g(x, xi))))(g)
-                       for key, g in self.derivatives.items()}
-        base = self.fn
-        return replace(self, fn=lambda x, xi: np.conj(base(x, xi)),
-                       derivatives=conj_derivs, ast=None)
-
     # -- derivatives --------------------------------------------------------
 
     def derivative(self, a, alpha):
         """Callable for d^a_x d^alpha_xi f.
 
-        Uses symbolic AST differentiation when available, then declared
-        analytic derivatives, then a central finite-difference fallback
-        (total order <= 2, step h = 1e-5 * (1 + |coordinate|)).
+        The AST's symbolic derivative, of any order, when there is an AST;
+        else central finite differences of ``fn`` (total order <= 2, step
+        h = 1e-5 * (1 + |coordinate|)).
         """
         a = tuple(int(v) for v in a)
         alpha = tuple(int(v) for v in alpha)
@@ -139,13 +127,11 @@ class Symbol:
                 for _ in range(order):
                     node = node.diff(f"xi{j + 1}")
             return _ast_callable(node)
-        if (a, alpha) in self.derivatives:
-            return self.derivatives[(a, alpha)]
         if total <= 2:
             return _fd_derivative(self.fn, a, alpha)
         raise ValueError(
-            f"derivative of order x^{a} xi^{alpha} unavailable: no analytic "
-            f"closure declared and finite differences are limited to total order 2"
+            f"derivative of order x^{a} xi^{alpha} unavailable: the symbol has no "
+            f"AST and finite differences are limited to total order 2"
         )
 
 
@@ -268,10 +254,13 @@ _POSITION_ROWS = 64
 def _position_blocks(f: Symbol, grid):
     """f over blocks of ``_POSITION_ROWS`` position nodes by the whole
     momentum lattice, each of shape (block,) + (N,)*n, so the P^2 table is
-    never held."""
-    x = grid.x_flat().reshape((grid.npoints,) + (1,) * grid.n + (grid.n,))
+    never held.  An x-independent f has the same values at every node, so
+    it gets one block of one node: an exact min, max or momentum gradient
+    over it is the one over the whole table."""
+    x = grid.x_flat()[:1 if f.x_independent else None]
+    x = x.reshape((len(x),) + (1,) * grid.n + (grid.n,))
     xi = grid.xi_mesh()
-    for a in range(0, grid.npoints, _POSITION_ROWS):
+    for a in range(0, len(x), _POSITION_ROWS):
         block = x[a:a + _POSITION_ROWS]
         yield np.broadcast_to(f(block, xi), block.shape[:1] + xi.shape[:-1])
 
@@ -359,69 +348,35 @@ def project_quasiorbit(f: Symbol, Q: QuasiOrbit) -> Symbol:
 
     The rule acts on the x-dependence only: order metadata is preserved, the
     result commutes with xi-derivatives, and evaluation-at-a-point makes it
-    an algebra morphism on samples.
+    an algebra morphism on samples.  An expression symbol's AST is rewritten
+    (x_j -> x_j + shift_j, or x_j -> the limit point's x0_j), so the image
+    takes its derivatives, split and x-independence from the new AST; a
+    symbol without one gets its ``fn`` wrapped.
     """
-    if Q.kind == "identity":
+    if Q.kind == "identity" or (Q.kind == "direction" and f.x_independent):
         return f
     if Q.kind == "translate":
         shift = np.asarray(Q.shift, dtype=float)
         if shift.shape != (f.n,):
             raise ValueError(f"shift must have shape ({f.n},)")
-        base = f.fn
-        derivs = {key: (lambda g: (lambda x, xi: g(np.asarray(x) + shift, xi)))(g)
-                  for key, g in f.derivatives.items()}
-        return replace(f, fn=lambda x, xi: base(np.asarray(x) + shift, xi),
-                       derivatives=derivs, ast=None)
-    if Q.kind == "direction":
-        if f.x_independent:
-            return f
+        values = {f"x{j + 1}": expressions.BinOp("+", expressions.Var(f"x{j + 1}"),
+                                                 expressions.Num(float(s)))
+                  for j, s in enumerate(shift)}
+
+        def fn(x, xi, base=f.fn):
+            return base(np.asarray(x) + shift, xi)
+    elif Q.kind == "direction":
         x0 = Q.project_point(f.n)
-        derivs = _FrozenDerivatives(f, x0)
-        return replace(f, fn=derivs.freeze(f.fn), derivatives=derivs,
-                       x_independent=True, ast=None)
-    raise ValueError(f"quasi-orbit {Q.label!r} has no projection rule ({Q.kind!r})")
+        values = {f"x{j + 1}": expressions.Num(float(c)) for j, c in enumerate(x0)}
 
-
-class _FrozenDerivatives:
-    """Lazy derivative table for a direction-projected (constant-coefficient)
-    symbol: x-derivatives vanish, xi-derivatives are the parent's analytic
-    xi-derivatives evaluated at the frozen point."""
-
-    def __init__(self, parent: Symbol, x0: np.ndarray):
-        self.parent = parent
-        self.x0 = np.asarray(x0, dtype=float)
-
-    def freeze(self, g):
-        x0 = self.x0
-
-        def fn(x, xi, g=g):
-            x = np.asarray(x)
-            return g(np.broadcast_to(x0, x.shape), xi)
-
-        return fn
-
-    def __contains__(self, key):
-        a, alpha = key
-        if multi_order(a) > 0:
-            return True
-        try:
-            self.parent.derivative(zero_index(self.parent.n), alpha)
-            return True
-        except ValueError:
-            return False
-
-    def __getitem__(self, key):
-        a, alpha = key
-        if multi_order(a) > 0:
-            def zero(x, xi):
-                shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1])
-                return np.zeros(shape, dtype=complex)
-
-            return zero
-        return self.freeze(self.parent.derivative(zero_index(self.parent.n), alpha))
-
-    def items(self):
-        return ()
+        def fn(x, xi, base=f.fn):
+            return base(np.broadcast_to(x0, np.shape(x)), xi)
+    else:
+        raise ValueError(f"quasi-orbit {Q.label!r} has no projection rule ({Q.kind!r})")
+    if f.ast is not None:
+        return _ast_symbol(expressions.substitute(f.ast, values), n=f.n, m=f.m,
+                           rho=f.rho, delta=f.delta, real=f.real)
+    return replace(f, fn=fn, x_independent=f.x_independent or Q.kind == "direction")
 
 
 def project_field(B: MagneticField, Q: QuasiOrbit) -> MagneticField:

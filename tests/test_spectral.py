@@ -140,6 +140,17 @@ def test_the_default_merge_tol_reads_the_momentum_gradient_alone(potential):
     assert essential_spectrum(f, algebra, B0, g).merge_tol == 12.43570154537258
 
 
+def test_a_translate_orbit_is_the_substituted_expression_bit_for_bit():
+    g = make_grid(1, 20.0, 64)
+    f = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)
+    algebra = CoefficientAlgebra("ConstantCoefficients",
+                                 (QuasiOrbit("shifted", "translate", shift=(2.0,)),))
+    res = essential_spectrum(f, algebra, B0, g)
+    ref = spectrum(quantize(Symbol.from_expression("xi1^2 + arctan(x1 + 2.0)", 1, m=2,
+                                                   real=True), Gauge(A0, g)))
+    assert res.orbit_spectra["shifted"].eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+
+
 def test_redundant_orbit_is_idempotent():
     g = make_grid(1, 20.0, 128)
     f = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)

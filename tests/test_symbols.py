@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from magweyl.grid import make_grid
+from magweyl.inversion import _sampled_inf
 from magweyl.magnetics import MagneticField
+from magweyl.spectral import _default_merge_tol
 from magweyl import expressions
 from magweyl.symbols import (
     _ast_callable,
@@ -148,10 +150,10 @@ def test_direction_orbit_projects_to_limit():
     vals = fQ.fn(x, xi)
     np.testing.assert_allclose(vals, 4.0 + np.pi / 2.0, atol=1e-7)
     # x-derivatives of the projection vanish
-    d = fQ.derivatives[((1,), (0,))]
+    d = fQ.derivative((1,), (0,))
     np.testing.assert_allclose(d(x, xi), 0.0, atol=1e-15)
     # xi-derivatives freeze the parent's
-    dxi = fQ.derivatives[((0,), (1,))]
+    dxi = fQ.derivative((0,), (1,))
     np.testing.assert_allclose(dxi(x, xi), 4.0, atol=1e-12)
 
 
@@ -162,6 +164,48 @@ def test_translate_orbit_shifts_argument():
     x = np.array([0.0])
     xi = np.array([0.0])
     assert complex(fQ.fn(x, xi)) == pytest.approx(1.0, abs=1e-12)
+
+
+_SHIFTED = QuasiOrbit("shifted", "translate", shift=(2.0,))
+
+
+def _translated():
+    f = Symbol.from_expression("jap(xi1)^3 + xi1*arctan(x1) + sin(x1)", 1, m=3)
+    x = np.linspace(-3.0, 3.0, 7)[:, None]
+    xi = np.linspace(-5.0, 5.0, 7)[:, None]
+    return f, project_quasiorbit(f, _SHIFTED), x, xi
+
+
+def test_a_translated_expression_symbol_has_every_derivative_and_a_split():
+    f, fQ, x, xi = _translated()
+    d3 = fQ.derivative((0,), (3,))(x, xi)
+    assert d3.tobytes() == f.derivative((0,), (3,))(x + 2.0, xi).tobytes()
+    V, rest = fQ.split
+    assert V(x).tobytes() == np.sin(x[:, 0] + 2.0).tobytes()
+    assert str(rest.ast) == "jap(xi1)^3 + xi1*arctan(x1 + 2)"
+    assert str(fQ.ast) == "jap(xi1)^3 + xi1*arctan(x1 + 2) + sin(x1 + 2)"
+
+
+def test_a_translated_derivative_is_the_parents_at_the_shifted_point():
+    f, fQ, x, xi = _translated()
+    d1 = fQ.derivative((0,), (1,))(x, xi)
+    assert d1.tobytes() == f.derivative((0,), (1,))(x + 2.0, xi).tobytes()
+
+
+def test_a_projected_callable_keeps_its_fn_and_finite_differences():
+    f = Symbol.from_expression("xi1^2 + arctan(x1)", 1, m=2, real=True)
+    bare = Symbol.from_callable(f.fn, 1, m=2, real=True)
+    x = np.array([[0.0], [5.0]])
+    xi = np.array([[2.0], [2.0]])
+    plus = project_quasiorbit(bare, QuasiOrbit("plus", "direction", direction=(1.0,)))
+    assert plus.x_independent and plus.ast is None
+    assert np.array_equal(plus(x, xi), f(np.full_like(x, 1e8), xi))
+    np.testing.assert_allclose(plus.derivative((0,), (1,))(x, xi), 4.0, rtol=1e-9)
+    shifted = project_quasiorbit(bare, _SHIFTED)
+    assert not shifted.x_independent and shifted.ast is None
+    assert np.array_equal(shifted(x, xi), f(x + 2.0, xi))
+    with pytest.raises(ValueError, match="no AST"):
+        shifted.derivative((0,), (3,))
 
 
 def test_identity_orbit_is_identity():
@@ -176,6 +220,27 @@ def test_unknown_orbit_kind_rejected():
         project_quasiorbit(f, QuasiOrbit("bad", "mystery"))
     with pytest.raises(ValueError):
         QuasiOrbit("zero", "direction", direction=(0.0,)).project_point(1)
+
+
+def test_an_x_independent_symbol_is_swept_at_one_position_node_bit_for_bit():
+    # a direction orbit's rows are all equal: min, max and momentum gradients
+    # over one node are those over the whole lattice
+    g = make_grid(2, 12.0, 16)
+    f = Symbol.from_expression("xi1^2 + 0.5*xi2^2 + xi1*xi2/4 + arctan(x1 - x2)", 2, m=2,
+                               real=True)
+    fQ = project_quasiorbit(f, QuasiOrbit("diag", "direction", direction=(1.0, -1.0)))
+    assert fQ.x_independent
+    x, xi = _phase_mesh(g)
+    full = np.broadcast_to(fQ(x, xi), (g.N,) * 4)
+    R = 0.3 * np.max(g.xi_nodes)
+    mask = np.linalg.norm(xi, axis=-1) > R
+    inf_ratio = np.min(np.abs(full)[:, :, mask[0, 0]] / japanese_bracket(xi)[mask] ** 2)
+    assert is_elliptic(fQ, R, inf_ratio, g)
+    assert not is_elliptic(fQ, R, np.nextafter(inf_ratio, np.inf), g)
+    assert _sampled_inf(fQ, g) == np.min(full)
+    grads = np.gradient(full, g.dxi, axis=(2, 3))
+    top = np.sqrt(grads[0] ** 2 + grads[1] ** 2).max()
+    assert _default_merge_tol([fQ], g) == 2.0 * g.dxi * top
 
 
 def test_project_field_direction():

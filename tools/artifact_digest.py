@@ -20,7 +20,9 @@ by the 90-degree magnetic rotation, one with only the 180-degree rotation
 at 0), an expand whose two symbols use every function of the expression
 language (``expand-1d-functions``), a 2D expand whose fit window is widened
 and one whose lattice has no window, an essential spectrum over an identity
-orbit (the default merge tolerance of an x-dependent symbol), polynomial and
+orbit (the default merge tolerance of an x-dependent symbol), over two
+direction orbits and over a translate orbit (``ess-spectrum-1d-translate``),
+so every quasi-orbit projection is covered, polynomial and
 non-polynomial gauge-check shifts, converging and divergent inversions (one at L=7.3,
 N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L on
 either side of the interior bound), zero-field inversions in real
@@ -112,6 +114,12 @@ CONFIGS = {
                                  "algebra": {"orbits": [{"label": "identity",
                                                          "kind": "identity"}]},
                                  "task": _task("ess-spectrum")},
+    # a translated expression symbol: f(x + 2, xi), an expression symbol again
+    "ess-spectrum-1d-translate": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                                  "algebra": {"orbits": [{"label": "shifted",
+                                                          "kind": "translate",
+                                                          "shift": [2.0]}]},
+                                  "task": _task("ess-spectrum")},
     "ess-spectrum-1d-well": {"grid": _grid(1, 20.0, 64), "symbol": _WELL_1D,
                              "algebra": _ORBITS_1D, "task": _task("ess-spectrum")},
     "gauge-check-2d-zero": {"grid": _grid(2, 8.0, 12), "symbol": _XI2_X,
