@@ -259,7 +259,7 @@ def _psi_pair(config, A, n):
         return out
 
     # A + grad(psi) is a polynomial when both are; its phase still comes from
-    # its own quadrature, never from C_A + psi(y) - psi(x)
+    # A + grad(psi) itself (separable at degree <= 1), never from C_A + psi(y) - psi(x)
     d = expressions.degree(ast)
     degree = None if A.degree is None or d is None else max(A.degree, d - 1)
     return _position_callable(ast), replace(gauge_shift(A, grad_psi=grad_psi), degree=degree)

@@ -35,15 +35,14 @@ Sign convention: with this phase, Op^A(xi_j) = -i d_j - A_j, so for B = dA
 (B_12 = d_1 A_2 - d_2 A_1) the momenta satisfy
 xi1 # xi2 - xi2 # xi1 = i B_12.
 
-The phase is the only gauge-dependent ingredient.  :class:`Gauge` owns it:
-it builds the circulation matrix C once and applies e^{-iC} (quantization)
-or e^{+iC} (its inverse) in place, by pairs of square tiles (r, c) and
-(c, r) of the upper and lower triangle, so the complex phase is never held
-whole; every gauge-dependent function here takes one.  A reversed segment
-has the opposite circulation, so C is integrated on its upper triangle
-only, in row blocks that depend on nothing but the number of nodes, and the
-rest is filled from C = -C^T, which holds exactly; one tile of the phase
-therefore serves its mirror too, conjugated and transposed.
+The phase is the only gauge-dependent ingredient.  :class:`Gauge` owns it
+and applies e^{-iC} (quantization) or e^{+iC} (its inverse) in place, by
+pairs of an upper-triangle block and its mirror, so the complex phase is
+never held whole; every gauge-dependent function here takes one.  A 2D
+potential of degree <= 1 needs no C: its phase separates.  Any other builds
+C once; a reversed segment has the opposite circulation, so C is integrated
+on its upper triangle only, in row blocks that depend on nothing but the
+number of nodes, and the rest is filled from C = -C^T, which holds exactly.
 
 The inverse transform reads the matrix diagonal-by-diagonal: after stripping
 the circulation phase, the diagonal i - j = d holds fcheck(., d*dx) sampled
@@ -165,7 +164,8 @@ class MagneticOperator:
     a 2D grid, the gauge term of the 90-degree rotation of the grid
     (:meth:`Gauge.rotation_phase`), which the symmetry check of
     :func:`magweyl.spectral.spectrum` reads; None otherwise.  It holds P
-    numbers, so the operator does not keep the gauge's C alive."""
+    numbers, read from the gauge's C or, for a separable phase, from u and
+    B_12 alone, so the operator keeps no C alive."""
 
     grid: PhaseSpaceGrid
     matrix: np.ndarray = field(repr=False)
@@ -360,16 +360,22 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Gauge:
-    """A vector potential A on a grid, the one owner of the circulation phase:
-    the real matrix C = :func:`circulation_matrix` is built on first use and
-    kept.  :meth:`attach` and :meth:`strip` overwrite their argument by
-    square tiles of side ``_PHASE_ROWS``: a tile E = e^{-+iC[r, c]} of the
-    upper triangle multiplies W[r, c], and, since C = -C^T exactly, its
-    conjugate transpose multiplies W[c, r]; diagonal tiles are applied
-    whole.  Each entry gets the phase a whole-matrix e^{-+iC} would give
-    it, to the bit, half the complex exponentials are saved, and the
-    complex phase is never held whole.  A zero potential (``A.is_zero()``)
-    builds no C: its phase is 1, and both leave the argument as it is."""
+    """A vector potential A on a grid, the one owner of the circulation phase.
+
+    A nonzero 2D potential of degree <= 1, A(x) = a + Kx, has a separable
+    phase read from A, since its 1-node rule is exact: with u(x) = C(0, x),
+    C(x, y) = u(y) - u(x) + (B_12/2)(x1 y2 - x2 y1).  Block (i1, j1) of
+    e^{-+iC} in the (i1, i2, j1, j2) view of W is then the outer product of
+    conj(e^{-+iu}[i1] E[j1]) over i2 and e^{-+iu}[j1] E[i1] over j2, with
+    E = e^{-+i(B_12/2) x x^T}.  Any other potential gets the real matrix
+    C = :func:`circulation_matrix`, built on first use and kept.
+    :meth:`attach` and :meth:`strip` multiply W in place by an upper block
+    (the slab j1 >= i1 of one i1, or a tile of side ``_PHASE_ROWS`` of
+    e^{-+iC}) and its mirror by its conjugate transpose.  A diagonal block
+    is mirrored from its strict upper triangle, with a diagonal of exactly 1
+    (or, from C, applied whole), so the phase is exactly conjugate-symmetric;
+    an entry from C gets the phase of a whole-matrix e^{-+iC}, to the bit.
+    A zero potential (``A.is_zero()``) builds nothing: its phase is 1."""
 
     A: VectorPotential
     grid: PhaseSpaceGrid
@@ -378,9 +384,29 @@ class Gauge:
     def circulation(self) -> np.ndarray:
         return circulation_matrix(self.A, self.grid)
 
+    @cached_property
+    def _separable(self):
+        """(u at the P nodes, B_12) of a separable phase; None for any other."""
+        A, x = self.A, self.grid.x_nodes
+        if self.grid.n != 2 or A.degree is None or A.degree > 1 or A.is_zero():
+            return None
+        u = _circulation(A, (0.0, 0.0), (x[:, None], x), DEFAULT_QUAD).ravel()
+        a, a1, a2 = A.evaluate(np.eye(3, 2, -1))  # A at 0, e1 and e2
+        return u, (a1[1] - a[1]) - (a2[0] - a[0])
+
+    def _row(self, i: int) -> np.ndarray:
+        """Row i of C, by the separable formula when there is one."""
+        if self._separable is None:
+            return self.circulation[i]
+        u, b = self._separable
+        X = self.grid.x_flat()
+        return u - u[i] + 0.5 * b * (X[i, 0] * X[:, 1] - X[i, 1] * X[:, 0])
+
     def _apply(self, sign: complex, W: np.ndarray) -> np.ndarray:
         if self.A.is_zero():
             return W
+        if self._separable is not None:
+            return self._apply_separable(sign, W)
         C = self.circulation
         P = len(W)
         # the phase first: W *= phase rounds differently
@@ -395,6 +421,23 @@ class Gauge:
                 np.multiply(np.conjugate(E, out=E).T, W[c, r], out=W[c, r])
         return W
 
+    def _apply_separable(self, sign: complex, W: np.ndarray) -> np.ndarray:
+        (u, b), N, x = self._separable, self.grid.N, self.grid.x_nodes
+        g = np.exp(sign * u).reshape(N, N)
+        E = np.exp(sign * (0.5 * b) * np.multiply.outer(x, x))
+        W4 = W.reshape((N,) * 4)  # [i1, i2, j1, j2]
+        lower, diag = np.tril_indices(N, -1), np.diag_indices(N)
+        for i1 in range(N):
+            # the blocks j1 >= i1, as [i2, j1 - i1, j2]
+            slab = np.conjugate(g[i1] * E[i1:]).T[:, :, None] * (g[i1:] * E[i1])
+            D = slab[:, 0]  # block (i1, i1): exactly conjugate-symmetric, C_ii = 0
+            D[lower] = np.conjugate(D.T[lower])
+            D[diag] = 1.0
+            np.multiply(slab, W4[i1, :, i1:], out=W4[i1, :, i1:])
+            mirror = W4[i1 + 1:, :, i1]  # [j1, j2, i2]
+            np.multiply(np.conjugate(slab[:, 1:]).transpose(1, 2, 0), mirror, out=mirror)
+        return W4.reshape(W.shape)
+
     def attach(self, W: np.ndarray) -> np.ndarray:
         """e^{-iC} W, entrywise, in place: a phase-stripped table to its operator."""
         return self._apply(-1j, W)
@@ -406,15 +449,15 @@ class Gauge:
     def rotation_phase(self) -> np.ndarray:
         """The candidate gauge term g of the rotation T of a 2D grid by 90
         degrees about (-dx/2, -dx/2), (i, j) -> (N-1-j, i):
-        g(b) = C[T 0, T b] - C[0, b], from rows 0 and T 0 of C, so that
-        C[T a, T b] - C[a, b] = g(b) - g(a) holds for a = 0; whether it holds
-        for every pair is the caller's check.  0 for a zero potential."""
+        g(b) = C[T 0, T b] - C[0, b], from rows 0 and T 0 of C (in O(P) for
+        a separable phase), so that C[T a, T b] - C[a, b] = g(b) - g(a)
+        holds for a = 0; whether it holds for every pair is the caller's
+        check.  0 for a zero potential."""
         N = self.grid.N
         if self.A.is_zero():
             return np.zeros(N * N)
         t = np.rot90(np.arange(N * N).reshape(N, N), -1).ravel()  # t[a] = T a
-        C = self.circulation
-        return C[t[0], t] - C[0]
+        return self._row(t[0])[t] - self._row(0)
 
     def segment_phase(self, x, y) -> np.ndarray:
         """e^{-i Circ(A; x -> y)} for batched endpoints of shape (..., n)."""
@@ -551,8 +594,9 @@ def quantize(f, gauge: Gauge) -> MagneticOperator:
     """Gauge-covariant quantization of a symbol (or SampledSymbol)."""
     grid = gauge.grid
     # build (or fetch) C before the table, so that the work arrays of the
-    # circulation fill and the table are never held together
-    if not gauge.A.is_zero():
+    # circulation fill and the table are never held together; a separable
+    # phase needs none
+    if not gauge.A.is_zero() and gauge._separable is None:
         gauge.circulation
     if isinstance(f, SampledSymbol):
         W = np.array(_as_table(f, grid), dtype=complex)  # a copy: attach overwrites it

@@ -9,7 +9,7 @@ C[Tx, Ty] - C[x, y] = g(y) - g(x), so S = diag(e^{-ig}) Pi_T commutes with
 Op^A(f) for every symbol invariant under the rotation, and S^4 = I once the
 constant in g is fixed.  The eigenspaces of S split the eigenproblem into
 4 blocks of size P/4.  ``spectrum`` reads the candidate g that
-:func:`quantize` recorded from the gauge's C (``rotation_phase``) and takes
+:func:`quantize` recorded from the gauge's phase (``rotation_phase``) and takes
 this path only when the relative Frobenius defect
 ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F (D = diag(e^{ig})) and the spread
 of the orbit phase products are at rounding level; every other operator,

@@ -15,7 +15,7 @@ from scipy import fft as sp_fft
 
 import magweyl
 
-from magweyl.grid import make_grid
+from magweyl.grid import PhaseSpaceGrid, make_grid
 from magweyl.magnetics import (
     DEFAULT_QUAD,
     MagneticField,
@@ -233,8 +233,12 @@ def test_the_gauge_cache_gives_the_written_out_phase(A, builds, monkeypatch):
 @pytest.mark.parametrize("case", ["sin1d", "linear", "transversal"])
 def test_the_tile_pairs_give_the_row_block_phase_bit_for_bit(case):
     # 1D P = 100 and 2D P = 144 end in a partial tile; the symmetric gauge
-    # and the transversal gauge of a non-polynomial field
+    # and the transversal gauge of a non-polynomial field.  A degree-1 gauge
+    # has a separable phase, so the symmetric one is given an unknown degree
+    # to keep the tile loop under this check
     g, A = _circulation_case(case)
+    if case == "linear":
+        A = replace(A, degree=None)
     P = g.npoints
     quantize_module = importlib.import_module("magweyl.quantize")
     rows = quantize_module._PHASE_ROWS
@@ -248,6 +252,64 @@ def test_the_tile_pairs_give_the_row_block_phase_bit_for_bit(case):
             r = slice(a, a + rows)
             expect[r] = np.exp(sign * C[r]) * expect[r]
         assert apply(W.copy()).tobytes() == expect.tobytes()
+
+
+def _grid_of_any_size(n, L, N):
+    """A grid with any N: the phase takes no FFT, so the multiple-of-4 rule
+    of PhaseSpaceGrid does not bind it."""
+    g = object.__new__(PhaseSpaceGrid)
+    for key, value in {"n": n, "L": L, "N": N}.items():
+        object.__setattr__(g, key, value)
+    return g
+
+
+_DEGREE_ONE_GAUGES = {
+    "symmetric": VectorPotential.from_expressions(2, ["-0.5*x2", "0.5*x1"]),
+    "landau": VectorPotential.from_expressions(2, ["0", "0.9*x1"]),
+    # a constant part and a symmetric part of K: a gauge transform u on top
+    "offset-linear": VectorPotential.from_expressions(
+        2, ["0.3 + 0.2*x1 - 0.5*x2", "-0.1 + 0.5*x1 + 0.1*x2"]),
+    "transversal": transversal_gauge(MagneticField.constant(2, 0.7)),
+}
+
+
+@pytest.mark.parametrize("N", [10, 13])
+@pytest.mark.parametrize("name", sorted(_DEGREE_ONE_GAUGES))
+def test_a_degree_one_gauge_applies_the_phase_of_c_without_building_it(name, N, monkeypatch):
+    # N = 10 is not a multiple of 4 and N = 13 is odd; C comes from the
+    # general path, before the builder is counted
+    A = _DEGREE_ONE_GAUGES[name]
+    g = _grid_of_any_size(2, 10.0, N)
+    P = g.npoints
+    C = circulation_matrix(A, g)
+    g12 = make_grid(2, 10.0, 12)
+    C12 = circulation_matrix(A, g12)
+    quantize_module = importlib.import_module("magweyl.quantize")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return circulation_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(quantize_module, "circulation_matrix", counting)
+    gauge = Gauge(A, g)
+    W = np.random.default_rng(3).normal(size=(P, 2 * P)).view(complex)
+    top = np.abs(W).max()
+    for sign, apply in ((-1j, gauge.attach), (1j, gauge.strip)):
+        assert np.abs(apply(W.copy()) - np.exp(sign * C) * W).max() <= 1e-14 * top
+        # the phase alone is exactly conjugate-symmetric, with a diagonal of 1
+        phase = apply(np.ones((P, P), dtype=complex))
+        assert np.array_equal(phase, phase.conj().T)
+        assert np.array_equal(np.diag(phase), np.ones(P))
+    assert np.abs(gauge.strip(gauge.attach(W.copy())) - W).max() <= 2e-15 * top
+    t = np.rot90(np.arange(P).reshape(N, N), -1).ravel()
+    assert np.abs(gauge.rotation_phase() - (C[t[0], t] - C[0])).max() <= 1e-14 * np.abs(C).max()
+    # quantize skips its build of C too
+    f = Symbol.from_expression("xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2", 2, m=2)
+    M = quantize(f, Gauge(A, g12))
+    expect = np.exp(-1j * C12) * _symbol_table(f, g12)
+    assert np.abs(M.matrix - expect).max() <= 1e-14 * np.abs(expect).max()
+    assert calls == []
 
 
 def test_dequantize_rejects_a_gauge_on_another_grid():

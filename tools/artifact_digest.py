@@ -14,7 +14,10 @@ outputs are equal:
 
 The configs cover all seven commands in 1D and 2D, with zero, constant and
 non-polynomial fields (varying along x1 only, along x2 only and along both),
-explicit non-polynomial, symmetric and Landau gauges, a spectrum that splits
+explicit non-polynomial, symmetric and Landau gauges, an explicit linear
+gauge with a constant part and a symmetric part in its Jacobian
+(``spectrum-2d-offset-linear``: a gauge transform on top of the symmetric
+gauge's cross term), a spectrum that splits
 by the 90-degree magnetic rotation, one with only the 180-degree rotation
 (solved whole) and one that just misses the 90-degree one (a well centred
 at 0), an expand whose two symbols use every function of the expression
@@ -61,6 +64,7 @@ _X2_ONLY = {"components": {"12": "1 + 0.5/(1+x2^2)"}}
 _BOTH_AXES = {"components": {"12": "1 + 0.5*exp(-(x1^2+x2^2)/4)"}}
 _LANDAU = {"kind": "explicit", "A": ["0", "0.9*x1"]}
 _SYMMETRIC = {"kind": "explicit", "A": ["-0.5*x2", "0.5*x1"]}
+_OFFSET_LINEAR = {"kind": "explicit", "A": ["0.3 + 0.2*x1 - 0.5*x2", "-0.1 + 0.5*x1 + 0.1*x2"]}
 _EXPLICIT = {"kind": "explicit", "A": ["-arctan(x2)", "x1*exp(-x1^2/8)"]}
 _ORBITS_1D = {"kind": "AsymptoticLimitsPerDirection", "orbits": [
     {"label": "plus", "kind": "direction", "direction": [1.0]},
@@ -97,6 +101,8 @@ CONFIGS = {
                            "task": _task("spectrum")},
     "spectrum-2d-rotation-90": {"grid": _grid(2, 12.0, 16), "gauge": _SYMMETRIC,
                                 "symbol": _XI2, "task": _task("spectrum")},
+    "spectrum-2d-offset-linear": {"grid": _grid(2, 12.0, 16), "gauge": _OFFSET_LINEAR,
+                                  "symbol": _XI2, "task": _task("spectrum")},
     "spectrum-2d-rotation-180-only": {"grid": _grid(2, 12.0, 16),
                                       "symbol": {**_XI2, "expression": "xi1^2 + 0.5*xi2^2"},
                                       "task": _task("spectrum")},
