@@ -364,8 +364,8 @@ def _cmd_gauge_check(config, out_dir):
     phase = np.exp(1j * np.asarray(psi(grid.x_flat()), dtype=float))
 
     def covariance(quantizer):
-        # e^{i psi(x)} M1 e^{-i psi(y)} - M2, formed in M1's storage
-        M1, M2 = quantizer(f, gauge1).matrix, quantizer(f, gauge2).matrix
+        # e^{i psi(x)} M1 e^{-i psi(y)} - M2, formed in a complex M1's storage
+        M1, M2 = np.asarray(quantizer(f, gauge1).matrix, complex), quantizer(f, gauge2).matrix
         np.multiply(phase[:, None], M1, out=M1)
         np.multiply(M1, np.conj(phase)[None, :], out=M1)
         np.subtract(M1, M2, out=M1)

@@ -235,6 +235,14 @@ def _divide(a, b):
     return a / b
 
 
+def _power(a, b):
+    """np.power(a, b), but sign(a)^b |a|^b for a real base and an integral
+    scalar exponent, so that -a gives +-(a^b) to the bit."""
+    if np.ndim(b) == 0 and np.isrealobj(b) and float(b).is_integer() and np.isrealobj(a):
+        return np.power(np.sign(a), b) * np.power(np.abs(a), b)
+    return np.power(a, b)
+
+
 def _power_rule(h, f, g, df, dg):
     """d(f^g) for h = f^g: the cases f^const and const^g, else exp(g log f)."""
     if isinstance(g, Num):
@@ -252,7 +260,7 @@ _OPS = {
     "*": (2, operator.mul, lambda h, f, g, df, dg: _add(_mul(df, g), _mul(f, dg))),
     "/": (2, _divide,
           lambda h, f, g, df, dg: _div(_sub(_mul(df, g), _mul(f, dg)), _mul(g, g))),
-    "^": (4, np.power, _power_rule),
+    "^": (4, _power, _power_rule),
 }
 
 

@@ -26,14 +26,9 @@ relative above it.  Nonreal z, reached in the paper from a real seed
 through the resolvent identity, are inverted directly in the same way,
 without a certificate.
 
-At zero field the twisted product is the Moyal product, and a real symbol
-even in xi quantizes to an operator that commutes with complex
-conjugation: its kernel table is real.  In the zero gauge the tables of f
-and of 1/(f - z) are therefore tested exactly, with no threshold: every
-momentum sample real and equal to its reflection k -> (-k) mod N on each
-momentum axis (see :func:`magweyl.quantize._symbol_table`); tables that
-pass are built in float64 by a DCT-I.  When both pass and z is real, R,
-its certificate, the Cholesky inverse and the residual are computed in
+In the zero gauge :func:`magweyl.quantize.quantize` returns the float64
+table of a real f even in xi, and of 1/(f - z) at a real z.  When both are
+real, R, its certificate, the Cholesky inverse and the residual run in
 real symmetric arithmetic, at about a quarter of the complex flops.  A
 magnetic field, a term odd in xi or a nonreal z keeps the complex path.
 """
@@ -49,7 +44,7 @@ from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
 from .quantize import (_PHASE_ROWS, Gauge, MagneticOperator, SampledSymbol, _norm_bound,
-                       _symbol_table, _xi1_ray, dequantize, quantize)
+                       _xi1_ray, dequantize, quantize)
 from .spectral import spectrum
 from .symbols import Symbol, is_elliptic, japanese_bracket, _position_blocks
 
@@ -116,21 +111,10 @@ def _shift_diagonal(M: np.ndarray, c: complex) -> np.ndarray:
     """M + c I, in place; a real M takes a real c as a real number, and is
     copied to complex for a nonreal one."""
     c = complex(c)
-    if not np.iscomplexobj(M):
-        if c.imag:
-            M = M.astype(complex)
-        else:
-            c = c.real
-    M.reshape(-1)[::len(M) + 1] += c
+    if c.imag and not np.iscomplexobj(M):
+        M = M.astype(complex)
+    M.reshape(-1)[::len(M) + 1] += c if np.iscomplexobj(M) else c.real
     return M
-
-
-def _matrix(f: Symbol, gauge: Gauge) -> np.ndarray:
-    """quantize(f, gauge).matrix; in the zero gauge the kernel table, which
-    is real when it is exactly real (``_symbol_table(.., real=True)``)."""
-    if gauge.A.is_zero():
-        return _symbol_table(f, gauge.grid, real=True)
-    return quantize(f, gauge).matrix
 
 
 def _series_generator(f: Symbol, z: complex, gauge: Gauge):
@@ -138,16 +122,13 @@ def _series_generator(f: Symbol, z: complex, gauge: Gauge):
     R_z = I - (M_f - z) Q with Q = quantize(1/(f - z)); Q is released as
     soon as R exists.
 
-    In the zero gauge, M_f and Q are the kernel tables (:func:`_matrix`).
-    For a real f even in xi and a real z both are exactly real, and the
-    product, the norm certificate (dsyrk, dsymv, dpotrf), the inverse and
-    the residual of :func:`_solved` all run in real arithmetic, on tables
-    within a few ulps of the real parts of the complex ones.  A table that
-    fails the exact test (nonzero imaginary samples, or samples unequal to
-    their reflection on a momentum axis) stays complex, and so does
-    everything it enters."""
-    Mf = _shift_diagonal(_matrix(f, gauge), -z)
-    R = Mf @ _matrix(_reciprocal_symbol(f, z), gauge)
+    When :func:`magweyl.quantize.quantize` returns both as float64 (zero
+    gauge, a real f even in xi, a real z), the product, the norm
+    certificate (dsyrk, dsymv, dpotrf), the inverse and the residual of
+    :func:`_solved` run in real arithmetic; a complex one stays complex,
+    and so does everything it enters."""
+    Mf = _shift_diagonal(quantize(f, gauge).matrix, -z)
+    R = Mf @ quantize(_reciprocal_symbol(f, z), gauge).matrix
     _shift_diagonal(np.negative(R, out=R), 1.0)
     return Mf, _norm_bound(R)
 
@@ -351,7 +332,7 @@ class ResolventFamily:
         if abs(z.imag) < 1e-14 and z.real <= self._inf_f - 1.0:
             res = neumann_invert(self.f, z, self.gauge, validate=False)
         else:
-            Mf = _shift_diagonal(_matrix(self.f, self.gauge), -z)
+            Mf = _shift_diagonal(quantize(self.f, self.gauge).matrix, -z)
             res = _solved(Mf, z, 0, None, self.gauge, self.f.real)
         self.entries[key] = res
         return res

@@ -28,8 +28,9 @@ symbol with an expression AST has its top-level xi-independent terms split
 off (``Symbol.split``), and its table is the table of the other terms with
 V(x_i) added to the diagonal.
 
-The zero-gauge inversion asks for float64 tables of samples that are real
-and even in each momentum: a DCT-I of their xi >= 0 half (``real=True``).
+At zero field a real symbol even in each momentum quantizes to a real
+operator.  :func:`quantize` alone decides it: in the zero gauge exactly real
+and even samples give a float64 table, a DCT-I of their xi >= 0 half.
 
 Sign convention: with this phase, Op^A(xi_j) = -i d_j - A_j, so for B = dA
 (B_12 = d_1 A_2 - d_2 A_1) the momenta satisfy
@@ -160,6 +161,9 @@ def _lanczos_top(G: np.ndarray) -> float:
 class MagneticOperator:
     """A dense operator on grid-sampled wavefunctions.
 
+    ``matrix`` is kept as float64 (as :func:`quantize` gives an exactly
+    real zero-gauge table) and any other dtype is made complex.
+
     ``rotation_phase`` is, on an operator that :func:`quantize` returned on
     a 2D grid, the gauge term of the 90-degree rotation of the grid
     (:meth:`Gauge.rotation_phase`), which the symmetry check of
@@ -173,7 +177,8 @@ class MagneticOperator:
 
     def __post_init__(self):
         P = self.grid.npoints
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix)
+        mat = mat if mat.dtype == np.float64 else mat.astype(complex, copy=False)
         if mat.shape != (P, P):
             raise ValueError(f"matrix shape {mat.shape} != ({P}, {P})")
         object.__setattr__(self, "matrix", mat)
@@ -190,7 +195,7 @@ class MagneticOperator:
         array, and both sums go through :func:`_sum_squares` in block order,
         so the value does not depend on the thread count."""
         m = self.matrix
-        work = np.empty((_PHASE_ROWS, len(m)), dtype=complex)
+        work = np.empty((_PHASE_ROWS, len(m)), dtype=m.dtype)
         defect = norm = 0.0
         for a in range(0, len(m), _PHASE_ROWS):
             rows = m[a:a + _PHASE_ROWS]
@@ -522,10 +527,10 @@ def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
     A symbol with a ``split`` (V, rest) gets the table of ``rest`` (zero
     when there is none) with V(x_i) added to its diagonal in place.
 
-    With ``real``, a table that is exactly real (V real and every F_q
-    :func:`_real_even`) is float64, gathered from :func:`_even_transform`:
-    exactly symmetric, and within a few ulps of max|W| of the real part of
-    the complex table.  Any other table is complex, as without ``real``.
+    With ``real`` (set by :func:`quantize` alone, in the zero gauge), a table
+    that is exactly real (V real and every F_q :func:`_real_even`) is float64,
+    gathered from :func:`_even_transform`: exactly symmetric, and within a few
+    ulps of max|W| of the real part of the complex table.  Any other is complex.
     """
     split = getattr(f, "split", None)
     if split is not None:
@@ -576,7 +581,8 @@ def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
         i1 = np.arange(max(0, p1 - N + 1), min(N, p1 + 1))
         d1 = (2 * i1 - p1)[:, None, None]
         if real and not _real_even(F, 2):
-            return _symbol_table(f, grid)  # start again, complex
+            del W4  # start again, complex, without holding the float table
+            return _symbol_table(f, grid)
         if real:
             W4[i1, :, p1 - i1, :] = _even_transform(F.real, 2)[p, _fold(d1, N), fd]
         else:
@@ -591,17 +597,20 @@ def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
 
 
 def quantize(f, gauge: Gauge) -> MagneticOperator:
-    """Gauge-covariant quantization of a symbol (or SampledSymbol)."""
+    """Gauge-covariant quantization of a symbol (or SampledSymbol).  In the
+    zero gauge an exactly real table is float64 (:func:`_symbol_table` with
+    ``real``) and a SampledSymbol keeps its dtype; any other is complex."""
     grid = gauge.grid
+    zero = gauge.A.is_zero()
     # build (or fetch) C before the table, so that the work arrays of the
     # circulation fill and the table are never held together; a separable
     # phase needs none
-    if not gauge.A.is_zero() and gauge._separable is None:
+    if not zero and gauge._separable is None:
         gauge.circulation
-    if isinstance(f, SampledSymbol):
-        W = np.array(_as_table(f, grid), dtype=complex)  # a copy: attach overwrites it
+    if isinstance(f, SampledSymbol):  # a copy: the matrix is written in place
+        W = np.array(_as_table(f, grid), dtype=None if zero else complex)
     else:
-        W = _symbol_table(f, grid)
+        W = _symbol_table(f, grid, real=zero)
     return MagneticOperator(grid, gauge.attach(W),
                             gauge.rotation_phase() if grid.n == 2 else None)
 
@@ -626,7 +635,8 @@ def dequantize(M: MagneticOperator, gauge: Gauge) -> SampledSymbol:
     """
     if M.grid != gauge.grid:
         raise ValueError("grid mismatch")
-    return SampledSymbol(M.grid, gauge.strip(M.matrix.copy()))
+    W = np.array(M.matrix, dtype=None if gauge.A.is_zero() else complex)  # strip overwrites it
+    return SampledSymbol(M.grid, gauge.strip(W))
 
 
 # -- diagonal interpolation (table -> symbol samples) -----------------------

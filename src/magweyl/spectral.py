@@ -140,10 +140,10 @@ def spectrum(M: MagneticOperator, localization: bool = False,
 
 
 def _hermitian_eigh(a: np.ndarray, vectors: bool):
-    """(eigenvalues, eigenvectors or None) of 0.5 (a + a^H), which is formed
-    in one Fortran-ordered array that eigh then overwrites instead of
-    copying."""
-    herm = np.conjugate(a.T, out=np.empty(a.shape, dtype=complex, order="F"))
+    """(eigenvalues, eigenvectors or None) of 0.5 (a + a^H), formed in one
+    Fortran-ordered array of the dtype of ``a`` (a real symmetric eigh for a
+    float64 ``a``) that eigh then overwrites instead of copying."""
+    herm = np.conjugate(a.T, out=np.empty(a.shape, dtype=a.dtype, order="F"))
     np.add(a, herm, out=herm)
     np.multiply(0.5, herm, out=herm)
     if vectors:

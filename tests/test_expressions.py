@@ -185,6 +185,34 @@ def test_each_function_evaluates_by_its_numpy_call_bit_for_bit(name):
         assert np.array_equal(value, _NUMPY_CALLS[name](arg))
 
 
+def test_an_integral_power_of_a_reflected_base_is_reflected_to_the_bit():
+    from magweyl.grid import make_grid
+    from magweyl.magnetics import VectorPotential
+    from magweyl.quantize import Gauge, quantize
+    from magweyl.symbols import Symbol
+    g = make_grid(1, 20.0, 64)
+    f = Symbol.from_expression("xi1^4 + 1", 1, m=4, real=True)
+    xi = g.xi_mesh()
+    F = f(np.zeros_like(xi), xi)
+    # node k against its reflection (-k) mod N; np.power alone rounds 9.6^4
+    # and (-9.6)^4 apart here
+    assert np.array_equal(F, F[-np.arange(g.N) % g.N])
+    assert quantize(f, Gauge(VectorPotential.zero(1), g)).matrix.dtype == float
+
+    u = np.linspace(0.1, 3.1, 31)
+    t = np.concatenate([-u[::-1], u])  # t[::-1] == -t exactly
+    for b in (2, 3, 4, -3):
+        value = evaluate(parse_expression(f"x1^{b}" if b > 0 else f"x1^({b})", n_dim=1), x=(t,))
+        assert np.array_equal(value, (-1.0) ** b * value[::-1])
+        # a nonnegative base keeps np.power's bits
+        assert np.array_equal(value[t >= 0], np.power(t[t >= 0], float(b)))
+    # a non-integral exponent, and a complex base, are np.power itself
+    for text, arg, ref in (("x1^2.5", u, np.power(u, 2.5)),
+                           ("x1^3", t * (1 + 0.5j), np.power(t * (1 + 0.5j), 3.0)),
+                           ("x1^4", t * (1 + 0.5j), np.power(t * (1 + 0.5j), 4.0))):
+        assert np.array_equal(evaluate(parse_expression(text, n_dim=1), x=(arg,)), ref)
+
+
 @pytest.mark.parametrize("text, bad, message", [
     ("log(x1)", [1.0, 0.0], "log of a nonpositive value"),
     ("log(x1)", [-2.0], "log of a nonpositive value"),

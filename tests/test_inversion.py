@@ -35,7 +35,6 @@ from magweyl.quantize import (
     Gauge,
     MagneticOperator,
     SampledSymbol,
-    _symbol_table,
     dequantize,
     quantize,
 )
@@ -354,8 +353,7 @@ def test_residuals_are_the_sup_of_the_values_on_the_interior_mask(n):
     grid, P = gauge.grid, gauge.grid.npoints
     res = neumann_invert(f, z, gauge)
     # M_f as the inversion builds it: the real kernel table in the zero gauge
-    Mf = (_symbol_table(f, grid, real=True) if n == 1 else quantize(f, gauge).matrix) \
-        - z * np.eye(P)
+    Mf = quantize(f, gauge).matrix - z * np.eye(P)
     assert Mf.dtype == res.matrix.dtype == (float if n == 1 else complex)
     E = MagneticOperator(grid, Mf @ res.matrix - np.eye(P))
     expected = _interior_sup_of_the_values(dequantize(E, gauge))
@@ -388,8 +386,8 @@ def test_the_real_zero_gauge_inversion_agrees_with_a_complex_curl_free_gauge():
 def test_a_nonreal_z_takes_a_real_zero_gauge_table_to_complex():
     g = make_grid(2, 12.0, 16)
     gauge = Gauge(VectorPotential.zero(2), g)
-    assert inversion._matrix(BUMPS_2D, gauge).dtype == float
-    M = _shift_diagonal(inversion._matrix(BUMPS_2D, gauge), 40.0)
+    assert quantize(BUMPS_2D, gauge).matrix.dtype == float
+    M = _shift_diagonal(quantize(BUMPS_2D, gauge).matrix, 40.0)
     assert M.dtype == float
     z = -3.0 + 1.0j
     res = ResolventFamily(BUMPS_2D, gauge).add(z)

@@ -20,8 +20,10 @@ gauge with a constant part and a symmetric part in its Jacobian
 gauge's cross term), a spectrum that splits
 by the 90-degree magnetic rotation, one with only the 180-degree rotation
 (solved whole) and one that just misses the 90-degree one (a well centred
-at 0), an expand whose two symbols use every function of the expression
-language (``expand-1d-functions``), a 2D expand whose fit window is widened
+at 0), a zero-field 1D spectrum of ``xi1^4 + 1`` (``spectrum-1d-quartic``:
+even in xi through a power other than ``^2``, so its table is real), an
+expand whose two symbols use every function of the expression language
+(``expand-1d-functions``), a 2D expand whose fit window is widened
 and one whose lattice has no window, an essential spectrum over an identity
 orbit (the default merge tolerance of an x-dependent symbol), over two
 direction orbits and over a translate orbit (``ess-spectrum-1d-translate``),
@@ -110,6 +112,10 @@ CONFIGS = {
                               "symbol": {**_XI2, "expression":
                                          "xi1^2 + xi2^2 - 2*exp(-x1^2-x2^2)"},
                               "task": _task("spectrum")},
+    # zero field, even in xi1 through a power other than ^2: a real table
+    "spectrum-1d-quartic": {"grid": _grid(1, 20.0, 64),
+                            "symbol": {"expression": "xi1^4 + 1", "m": 4, "rho": 1, "real": True},
+                            "task": _task("spectrum")},
     "spectrum-1d-explicit-partial": {"grid": _grid(1, 20.0, 100), "symbol": _WELL_1D,
                                      "gauge": {"kind": "explicit", "A": ["arctan(x1)"]},
                                      "task": _task("spectrum")},
