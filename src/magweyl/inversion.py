@@ -31,6 +31,14 @@ table of a real f even in xi, and of 1/(f - z) at a real z.  When both are
 real, R, its certificate, the Cholesky inverse and the residual run in
 real symmetric arithmetic, at about a quarter of the complex flops.  A
 magnetic field, a term odd in xi or a nonreal z keeps the complex path.
+
+One OpenBLAS pool: numpy and scipy each load their own OpenBLAS, with a
+thread pool each, and the idle workers of one pool spin on the cores that
+the other pool's next call needs (at P = 1024 on 2 cores, a numpy product
+right after a potrf took 0.04 s, against 0.02 s alone).  LAPACK runs on
+scipy's pool, so every dense product of the program does too, through
+:func:`magweyl.quantize._matmul`, and none through numpy's ``@``,
+``np.dot`` or their kin; a test parses the sources for them.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ import numpy as np
 from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
-from .quantize import (_PHASE_ROWS, Gauge, MagneticOperator, SampledSymbol, _norm_bound,
+from .quantize import (_PHASE_ROWS, Gauge, MagneticOperator, SampledSymbol, _matmul, _norm_bound,
                        _xi1_ray, dequantize, quantize)
 from .spectral import spectrum
 from .symbols import Symbol, is_elliptic, japanese_bracket, _position_blocks
@@ -128,7 +136,7 @@ def _series_generator(f: Symbol, z: complex, gauge: Gauge):
     :func:`_solved` run in real arithmetic; a complex one stays complex,
     and so does everything it enters."""
     Mf = _shift_diagonal(quantize(f, gauge).matrix, -z)
-    R = Mf @ quantize(_reciprocal_symbol(f, z), gauge).matrix
+    R = _matmul(Mf, quantize(_reciprocal_symbol(f, z), gauge).matrix)
     _shift_diagonal(np.negative(R, out=R), 1.0)
     return Mf, _norm_bound(R)
 
@@ -218,7 +226,7 @@ def _cholesky_inverse(M: np.ndarray) -> np.ndarray | None:
 def inversion_residual(Mf_minus_z: np.ndarray, inverse_mat: np.ndarray, gauge: Gauge) -> float:
     """sup over the interior 80% of |dequantize(Mf - z) # inverse - 1|; the
     product is stripped of its phase in place."""
-    res = _shift_diagonal(Mf_minus_z @ inverse_mat, -1.0)
+    res = _shift_diagonal(_matmul(Mf_minus_z, inverse_mat), -1.0)
     return SampledSymbol(gauge.grid, gauge.strip(res)).interior_sup()
 
 
@@ -343,7 +351,7 @@ class ResolventFamily:
         """sup_interior |Phi(r_z1) - Phi(r_z2) - (z1 - z2) Phi(r_z1) # Phi(r_z2)|."""
         r1 = self.add(z1)
         r2 = self.add(z2)
-        combo = r1.matrix - r2.matrix - (z1 - z2) * (r1.matrix @ r2.matrix)
+        combo = r1.matrix - r2.matrix - (z1 - z2) * _matmul(r1.matrix, r2.matrix)
         return SampledSymbol(self.gauge.grid, self.gauge.strip(combo)).interior_sup()
 
     def adjoint_symmetry_residual(self, z: complex) -> float:
@@ -369,5 +377,5 @@ def affiliated_calculus(f: Symbol, gauge: Gauge, eta) -> MagneticOperator:
     res = spectrum(quantize(f, gauge), keep_vectors=True)
     V = res.eigenvectors
     vals = np.asarray(eta(res.eigenvalues), dtype=complex)
-    out = (V * vals) @ V.conj().T
+    out = _matmul(V * vals, V.conj().T)
     return MagneticOperator(gauge.grid, out)

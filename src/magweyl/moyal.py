@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .magnetics import MagneticField, flux_triangle, gamma_B
-from .quantize import Gauge, SampledSymbol, _xi1_ray, quantize
+from .quantize import Gauge, SampledSymbol, _matmul, _xi1_ray, quantize
 from .symbols import Symbol, japanese_bracket
 
 
@@ -45,7 +45,7 @@ def moyal_pullback(f, g, gauge: Gauge) -> SampledSymbol:
     matrix product exactly and the result does not depend on the chosen
     gauge of the field.
     """
-    product = (quantize(f, gauge) @ quantize(g, gauge)).matrix
+    product = _matmul(quantize(f, gauge).matrix, quantize(g, gauge).matrix)
     return SampledSymbol(gauge.grid, gauge.strip(product))
 
 
@@ -88,7 +88,7 @@ def moyal_direct(f, g, B, X, points: int = 16) -> complex:
         z, zeta = y[sl], eta[sl]
         gvals = np.asarray(g.fn(x - z, xi - zeta), dtype=complex)
         # sigma(Y, Z) = z.eta - y.zeta, pairing every Y (rows) with every Z (cols)
-        sig = eta @ z.T - y @ zeta.T  # (P, chunk)
+        sig = _matmul(eta, z.T) - _matmul(y, zeta.T)  # (P, chunk)
         phase = np.exp(-2j * sig)
         if not zero_field:
             c0 = x - y[:, None, :] - z[None, :, :]

@@ -76,8 +76,9 @@ from .magnetics import (DEFAULT_QUAD, VectorPotential, _circulation, circulation
 def _sum_squares(a: np.ndarray) -> float:
     """sum |a|^2 over the entries of ``a``, by einsum over its float view:
     one fixed summation order and no BLAS call (a threaded level-1 BLAS
-    reduction rounds by the thread count and stalls the next LAPACK call),
-    and no temporary for a C-contiguous ``a``."""
+    reduction rounds by the thread count, and on numpy's pool it stalls the
+    next LAPACK call: the one-pool rule of :mod:`magweyl.inversion`), and no
+    temporary for a C-contiguous ``a``."""
     v = np.ascontiguousarray(a).view(float).reshape(-1)
     return float(np.einsum("i,i->", v, v))
 
@@ -97,6 +98,39 @@ def _gram(R: np.ndarray) -> np.ndarray:
     Fortran-ordered view R^T, without copying R."""
     rk = sp_linalg.get_blas_funcs("herk" if np.iscomplexobj(R) else "syrk", (R,))
     return rk(1.0, R.T, lower=1)
+
+
+def _fortran_operand(x: np.ndarray):
+    """x^T as a BLAS operand: (x^T, 0) when x^T is Fortran-ordered (or when
+    neither is, and f2py copies it), (x, 1), with the transpose flag, when
+    only x is."""
+    return (x, 1) if x.flags.f_contiguous and not x.flags.c_contiguous else (x.T, 0)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on scipy's BLAS, for a matrix or a vector a and a matrix b.
+
+    gemm multiplies the Fortran-ordered views b^T a^T = (a b)^T, with no
+    copy, into the transpose of a zeroed C-ordered result (gemv takes b^T
+    for a vector a); a real operand of a complex product is first copied to
+    a C-ordered complex one.  These are the calls numpy's matmul makes, and
+    the result is fresh, as numpy's is (numpy may reuse a fresh temporary in
+    place, which rounds elementwise arithmetic differently than a view), so
+    on one BLAS thread everything computed from it has numpy's bits.  On
+    more, each OpenBLAS build rounds a product by how it splits the work,
+    and the two split some orders apart (on 2 threads P = 100 complex and
+    P = 104 real, not P = 1024).  Dense products go through here, not
+    through ``@``, by the one-pool rule of :mod:`magweyl.inversion`."""
+    dtype = np.result_type(a, b)
+    a, b = (x if x.dtype == dtype else np.ascontiguousarray(x, dtype) for x in (a, b))
+    bt, trans_b = _fortran_operand(b)
+    if a.ndim == 1:
+        return sp_linalg.get_blas_funcs("gemv", (a, b))(1.0, bt, a, trans=trans_b)
+    at, trans_a = _fortran_operand(a)
+    gemm = sp_linalg.get_blas_funcs("gemm", (a, b))
+    out = np.zeros((len(a), b.shape[1]), dtype=dtype)
+    gemm(1.0, bt, at, c=out.T, trans_a=trans_b, trans_b=trans_a, overwrite_c=1)
+    return out
 
 
 def _norm_bound(R: np.ndarray) -> float:
@@ -143,8 +177,11 @@ def _lanczos_top(G: np.ndarray) -> float:
             w -= beta[-1] * Q[k - 1]
         alpha.append(np.vdot(q, w).real)
         w -= alpha[-1] * q
-        # one vdot per basis vector: small matmuls run threaded and cost
-        # about ten times as much here
+        # one vdot per basis vector, in turn (modified Gram-Schmidt, whose
+        # bits series_norm_bound reports).  At P = 1024 on 2 cores this takes
+        # 2 ms a run real and 0.5 ms complex; a scipy gemv pass (classical
+        # Gram-Schmidt) 0.6 and 0.3 ms; a numpy ``@`` pass 0.6 and 69 ms, the
+        # cost of waking numpy's pool (the one-pool rule of magweyl.inversion)
         for j in range(k + 1):
             w -= np.vdot(Q[j], w) * Q[j]
         b = np.linalg.norm(w)
@@ -208,7 +245,7 @@ class MagneticOperator:
     def __matmul__(self, other: "MagneticOperator") -> "MagneticOperator":
         if other.grid != self.grid:
             raise ValueError("grid mismatch")
-        return MagneticOperator(self.grid, self.matrix @ other.matrix)
+        return MagneticOperator(self.grid, _matmul(self.matrix, other.matrix))
 
 
 @dataclass(frozen=True)
@@ -846,7 +883,8 @@ def partial_fourier(F: KernelFunction):
     scale = g.dx**g.n / (2.0 * np.pi) ** (g.n / 2.0)
 
     def summand(x, xi):
-        return np.exp(1j * xi @ vlat.T) * F.fn(x[:, None, :], vlat[None, :, :])
+        return (np.exp(_matmul(1j * xi, vlat.T))
+                * F.fn(x[:, None, :], vlat[None, :, :]))
 
     return Symbol.from_callable(_lattice_sum(summand, g, 1 << 22, scale),
                                 n=g.n, m=0.0, rho=0.0, delta=0.0)
@@ -860,7 +898,7 @@ def partial_fourier_inverse(f, grid: PhaseSpaceGrid) -> KernelFunction:
     scale = g.dxi**g.n / (2.0 * np.pi) ** (g.n / 2.0)
 
     def summand(q, v):
-        return np.exp(-1j * v @ xilat.T) * f(q[:, None, :], xilat[None, :, :])
+        return np.exp(_matmul(-1j * v, xilat.T)) * f(q[:, None, :], xilat[None, :, :])
 
     return KernelFunction(grid, _lattice_sum(summand, g, 1 << 22, scale))
 

@@ -43,7 +43,7 @@ from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
 from .magnetics import MagneticField, transversal_gauge
-from .quantize import Gauge, MagneticOperator, _sum_squares, quantize
+from .quantize import Gauge, MagneticOperator, _matmul, _sum_squares, quantize
 from .symbols import (
     CoefficientAlgebra,
     Symbol,
@@ -255,7 +255,7 @@ def _block_spectrum(M: MagneticOperator, acc, symmetry_defect: float,
         # |v|^2 is |y(o)|^2 / 4 at each node of the orbit of o
         share = sum(_rotate(grid.interior_mask(), d)[F] for d in range(4)).ravel() / 4
         mass = [np.abs(y) ** 2 for y in vecs]
-        scores = np.concatenate([share @ m / m.sum(axis=0) for m in mass])[order]
+        scores = np.concatenate([_matmul(share, m) / m.sum(axis=0) for m in mass])[order]
     full = None
     if keep_vectors:
         full = np.empty((P, P), dtype=complex)

@@ -39,6 +39,7 @@ from magweyl.quantize import (
     quantize,
 )
 from magweyl.symbols import Symbol
+from test_quantize import run_probe
 
 GRID = make_grid(1, 20.0, 128)
 A0 = VectorPotential.zero(1)
@@ -496,3 +497,39 @@ def test_the_reciprocal_of_a_real_symbol_at_a_real_z_is_the_real_part_of_the_com
     assert _reciprocal_symbol(f, -60.0 + 1.0j)(x, xi).dtype == complex
     g_c = Symbol.from_callable(lambda x, xi: f(x, xi) + 0.5j * np.exp(-x[..., 0] ** 2), 2, m=2)
     assert _reciprocal_symbol(g_c, -60.0 + 0j)(x, xi).dtype == complex
+
+
+_NUMPY_MATMUL_PROBE = """
+import hashlib
+import sys
+import numpy as np
+from magweyl import inversion
+from magweyl.grid import make_grid
+from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
+from magweyl.quantize import Gauge
+from magweyl.symbols import Symbol
+
+if sys.argv[1] == "resolvent2d":
+    f = Symbol.from_expression("xi1^2 + xi2^2 + 0.3*arctan(x1) - 0.2*exp(-x2^2)", 2, m=2,
+                               real=True)
+    z, gauge = -60.0, Gauge(VectorPotential.zero(2), make_grid(2, 12.0, 32))
+else:
+    f = Symbol.from_expression("xi1^2 + xi2^2 + arctan(x1)", 2, m=2, real=True)
+    z = -20.0
+    gauge = Gauge(transversal_gauge(MagneticField.constant(2, 0.6)), make_grid(2, 8.0, 12))
+for _ in range(2):
+    res = inversion.neumann_invert(f, z, gauge)
+    print(res.matrix.dtype, hashlib.sha256(res.matrix.tobytes()).hexdigest(),
+          repr(res.residual), repr(res.norm_R))
+    inversion._matmul = np.matmul
+"""
+
+
+@pytest.mark.parametrize("case, dtype", [("resolvent2d", "float64"), ("magnetic", "complex128")])
+def test_neumann_invert_is_the_same_to_the_bit_on_numpys_matmul(case, dtype):
+    # the benchmark's resolvent2d path in real arithmetic, and a complex one
+    # in a constant field; on one thread, where both OpenBLAS builds round
+    # every product alike (test_quantize's probe of _matmul)
+    fast, general = run_probe(_NUMPY_MATMUL_PROBE, "1", case).splitlines()
+    assert fast.split()[0] == dtype
+    assert fast == general

@@ -1,5 +1,6 @@
 """Quantization, dequantization, magnetic translations, kernel calculus."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -28,6 +29,7 @@ from magweyl.quantize import (
     Gauge,
     MagneticOperator,
     SampledSymbol,
+    _matmul,
     _real_even,
     _stencils,
     _symbol_table,
@@ -467,6 +469,18 @@ def test_vectorized_sampler_is_bit_identical_to_the_diagonal_loop(n, N):
     assert np.array_equal(_table_to_samples(W, g), _table_to_samples_ref(W, g))
 
 
+def run_probe(code: str, threads: str, *args: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter on ``threads``
+    OpenBLAS threads, importing this checkout's magweyl; its stderr on failure."""
+    src = str(Path(magweyl.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 _SAMPLER_PROBE = """
 import hashlib
 import numpy as np
@@ -484,13 +498,7 @@ for n, N in ((1, 64), (2, 32)):
 def test_the_samples_do_not_depend_on_the_blas_threads():
     # the stencil products are sparse row sums in a fixed order; no threaded
     # BLAS call may enter the sampler
-    src = str(Path(magweyl.__file__).parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        digests.append(subprocess.run([sys.executable, "-c", _SAMPLER_PROBE], env=env,
-                                      check=True, capture_output=True, text=True).stdout)
+    digests = [run_probe(_SAMPLER_PROBE, threads) for threads in ("1", "2")]
     assert len(digests[0].split()) == 4
     assert digests[0] == digests[1]
 
@@ -953,3 +961,77 @@ def test_samples_even_only_in_both_momenta_together_keep_the_complex_table():
     assert _real_even(F + F[:, r], 2)
     W = _symbol_table(f, g, real=True)
     assert W.dtype == complex and W.tobytes() == _symbol_table(f, g).tobytes()
+
+
+_MATMUL_PROBE = """
+import itertools
+import numpy as np
+from magweyl.quantize import _matmul
+
+rng = np.random.default_rng(7)
+cases = 0
+# (m, k, n) is a (m, k) by (k, n) product, m None a vector times a (k, n)
+# matrix; (180, 96, 200) is large enough for numpy to reuse a temporary
+# product in place, which it would not do with a view
+for (m, k, n), kinds, orders in itertools.product(
+        [(37, 23, 51), (180, 96, 200), (None, 64, 48)], ["rr", "cc", "rc", "cr"],
+        ["CC", "CF", "FC", "FF"]):
+    def operand(shape, kind, order):
+        x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if kind == "c" else 0)
+        return np.asarray(x, order=order)
+
+    a = operand((k,) if m is None else (m, k), kinds[0], orders[0])
+    b = operand((k, n), kinds[1], orders[1])
+    out, expect = _matmul(a, b), np.matmul(a, b)
+    case = (m, k, n, kinds, orders)
+    assert out.dtype == expect.dtype and out.shape == expect.shape, case
+    assert out.flags.c_contiguous and out.flags.owndata, case
+    assert out.tobytes() == expect.tobytes(), case
+    s = 0.7 - 0.3j if np.iscomplexobj(expect) else 0.7
+    assert (s * _matmul(a, b)).tobytes() == (s * np.matmul(a, b)).tobytes(), case
+    cases += 1
+print(cases)
+"""
+
+
+def test_matmul_is_numpys_matmul_to_the_bit_on_one_thread():
+    # on more threads each OpenBLAS build rounds a product by how it splits
+    # the work, and numpy's and scipy's split some orders apart
+    assert run_probe(_MATMUL_PROBE, "1").split() == ["48"]
+
+
+_NUMPY_PRODUCTS = {"dot", "matmul", "inner", "tensordot"}
+
+
+def _dense_products(tree):
+    """(enclosing function, line) of every ``@`` and every numpy product call."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+                found.append((name, child.lineno))
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in _NUMPY_PRODUCTS
+                  and getattr(child.func.value, "id", None) in ("np", "numpy")):
+                found.append((name, child.lineno))
+            visit(child, name)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_dense_product_goes_through_matmul():
+    # numpy and scipy each bring their own OpenBLAS; a product on numpy's
+    # leaves its threads spinning against the LAPACK calls on scipy's
+    stray, stencils = [], []
+    for path in sorted(Path(magweyl.__file__).parent.glob("*.py")):
+        for fn, line in _dense_products(ast.parse(path.read_text(), str(path))):
+            site = (path.name, fn)
+            (stencils if site == ("quantize.py", "_table_to_samples") else stray).append(
+                f"{path.name}:{line} in {fn}")
+    # the two sparse stencil products of the sampler are CSR @ dense
+    assert len(stencils) == 2, stencils
+    assert not stray, (f"dense products outside magweyl.quantize._matmul: {stray}; "
+                       "route them through _matmul, so that they run on scipy's BLAS")
