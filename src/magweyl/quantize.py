@@ -201,16 +201,18 @@ class MagneticOperator:
     ``matrix`` is kept as float64 (as :func:`quantize` gives an exactly
     real zero-gauge table) and any other dtype is made complex.
 
-    ``rotation_phase`` is, on an operator that :func:`quantize` returned on
-    a 2D grid, the gauge term of the 90-degree rotation of the grid
-    (:meth:`Gauge.rotation_phase`), which the symmetry check of
-    :func:`magweyl.spectral.spectrum` reads; None otherwise.  It holds P
+    ``rotation_phase`` and ``reflection_phase`` are, on an operator that
+    :func:`quantize` returned on a 2D grid, the gauge terms of the 90-degree
+    rotation and of the swap of the grid (:meth:`Gauge.rotation_phase`,
+    :meth:`Gauge.reflection_phase`), which the symmetry checks of
+    :func:`magweyl.spectral.spectrum` read; None otherwise.  Each holds P
     numbers, read from the gauge's C or, for a separable phase, from u and
     B_12 alone, so the operator keeps no C alive."""
 
     grid: PhaseSpaceGrid
     matrix: np.ndarray = field(repr=False)
     rotation_phase: np.ndarray | None = field(default=None, repr=False, compare=False)
+    reflection_phase: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         P = self.grid.npoints
@@ -227,10 +229,15 @@ class MagneticOperator:
 
     def hermiticity_defect(self) -> float:
         """Relative Frobenius distance ||M - M^H||_F / ||M||_F to the Hermitian
-        part, one block of ``_PHASE_ROWS`` rows at a time: each is diffed
-        against the conjugate of the matching column block in one work
-        array, and both sums go through :func:`_sum_squares` in block order,
-        so the value does not depend on the thread count."""
+        part (see :meth:`_hermiticity`)."""
+        return self._hermiticity()[0]
+
+    def _hermiticity(self) -> tuple[float, float]:
+        """(||M - M^H||_F / ||M||_F, ||M||_F), one block of ``_PHASE_ROWS``
+        rows at a time: each is diffed against the conjugate of the matching
+        column block in one work array, and both sums go through
+        :func:`_sum_squares` in block order, so neither value depends on the
+        thread count."""
         m = self.matrix
         work = np.empty((_PHASE_ROWS, len(m)), dtype=m.dtype)
         defect = norm = 0.0
@@ -240,7 +247,8 @@ class MagneticOperator:
             np.subtract(rows, diff, out=diff)
             defect += _sum_squares(diff)
             norm += _sum_squares(rows)
-        return float(np.sqrt(defect) / max(np.sqrt(norm), 1e-300))
+        norm = float(np.sqrt(norm))
+        return float(np.sqrt(defect) / max(norm, 1e-300)), norm
 
     def __matmul__(self, other: "MagneticOperator") -> "MagneticOperator":
         if other.grid != self.grid:
@@ -501,6 +509,19 @@ class Gauge:
         t = np.rot90(np.arange(N * N).reshape(N, N), -1).ravel()  # t[a] = T a
         return self._row(t[0])[t] - self._row(0)
 
+    def reflection_phase(self) -> np.ndarray:
+        """The candidate gauge term h of the swap R of a 2D grid,
+        (i, j) -> (j, i), which reverses orientation and so the sign of
+        the circulation: h(b) = C[0, R b] + C[0, b], from row 0 of C (R 0 = 0),
+        so that C[R a, R b] + C[a, b] = h(b) - h(a) holds for a = 0; whether
+        it holds for every pair is the caller's check.  0 for a zero
+        potential, and h(R b) = h(b)."""
+        N = self.grid.N
+        if self.A.is_zero():
+            return np.zeros(N * N)
+        c = self._row(0)
+        return c.reshape(N, N).T.ravel() + c
+
     def segment_phase(self, x, y) -> np.ndarray:
         """e^{-i Circ(A; x -> y)} for batched endpoints of shape (..., n)."""
         return np.exp(-1j * circulation(self.A, x, y, DEFAULT_QUAD))
@@ -648,8 +669,8 @@ def quantize(f, gauge: Gauge) -> MagneticOperator:
         W = np.array(_as_table(f, grid), dtype=None if zero else complex)
     else:
         W = _symbol_table(f, grid, real=zero)
-    return MagneticOperator(grid, gauge.attach(W),
-                            gauge.rotation_phase() if grid.n == 2 else None)
+    phases = (gauge.rotation_phase(), gauge.reflection_phase()) if grid.n == 2 else ()
+    return MagneticOperator(grid, gauge.attach(W), *phases)
 
 
 def wrong_quantize(f, gauge: Gauge) -> MagneticOperator:

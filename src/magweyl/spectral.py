@@ -17,6 +17,22 @@ including any 1D one and any not from quantize, gets one dense eigh.  The
 two paths agree to |d lambda| <= defect * ||M||_F plus the rounding of
 eigh, not bit for bit.
 
+The swap R: (i, j) -> (j, i) reverses orientation, so for a constant field
+it reverses the circulation up to a gauge term,
+C[Ra, Rb] + C[a, b] = h(b) - h(a), which :func:`quantize` also records
+(``reflection_phase``, from row 0 of C).  The magnetic reflection
+J = D_h K Pi_R (D_h = diag(e^{ih}), K complex conjugation) then commutes
+with Op^A(f) for every real symbol with f(Rx, -R xi) = f(x, xi), and since
+R T R = T^{-1} it maps each eigenspace of S to itself.  On the orbit
+representatives (the quadrant, which R maps to itself) its fixed vectors
+form a sparse unitary U: e^{ih(o)/2} e_o at a fixed point o = Ro, and
+e^{ih(o)/2} (e_o + e_Ro) / sqrt 2 and i e^{ih(o)/2} (e_o - e_Ro) / sqrt 2 for
+each pair o < Ro; in that basis a block is real.  A block is solved as the
+real symmetric Re(U^H B_r U) only when
+||Im(U^H B_r U)||_F <= ``_SYMMETRY_TOL`` ||U^H B_r U||_F, which by Weyl moves
+its eigenvalues by at most ||Im||_2; any other block (a potential odd under
+the swap, an operator without ``reflection_phase``) is solved complex.
+
 ``essential_spectrum`` realizes the quasi-orbit covering: for
 each declared quasi-orbit Q the symbol and field are projected, the
 projected operator is quantized in its own transversal gauge, and its
@@ -77,7 +93,11 @@ class SpectrumResult:
     near the interior volume fraction witness delocalized states.
     ``symmetry_order`` is the number of blocks the eigenproblem was split
     into (1 or 4) and ``symmetry_defect`` the relative commutation defect
-    of the magnetic rotation that split it (NaN for order 1).
+    of the magnetic rotation that split it (NaN for order 1).  A block that
+    the magnetic reflection makes real is solved in real arithmetic, which
+    moves its eigenvalues by at most the 2-norm of the imaginary part it
+    drops, at most ``_SYMMETRY_TOL`` of the block's Frobenius norm; its
+    eigenvectors are complex all the same.
     """
 
     grid: PhaseSpaceGrid
@@ -105,7 +125,8 @@ def spectrum(M: MagneticOperator, localization: bool = False,
     A 2D operator that carries its ``rotation_phase`` (as :func:`quantize`
     returns it) is first checked for the 90-degree magnetic rotation
     symmetry (see the module docstring).  When it holds, the Hermitian part
-    is solved as 4 blocks of size P/4, whose eigenvalues are merged by a
+    is solved as 4 blocks of size P/4, each real symmetric where the
+    magnetic reflection makes it real, whose eigenvalues are merged by a
     stable sort; otherwise it is solved whole.
 
     Parameters
@@ -118,13 +139,13 @@ def spectrum(M: MagneticOperator, localization: bool = False,
     keep_vectors : bool
         Retain the eigenvector matrix (columns, same order as eigenvalues).
     """
-    defect = M.hermiticity_defect()
+    defect, norm = M._hermiticity()
     if defect > HERMITICITY_TOL:
         raise ValueError(
             f"operator is not Hermitian: relative asymmetry {defect:.3e} "
             f"exceeds tolerance {HERMITICITY_TOL:.1e}")
     need_vectors = localization or keep_vectors
-    symmetry = None if M.rotation_phase is None else _magnetic_rotation(M)
+    symmetry = None if M.rotation_phase is None else _magnetic_rotation(M, norm)
     if symmetry is not None:
         return _block_spectrum(M, *symmetry, defect, localization, keep_vectors)
     vals, vecs = _hermitian_eigh(M.matrix, need_vectors)
@@ -179,13 +200,14 @@ def _quadrant(N: int) -> tuple:
     return (slice(N // 2), slice(N // 2))
 
 
-def _magnetic_rotation(M: MagneticOperator):
+def _magnetic_rotation(M: MagneticOperator, norm: float):
     """The products acc[d](o) = u(o) u(T o) ... u(T^{d-1} o), d = 0..3,
     over the orbit representatives o, with u = e^{ig} for the gauge term g
     of the rotation T; and the relative defect
-    ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F with D = diag(u).  None unless
-    both the defect and the spread of the orbit products acc[4] are within
-    ``_SYMMETRY_TOL``.
+    ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F with D = diag(u), given
+    ``norm`` = ||M||_F (:meth:`MagneticOperator._hermiticity`).  None
+    unless both the defect and the spread of the orbit products acc[4] are
+    within ``_SYMMETRY_TOL``.
 
     Then S = D^* Pi_T commutes with M.  The common orbit product is
     normalised to 1 (g shifted by a constant, which leaves D M D^*
@@ -193,9 +215,9 @@ def _magnetic_rotation(M: MagneticOperator):
     reversed-stride view of M, visited from the centre row outward, where
     a centred well breaks the symmetry most, and stops at the first slab
     past the tolerance.  An accepted defect is summed again in row order,
-    so that its bits do not depend on the visit order; the norm and every
-    slab go through :func:`magweyl.quantize._sum_squares`, so they do not
-    depend on the thread count either.
+    so that its bits do not depend on the visit order; every slab goes
+    through :func:`magweyl.quantize._sum_squares`, so they do not depend on
+    the thread count either.
     """
     N = M.grid.N
     u = np.exp(1j * M.rotation_phase).reshape(N, N)
@@ -206,7 +228,6 @@ def _magnetic_rotation(M: MagneticOperator):
     z = np.conj(acc[4].flat[0]) ** 0.25
     if np.abs(acc[4] * z**4 - 1.0).max() > _SYMMETRY_TOL:
         return None
-    norm = np.sqrt(_sum_squares(M.matrix))
     M4 = M.matrix.reshape((N,) * 4)
     X4 = _rotate(_rotate(M4, 1), 1, axes=(2, 3))  # M[T a, T b]
     parts = np.empty(N)
@@ -223,6 +244,49 @@ def _magnetic_rotation(M: MagneticOperator):
     return [a * z**d for d, a in enumerate(acc[:4])], float(np.sqrt(total) / max(norm, 1e-300))
 
 
+def _reflection_basis(N: int, h: np.ndarray):
+    """(r, c1, c2): the unitary U on the orbit representatives in which the
+    magnetic reflection J = D_h K Pi_R acts as complex conjugation, with
+    r[o] = R o on the quadrant (R maps it to itself) and column o of U
+    c1[o] e_o + c2[o] e_{r[o]}.
+
+    With phi = e^{ih(o)/2} taken at the lesser node of {o, R o}, a fixed
+    point o = R o has the column phi e_o, and a pair o < R o the columns
+    phi (e_o + e_{Ro}) / sqrt 2 (at o) and i phi (e_o - e_{Ro}) / sqrt 2 (at
+    R o); each is fixed by y -> e^{ih} conj(y o R), the action of J on the
+    coordinates of a block."""
+    n = N // 2
+    o = np.arange(n * n)
+    r = o.reshape(n, n).T.ravel()
+    phi = np.exp(0.5j * h.reshape(N, N)[:n, :n].ravel())[np.minimum(o, r)]
+    s = np.sqrt(0.5) * phi
+    c1 = np.where(o == r, phi, np.where(o < r, s, -1j * s))
+    c2 = np.where(o == r, 0.0, np.where(o < r, s, 1j * s))
+    return r, c1, c2
+
+
+def _real_block(B: np.ndarray, basis):
+    """Re(U^H B U) as a new float64 array, for the ``basis`` U of
+    :func:`_reflection_basis`; U^H B U is formed in B, which this
+    overwrites, by two gathers, since every column of U has at most two
+    entries.  None when the relative Frobenius norm of its imaginary part
+    exceeds ``_SYMMETRY_TOL``; by Weyl, dropping it moves the eigenvalues of
+    the Hermitian part by at most its 2-norm."""
+    r, c1, c2 = basis
+    T = np.take(B, r, axis=1)
+    T *= c2
+    B *= c1
+    B += T  # B U
+    np.take(B, r, axis=0, out=T, mode="clip")  # "raise" would buffer out
+    T *= np.conj(c2)[:, None]
+    B *= np.conj(c1)[:, None]
+    B += T  # U^H B U
+    del T
+    if _sum_squares(B.imag) > _SYMMETRY_TOL**2 * _sum_squares(B):
+        return None
+    return B.real.copy()
+
+
 def _block_spectrum(M: MagneticOperator, acc, symmetry_defect: float,
                     hermiticity_defect: float, localization: bool,
                     keep_vectors: bool) -> SpectrumResult:
@@ -232,8 +296,12 @@ def _block_spectrum(M: MagneticOperator, acc, symmetry_defect: float,
     On the orbit of representative o the eigenvector of S for i^r is
     e_{o,r}(T^d o) = i^{rd} acc[d](o) / 2, so block r is
     B_r[o, o'] = sum_d i^{rd} acc[d](o') M[o, T^d o'], gathered from the
-    rows of M at the representatives and then made Hermitian; an
-    eigenvector y of B_r is the vector v(T^d o) = i^{rd} acc[d](o) y(o) / 2.
+    rows of M at the representatives; an eigenvector y of B_r is the vector
+    v(T^d o) = i^{rd} acc[d](o) y(o) / 2.  With the operator's
+    ``reflection_phase`` h, a block whose :func:`_real_block` passes is
+    solved as that real symmetric matrix, its complex form released first,
+    and its eigenvectors w read as y = U w; any other is built again (the
+    check overwrote it), made Hermitian and solved complex.
     """
     grid = M.grid
     N, P = grid.N, grid.npoints
@@ -242,9 +310,20 @@ def _block_spectrum(M: MagneticOperator, acc, symmetry_defect: float,
     rows = M.matrix.reshape((N,) * 4)[F]
     G = [(_rotate(rows, d, axes=(2, 3))[(slice(None),) * 2 + F] * acc[d]).reshape(Q, Q)
          for d in range(4)]
-    solved = [_hermitian_eigh(sum(_ROOTS[r * d % 4] * G[d] for d in range(4)),
-                              localization or keep_vectors)
-              for r in range(4)]
+    basis = None if M.reflection_phase is None else _reflection_basis(N, M.reflection_phase)
+
+    def block(r):
+        return sum(_ROOTS[r * d % 4] * G[d] for d in range(4))
+
+    solved = []
+    for r in range(4):
+        real = None if basis is None else _real_block(block(r), basis)
+        w, y = _hermitian_eigh(block(r) if real is None else real, localization or keep_vectors)
+        if real is not None and y is not None:
+            t, c1, c2 = basis
+            y = c1[:, None] * y + c2[t][:, None] * y[t]  # U w
+        solved.append((w, y))
+        del real  # before the next block is built
     del G
     vals = np.concatenate([w for w, _ in solved])
     vecs = [y for _, y in solved]

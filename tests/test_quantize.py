@@ -307,6 +307,11 @@ def test_a_degree_one_gauge_applies_the_phase_of_c_without_building_it(name, N, 
     assert np.abs(gauge.strip(gauge.attach(W.copy())) - W).max() <= 2e-15 * top
     t = np.rot90(np.arange(P).reshape(N, N), -1).ravel()
     assert np.abs(gauge.rotation_phase() - (C[t[0], t] - C[0])).max() <= 1e-14 * np.abs(C).max()
+    # the swap R reverses the circulation up to its gauge term h, for every pair
+    s = np.arange(P).reshape(N, N).T.ravel()  # s[a] = R a
+    h = gauge.reflection_phase()
+    assert np.array_equal(h[s], h)
+    assert np.abs(C[np.ix_(s, s)] + C - (h - h[:, None])).max() <= 1e-13 * np.abs(C).max()
     # quantize skips its build of C too
     f = Symbol.from_expression("xi1^2 + 0.5*xi2^2 + arctan(x1)*xi2", 2, m=2)
     M = quantize(f, Gauge(A, g12))

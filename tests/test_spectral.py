@@ -224,19 +224,40 @@ def test_localization_scores_distinguish_bound_states():
 
 
 # the magnetic rotation by 90 degrees about (-dx/2, -dx/2): a constant field
-# in the symmetric and the Landau gauge, and the zero field, with an
-# isotropic symbol have it
+# in the symmetric, the Landau and an offset linear gauge, and the zero
+# field, with an isotropic symbol have it, and the magnetic reflection
+# J = D_h K Pi_R too (h = 0 in the symmetric gauge and at zero field, not
+# in the other two)
 _SYMMETRIC = {
     "symmetric-gauge": (["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2"),
     "landau-gauge": (["0", "0.9*x1"], "xi1^2 + xi2^2"),
+    "offset-linear": (["0.3 + 0.2*x1 - 0.5*x2", "-0.1 + 0.5*x1 + 0.1*x2"], "xi1^2 + xi2^2"),
     "zero-field": (None, "xi1^2 + xi2^2"),
 }
+# tanh(w), w = y1 y2 (y1^2 - y2^2) with y = x + dx/2 (dx = 0.75 at L = 12,
+# N = 16): w is kept by the rotation and odd under the swap, so the
+# operator has the rotation but not the reflection
+_CHIRAL = ("xi1^2 + xi2^2 + 0.5*tanh((x1 + 0.375)^3*(x2 + 0.375)"
+           " - (x1 + 0.375)*(x2 + 0.375)^3)")
 
 
 def _operator(A, expression, L=12.0, N=16):
     g = make_grid(2, L, N)
     A = VectorPotential.zero(2) if A is None else VectorPotential.from_expressions(2, A)
     return quantize(Symbol.from_expression(expression, 2, m=2, real=True), Gauge(A, g))
+
+
+def _solved_dtypes(monkeypatch):
+    """The dtype of every array that reaches ``_hermitian_eigh``, in call order."""
+    dtypes = []
+    eigh = spectral._hermitian_eigh
+
+    def spy(a, vectors):
+        dtypes.append(a.dtype)
+        return eigh(a, vectors)
+
+    monkeypatch.setattr(spectral, "_hermitian_eigh", spy)
+    return dtypes
 
 
 def _eigenspace_sums(values, scores, tol):
@@ -247,20 +268,29 @@ def _eigenspace_sums(values, scores, tol):
 
 
 @pytest.mark.parametrize("case", sorted(_SYMMETRIC))
-def test_a_magnetic_rotation_splits_the_eigensolve_into_blocks(case):
+def test_a_magnetic_rotation_splits_the_eigensolve_into_blocks(case, monkeypatch):
     A, expression = _SYMMETRIC[case]
     M = _operator(A, expression)
     m = M.matrix
     herm = 0.5 * (m + m.conj().T)
     ref_vals, ref_vecs = sp_linalg.eigh(herm)
     top = np.abs(ref_vals).max()
+    assert (np.abs(M.reflection_phase).max() > 1.0) == (case in ("landau-gauge", "offset-linear"))
+    assert (M.matrix.dtype == np.float64) == (case == "zero-field")
 
+    # the reflection gives every block a real form, solved in float64; at
+    # zero field too, where the complex orbit products would make the
+    # blocks of a float64 M complex Hermitian (r = 1, 3) or complex with
+    # imaginary part 0 (r = 0, 2)
+    dtypes = _solved_dtypes(monkeypatch)
     res = spectrum(M)
+    assert dtypes == [np.float64] * 4
     assert res.symmetry_order == 4
     assert res.symmetry_defect < 1e-13
     np.testing.assert_allclose(res.eigenvalues, ref_vals, rtol=0, atol=1e-12 * top)
 
     res = spectrum(M, localization=True, keep_vectors=True)
+    assert dtypes == [np.float64] * 8
     V, lam = res.eigenvectors, res.eigenvalues
     assert np.linalg.norm(herm @ V - V * lam) <= 1e-13 * np.linalg.norm(herm)
     assert np.linalg.norm(V.conj().T @ V - np.eye(len(lam))) <= 1e-12
@@ -274,6 +304,22 @@ def test_a_magnetic_rotation_splits_the_eigensolve_into_blocks(case):
     mass = np.abs(V) ** 2
     np.testing.assert_allclose(res.localization, mass[mask].sum(axis=0) / mass.sum(axis=0),
                                rtol=0, atol=1e-12)
+
+
+def test_a_chiral_potential_keeps_the_rotation_and_its_complex_blocks_bit_for_bit(
+        monkeypatch):
+    # the same operator without its reflection phase takes the complex path
+    M = _operator(["-0.5*x2", "0.5*x1"], _CHIRAL)
+    complex_blocks = MagneticOperator(M.grid, M.matrix, M.rotation_phase)
+    dtypes = _solved_dtypes(monkeypatch)
+    for kw in ({}, {"localization": True, "keep_vectors": True}):
+        res, ref = spectrum(M, **kw), spectrum(complex_blocks, **kw)
+        assert res.symmetry_order == ref.symmetry_order == 4
+        assert res.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        if kw:
+            assert res.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+            assert res.localization.tobytes() == ref.localization.tobytes()
+    assert dtypes == [np.complex128] * 16
 
 
 @pytest.mark.parametrize("A, expression", [
@@ -308,9 +354,9 @@ def test_the_rotation_check_rejects_a_centred_well_at_its_first_slab(monkeypatch
 
     monkeypatch.setattr(spectral, "_sum_squares", counting)
     # the slabs are visited from the centre row outward, where the well is
-    assert _magnetic_rotation(well) is None
+    assert _magnetic_rotation(well, well._hermiticity()[1]) is None
     assert len(slabs) == 1
-    assert _magnetic_rotation(symmetric) is not None
+    assert _magnetic_rotation(symmetric, symmetric._hermiticity()[1]) is not None
     assert len(slabs) == 1 + N
 
 

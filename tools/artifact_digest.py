@@ -18,7 +18,9 @@ explicit non-polynomial, symmetric and Landau gauges, an explicit linear
 gauge with a constant part and a symmetric part in its Jacobian
 (``spectrum-2d-offset-linear``: a gauge transform on top of the symmetric
 gauge's cross term), a spectrum that splits
-by the 90-degree magnetic rotation, one with only the 180-degree rotation
+by the 90-degree magnetic rotation, one that keeps it but not the magnetic
+reflection (``spectrum-2d-chiral``: its blocks stay complex), one with only
+the 180-degree rotation
 (solved whole) and one that just misses the 90-degree one (a well centred
 at 0), a zero-field 1D spectrum of ``xi1^4 + 1`` (``spectrum-1d-quartic``:
 even in xi through a power other than ``^2``, so its table is real), an
@@ -105,6 +107,13 @@ CONFIGS = {
                                 "symbol": _XI2, "task": _task("spectrum")},
     "spectrum-2d-offset-linear": {"grid": _grid(2, 12.0, 16), "gauge": _OFFSET_LINEAR,
                                   "symbol": _XI2, "task": _task("spectrum")},
+    # a tanh of w = y1 y2 (y1^2 - y2^2), y = x + dx/2: kept by the 90-degree
+    # rotation about (-dx/2, -dx/2), odd under the swap (x1, x2) -> (x2, x1)
+    "spectrum-2d-chiral": {"grid": _grid(2, 12.0, 16), "gauge": _SYMMETRIC,
+                           "symbol": {**_XI2, "expression":
+                                      "xi1^2 + xi2^2 + 0.5*tanh((x1 + 0.375)^3*(x2 + 0.375)"
+                                      " - (x1 + 0.375)*(x2 + 0.375)^3)"},
+                           "task": _task("spectrum")},
     "spectrum-2d-rotation-180-only": {"grid": _grid(2, 12.0, 16),
                                       "symbol": {**_XI2, "expression": "xi1^2 + 0.5*xi2^2"},
                                       "task": _task("spectrum")},
