@@ -83,6 +83,18 @@ def _sum_squares(a: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
+def _reuse(work: np.ndarray, shape: tuple, dtype, order: str = "C") -> np.ndarray:
+    """The leading bytes of the contiguous array ``work`` as an array of
+    ``shape`` and ``dtype`` in ``order``: a work array put to another use."""
+    return work.reshape(-1).view(dtype)[:math.prod(shape)].reshape(shape, order=order)
+
+
+def _rotate(a: np.ndarray, d: int, axes=(0, 1)) -> np.ndarray:
+    """The view a[T^d x] over the two position ``axes`` of ``a``, where T
+    rotates a 2D grid by 90 degrees about (-dx/2, -dx/2): (i, j) -> (N-1-j, i)."""
+    return np.rot90(a, -d, axes=axes)
+
+
 # Lanczos steps at most, and the residual |beta_k s_k| of the top Ritz pair,
 # relative to its Ritz value, at which the estimate stops
 _LANCZOS_STEPS = 64
@@ -229,26 +241,76 @@ class MagneticOperator:
 
     def hermiticity_defect(self) -> float:
         """Relative Frobenius distance ||M - M^H||_F / ||M||_F to the Hermitian
-        part (see :meth:`_hermiticity`)."""
-        return self._hermiticity()[0]
+        part (see :meth:`_defects`)."""
+        return self._defects()[0]
 
-    def _hermiticity(self) -> tuple[float, float]:
-        """(||M - M^H||_F / ||M||_F, ||M||_F), one block of ``_PHASE_ROWS``
-        rows at a time: each is diffed against the conjugate of the matching
-        column block in one work array, and both sums go through
-        :func:`_sum_squares` in block order, so neither value depends on the
-        thread count."""
-        m = self.matrix
-        work = np.empty((_PHASE_ROWS, len(m)), dtype=m.dtype)
-        defect = norm = 0.0
-        for a in range(0, len(m), _PHASE_ROWS):
-            rows = m[a:a + _PHASE_ROWS]
-            diff = np.conjugate(m[:, a:a + _PHASE_ROWS].T, out=work[:len(rows)])
-            np.subtract(rows, diff, out=diff)
-            defect += _sum_squares(diff)
-            norm += _sum_squares(rows)
-        norm = float(np.sqrt(norm))
-        return float(np.sqrt(defect) / max(norm, 1e-300)), norm
+    def _defects(self, g: np.ndarray | None = None, tol: float = np.inf) -> tuple[float, float]:
+        """(||M - M^H||_F / ||M||_F, ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F)
+        in one pass over M, with D = diag(e^{ig}) for a gauge term ``g`` of
+        the rotation T of a 2D grid (:meth:`Gauge.rotation_phase`).  The
+        second is NaN without ``g``, and inf when its sum stopped past ``tol``.
+
+        M is read by slabs of rows (in 2D the N rows of one first node index,
+        in 1D ``_PHASE_ROWS`` rows), from the centre slab outward, where a
+        centred well breaks the rotation most.  Each slab gives, in one work
+        array of its size in turn, its sum of |M|^2; of |M - M^H|^2 over its
+        diagonal block plus twice that over the blocks right of it (an entry
+        of M - M^H below the diagonal is minus the conjugate of its mirror,
+        exactly), formed transposed, so that the rows below are read in
+        order; and of |M[T a, T b] - u(a) M[a, b] conj(u(b))|^2 (u = e^{ig};
+        at g = 0 a float64 M stays real).  The Hermiticity sum covers every
+        slab.  The rotation sum stops at the first slab where it passes
+        ``tol`` relative to the rows read so far; should the whole norm take
+        it back under, the rest is summed after the pass.  Slab sums go
+        through :func:`_sum_squares` and are added in slab order, so no value
+        depends on the visit order or the thread count."""
+        m, grid = self.matrix, self.grid
+        P = len(m)
+        step = grid.N if grid.n == 2 else _PHASE_ROWS
+        count = -(-P // step)
+        order = sorted(range(count), key=lambda s: abs(2 * s - (count - 1)))
+        parts = np.zeros((3, count))  # per slab: |M|^2, |M - M^H|^2, rotation
+        due = [] if g is None else list(order)  # slabs whose rotation sum is due
+        u = None if g is None or not g.any() else np.exp(1j * g).reshape(grid.N, grid.N)
+        uc = None if u is None else np.conj(u)
+        work = np.empty(step * P, dtype=m.dtype if u is None else complex)
+
+        if g is not None:
+            M4 = m.reshape((grid.N,) * 4)
+            X4 = _rotate(_rotate(M4, 1), 1, axes=(2, 3))  # M[T a, T b]
+
+        def rotation(s):
+            diff = _reuse(work, M4.shape[1:], work.dtype)
+            if u is None:
+                np.subtract(X4[s], M4[s], out=diff)
+            else:
+                np.multiply(u[s, :, None, None], M4[s], out=diff)
+                np.multiply(diff, uc, out=diff)
+                np.subtract(X4[s], diff, out=diff)
+            return _sum_squares(diff)
+
+        stopped = False
+        for s in order:
+            a, b = s * step, min(P, (s + 1) * step)
+            parts[0, s] = _sum_squares(m[a:b])
+            # the diagonal block, then the blocks right of it, as (M - M^H)^T:
+            # the rows below are read in order, the slab's own transposed
+            for c, e, weight in ((a, b, 1.0), (b, P, 2.0)):
+                diff = np.conjugate(m[c:e, a:b], out=_reuse(work, (e - c, b - a), m.dtype))
+                np.subtract(m[a:b, c:e].T, diff, out=diff)
+                parts[1, s] += weight * _sum_squares(diff)
+            if due and not stopped:
+                due.remove(s)
+                parts[2, s] = rotation(s)
+                stopped = parts[2].sum() > tol**2 * parts[0].sum()
+        norm2 = np.cumsum(parts[0])[-1]
+        while due and parts[2].sum() <= tol**2 * norm2:
+            s = due.pop(0)
+            parts[2, s] = rotation(s)
+        norm2, herm2, rot2 = np.cumsum(parts, axis=1)[:, -1]
+        norm = max(math.sqrt(norm2), 1e-300)
+        rot = math.nan if g is None else math.inf if due else math.sqrt(rot2) / norm
+        return math.sqrt(herm2) / norm, rot
 
     def __matmul__(self, other: "MagneticOperator") -> "MagneticOperator":
         if other.grid != self.grid:
@@ -343,8 +405,8 @@ _ROWS = 8
 # into chunks of at most this many, which bounds its work arrays
 _POINTS = 1 << 14
 # the side of the square tiles of the in-place phase application, and rows
-# per block of the 1D symbol table, the Hermiticity defect and the Cholesky
-# inverse's mirror
+# per block of the 1D symbol table, of the 1D slabs of the Hermiticity
+# defect and of the Cholesky inverse's mirror
 _PHASE_ROWS = 64
 
 
@@ -506,7 +568,7 @@ class Gauge:
         N = self.grid.N
         if self.A.is_zero():
             return np.zeros(N * N)
-        t = np.rot90(np.arange(N * N).reshape(N, N), -1).ravel()  # t[a] = T a
+        t = _rotate(np.arange(N * N).reshape(N, N), 1).ravel()  # t[a] = T a
         return self._row(t[0])[t] - self._row(0)
 
     def reflection_phase(self) -> np.ndarray:
@@ -573,6 +635,18 @@ def _table_1d(G: np.ndarray, real: bool) -> np.ndarray:
     return W
 
 
+def _difference_table(S: np.ndarray, N: int) -> np.ndarray:
+    """W[i1 N + i2, j1 N + j2] = S[i1 - j1 + N - 1, i2 - j2 + N - 1] for a
+    (2N - 1, 2N - 1) table S, as a new C-ordered array: one copy of the
+    view of S at S[N - 1, N - 1] with strides (s0, s1, -s0, -s1)."""
+    s0, s1 = S.strides
+    view = np.lib.stride_tricks.as_strided(S[N - 1:, N - 1:], (N,) * 4, (s0, s1, -s0, -s1),
+                                           writeable=False)
+    W = np.empty(view.shape, dtype=S.dtype)
+    np.copyto(W, view)
+    return W.reshape(N * N, N * N)
+
+
 def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
     """Phase-stripped kernel table W[i, j] = dx^n (2 pi)^-n fcheck(q_ij, v_ij).
 
@@ -580,7 +654,8 @@ def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
     with, per axis, the difference d = i - j and the midpoint index p = i + j
     of q = half_nodes[p], and F_q the symbol sampled at q over the centered
     momentum lattice.  Every branch is one gather by (p, d), in 1D by blocks
-    of ``_PHASE_ROWS`` rows.
+    of ``_PHASE_ROWS`` rows, but the 2D x-independent one, whose table
+    depends on d alone: a strided copy of it (:func:`_difference_table`).
 
     A symbol with a ``split`` (V, rest) gets the table of ``rest`` (zero
     when there is none) with V(x_i) added to its diagonal in place.
@@ -615,8 +690,7 @@ def _symbol_table(f, grid: PhaseSpaceGrid, real: bool = False) -> np.ndarray:
         k = np.arange(1 - N, N)
         S = (G[np.ix_(_fold(k, N), _fold(k, N))] if real
              else (-1.0) ** (k[:, None] + k[None, :]) * G[np.ix_(k % N, k % N)])
-        at = i[:, None] - i[None, :] + N - 1
-        return S[at[:, None, :, None], at[None, :, None, :]].reshape(grid.npoints, -1)
+        return _difference_table(S, N)
 
     half = grid.half_nodes()
     if n == 1:

@@ -14,6 +14,11 @@ this path only when the relative Frobenius defect
 ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F (D = diag(e^{ig})) and the spread
 of the orbit phase products are at rounding level; every other operator,
 including any 1D one and any not from quantize, gets one dense eigh.  The
+rotation defect and the Hermiticity defect ||M - M^H||_F / ||M||_F are
+summed in one pass over M by slabs of rows
+(:meth:`MagneticOperator._defects`, the one definition of both): the
+Hermiticity sum covers every slab, and the rotation sum stops at the first
+slab past the tolerance.  The
 two paths agree to |d lambda| <= defect * ||M||_F plus the rounding of
 eigh, not bit for bit.
 
@@ -59,7 +64,8 @@ from scipy import linalg as sp_linalg
 
 from .grid import PhaseSpaceGrid
 from .magnetics import MagneticField, transversal_gauge
-from .quantize import Gauge, MagneticOperator, _matmul, _sum_squares, quantize
+from .quantize import (Gauge, MagneticOperator, _matmul, _reuse, _rotate, _sum_squares,
+                       quantize)
 from .symbols import (
     CoefficientAlgebra,
     Symbol,
@@ -139,16 +145,16 @@ def spectrum(M: MagneticOperator, localization: bool = False,
     keep_vectors : bool
         Retain the eigenvector matrix (columns, same order as eigenvalues).
     """
-    defect, norm = M._hermiticity()
+    acc = None if M.rotation_phase is None else _orbit_products(M)
+    defect, symmetry_defect = M._defects(None if acc is None else M.rotation_phase,
+                                         _SYMMETRY_TOL)
     if defect > HERMITICITY_TOL:
         raise ValueError(
             f"operator is not Hermitian: relative asymmetry {defect:.3e} "
             f"exceeds tolerance {HERMITICITY_TOL:.1e}")
-    need_vectors = localization or keep_vectors
-    symmetry = None if M.rotation_phase is None else _magnetic_rotation(M, norm)
-    if symmetry is not None:
-        return _block_spectrum(M, *symmetry, defect, localization, keep_vectors)
-    vals, vecs = _hermitian_eigh(M.matrix, need_vectors)
+    if symmetry_defect <= _SYMMETRY_TOL:
+        return _block_spectrum(M, acc, symmetry_defect, defect, localization, keep_vectors)
+    vals, vecs = _hermitian_eigh(M.matrix, localization or keep_vectors)
     scores = None
     if localization:
         mask = M.grid.interior_mask().ravel()
@@ -160,11 +166,13 @@ def spectrum(M: MagneticOperator, localization: bool = False,
                           eigenvectors=vecs if keep_vectors else None)
 
 
-def _hermitian_eigh(a: np.ndarray, vectors: bool):
+def _hermitian_eigh(a: np.ndarray, vectors: bool, out: np.ndarray | None = None):
     """(eigenvalues, eigenvectors or None) of 0.5 (a + a^H), formed in one
     Fortran-ordered array of the dtype of ``a`` (a real symmetric eigh for a
-    float64 ``a``) that eigh then overwrites instead of copying."""
-    herm = np.conjugate(a.T, out=np.empty(a.shape, dtype=a.dtype, order="F"))
+    float64 ``a``), ``out`` or a new one, that eigh then overwrites instead
+    of copying."""
+    herm = np.empty(a.shape, dtype=a.dtype, order="F") if out is None else out
+    np.conjugate(a.T, out=herm)
     np.add(a, herm, out=herm)
     np.multiply(0.5, herm, out=herm)
     if vectors:
@@ -186,13 +194,6 @@ _SYMMETRY_TOL = 1e-10
 _ROOTS = (1, 1j, -1, -1j)
 
 
-def _rotate(a: np.ndarray, d: int, axes=(0, 1)) -> np.ndarray:
-    """The view a[T^d x] over the two position ``axes`` of ``a``, where T
-    rotates the grid by 90 degrees about (-dx/2, -dx/2): (i, j) -> (N-1-j, i),
-    the node map of :meth:`Gauge.rotation_phase`."""
-    return np.rot90(a, -d, axes=axes)
-
-
 def _quadrant(N: int) -> tuple:
     """Slices of the node axes (i, j) that hold one node of every orbit of
     T.  No node is fixed by T^2, since the centre is not a node, so every
@@ -200,24 +201,16 @@ def _quadrant(N: int) -> tuple:
     return (slice(N // 2), slice(N // 2))
 
 
-def _magnetic_rotation(M: MagneticOperator, norm: float):
+def _orbit_products(M: MagneticOperator):
     """The products acc[d](o) = u(o) u(T o) ... u(T^{d-1} o), d = 0..3,
     over the orbit representatives o, with u = e^{ig} for the gauge term g
-    of the rotation T; and the relative defect
-    ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F with D = diag(u), given
-    ``norm`` = ||M||_F (:meth:`MagneticOperator._hermiticity`).  None
-    unless both the defect and the spread of the orbit products acc[4] are
-    within ``_SYMMETRY_TOL``.
+    of the rotation T; None unless the spread of acc[4] is within
+    ``_SYMMETRY_TOL``.
 
-    Then S = D^* Pi_T commutes with M.  The common orbit product is
-    normalised to 1 (g shifted by a constant, which leaves D M D^*
-    unchanged), so S^4 = I.  The defect is summed over slabs of rows of a
-    reversed-stride view of M, visited from the centre row outward, where
-    a centred well breaks the symmetry most, and stops at the first slab
-    past the tolerance.  An accepted defect is summed again in row order,
-    so that its bits do not depend on the visit order; every slab goes
-    through :func:`magweyl.quantize._sum_squares`, so they do not depend on
-    the thread count either.
+    The common orbit product is normalised to 1 (g shifted by a constant,
+    which leaves D M D^* unchanged, D = diag(u)), so S = D^* Pi_T has
+    S^4 = I; S commutes with M once ||Pi_T M Pi_T^T - D M D^*||_F is within
+    ``_SYMMETRY_TOL`` ||M||_F (:meth:`MagneticOperator._defects`).
     """
     N = M.grid.N
     u = np.exp(1j * M.rotation_phase).reshape(N, N)
@@ -228,20 +221,7 @@ def _magnetic_rotation(M: MagneticOperator, norm: float):
     z = np.conj(acc[4].flat[0]) ** 0.25
     if np.abs(acc[4] * z**4 - 1.0).max() > _SYMMETRY_TOL:
         return None
-    M4 = M.matrix.reshape((N,) * 4)
-    X4 = _rotate(_rotate(M4, 1), 1, axes=(2, 3))  # M[T a, T b]
-    parts = np.empty(N)
-    total = 0.0
-    for i in sorted(range(N), key=lambda i: abs(2 * i - (N - 1))):
-        diff = X4[i] - u[i, :, None, None] * M4[i] * np.conj(u)
-        parts[i] = _sum_squares(diff)
-        total += parts[i]
-        if total > (_SYMMETRY_TOL * norm) ** 2:
-            return None
-    total = 0.0
-    for part in parts:
-        total += part
-    return [a * z**d for d, a in enumerate(acc[:4])], float(np.sqrt(total) / max(norm, 1e-300))
+    return [a * z**d for d, a in enumerate(acc[:4])]
 
 
 def _reflection_basis(N: int, h: np.ndarray):
@@ -265,33 +245,35 @@ def _reflection_basis(N: int, h: np.ndarray):
     return r, c1, c2
 
 
-def _real_block(B: np.ndarray, basis):
-    """Re(U^H B U) as a new float64 array, for the ``basis`` U of
+def _real_block(B: np.ndarray, basis, T: np.ndarray):
+    """Re(U^H B U), as the real part of B, for the ``basis`` U of
     :func:`_reflection_basis`; U^H B U is formed in B, which this
-    overwrites, by two gathers, since every column of U has at most two
-    entries.  None when the relative Frobenius norm of its imaginary part
-    exceeds ``_SYMMETRY_TOL``; by Weyl, dropping it moves the eigenvalues of
-    the Hermitian part by at most its 2-norm."""
+    overwrites, by two gathers through the work array T (of B's shape and
+    dtype, which then holds the imaginary part), since every column of U
+    has at most two entries.  None when the relative Frobenius norm of the
+    imaginary part exceeds ``_SYMMETRY_TOL``; by Weyl, dropping it moves
+    the eigenvalues of the Hermitian part by at most its 2-norm."""
     r, c1, c2 = basis
-    T = np.take(B, r, axis=1)
+    np.take(B, r, axis=1, out=T, mode="clip")  # "raise" would buffer out
     T *= c2
     B *= c1
     B += T  # B U
-    np.take(B, r, axis=0, out=T, mode="clip")  # "raise" would buffer out
+    np.take(B, r, axis=0, out=T, mode="clip")
     T *= np.conj(c2)[:, None]
     B *= np.conj(c1)[:, None]
     B += T  # U^H B U
-    del T
-    if _sum_squares(B.imag) > _SYMMETRY_TOL**2 * _sum_squares(B):
+    imag = _reuse(T, B.shape, float)
+    np.copyto(imag, B.imag)
+    if _sum_squares(imag) > _SYMMETRY_TOL**2 * _sum_squares(B):
         return None
-    return B.real.copy()
+    return B.real
 
 
 def _block_spectrum(M: MagneticOperator, acc, symmetry_defect: float,
                     hermiticity_defect: float, localization: bool,
                     keep_vectors: bool) -> SpectrumResult:
     """The spectrum of M from the 4 blocks of its Hermitian part in the
-    eigenbasis of S = D^* Pi_T (see :func:`_magnetic_rotation`).
+    eigenbasis of S = D^* Pi_T (see :func:`_orbit_products`).
 
     On the orbit of representative o the eigenvector of S for i^r is
     e_{o,r}(T^d o) = i^{rd} acc[d](o) / 2, so block r is
@@ -299,9 +281,11 @@ def _block_spectrum(M: MagneticOperator, acc, symmetry_defect: float,
     rows of M at the representatives; an eigenvector y of B_r is the vector
     v(T^d o) = i^{rd} acc[d](o) y(o) / 2.  With the operator's
     ``reflection_phase`` h, a block whose :func:`_real_block` passes is
-    solved as that real symmetric matrix, its complex form released first,
-    and its eigenvectors w read as y = U w; any other is built again (the
-    check overwrote it), made Hermitian and solved complex.
+    solved as that real symmetric matrix and its eigenvectors w read as
+    y = U w; any other is built again (the check overwrote it), made
+    Hermitian and solved complex.  Every block is built in one work array B
+    and put in real form, and made Hermitian for eigh, in a second, T; the
+    4 blocks reuse both.
     """
     grid = M.grid
     N, P = grid.N, grid.npoints
@@ -311,20 +295,32 @@ def _block_spectrum(M: MagneticOperator, acc, symmetry_defect: float,
     G = [(_rotate(rows, d, axes=(2, 3))[(slice(None),) * 2 + F] * acc[d]).reshape(Q, Q)
          for d in range(4)]
     basis = None if M.reflection_phase is None else _reflection_basis(N, M.reflection_phase)
+    B, T = np.empty((Q, Q), dtype=complex), np.empty((Q, Q), dtype=complex)
 
     def block(r):
-        return sum(_ROOTS[r * d % 4] * G[d] for d in range(4))
+        # B_r in B: i^{rd} G[d] is a sign and a swap of the parts of G[d],
+        # so no product is taken, and the sum starts as 0 + G[0], so a zero
+        # is +0.0: the bits of sum(i^{rd} G[d] for d in range(4))
+        np.add(G[0], 0.0, out=B)
+        for d in range(1, 4):
+            k = r * d % 4
+            if k % 2 == 0:
+                (np.add if k == 0 else np.subtract)(B, G[d], out=B)
+            else:  # i^k (x + iy) = -+y +- ix for k = 1, 3
+                (np.subtract if k == 1 else np.add)(B.real, G[d].imag, out=B.real)
+                (np.add if k == 1 else np.subtract)(B.imag, G[d].real, out=B.imag)
+        return B
 
     solved = []
     for r in range(4):
-        real = None if basis is None else _real_block(block(r), basis)
-        w, y = _hermitian_eigh(block(r) if real is None else real, localization or keep_vectors)
+        real = None if basis is None else _real_block(block(r), basis, T)
+        a = block(r) if real is None else real
+        w, y = _hermitian_eigh(a, localization or keep_vectors, _reuse(T, a.shape, a.dtype, "F"))
         if real is not None and y is not None:
             t, c1, c2 = basis
             y = c1[:, None] * y + c2[t][:, None] * y[t]  # U w
         solved.append((w, y))
-        del real  # before the next block is built
-    del G
+    del G, B, T
     vals = np.concatenate([w for w, _ in solved])
     vecs = [y for _, y in solved]
     order = np.argsort(vals, kind="stable")

@@ -29,6 +29,9 @@ from magweyl.quantize import (
     Gauge,
     MagneticOperator,
     SampledSymbol,
+    _difference_table,
+    _even_transform,
+    _fold,
     _matmul,
     _real_even,
     _stencils,
@@ -636,6 +639,40 @@ def _symbol_table_ref(f, grid):
 def test_symbol_table_samples_each_midpoint_once_bit_for_bit(f):
     g = make_grid(2, 8.0, 12)
     assert np.array_equal(_symbol_table(f, g), _symbol_table_ref(f, g))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "fold"])
+@pytest.mark.parametrize("N", [12, 16])
+def test_the_2d_x_independent_table_is_the_difference_gather_to_the_bit(N, real):
+    # N/4 odd and even (the grid takes multiples of 4 only); the symbol is
+    # even in each momentum, so the real branch takes the DCT-I fold
+    g = make_grid(2, 10.0, N)
+    f = Symbol.from_expression("xi1^2 + 0.5*xi2^2 + cos(xi1)", 2, m=2, real=True)
+    assert f.x_independent
+    W = _symbol_table(f, g, real=real)
+    if real:
+        xi_mesh = g.xi_mesh()
+        G = _even_transform(f(np.zeros_like(xi_mesh), xi_mesh), 2)
+        i1, i2 = np.divmod(np.arange(g.npoints), N)
+        ref = G[_fold(i1[:, None] - i1, N), _fold(i2[:, None] - i2, N)]
+    else:
+        ref = _symbol_table_ref(f, g)
+    assert W.dtype == ref.dtype == (float if real else complex)
+    assert np.array_equal(W, ref)
+    # Gauge.attach writes the table in place
+    assert W.flags.c_contiguous and W.flags.writeable
+
+
+@pytest.mark.parametrize("N", [4, 12])
+def test_the_difference_table_is_a_fresh_copy(N):
+    S = np.random.default_rng(N).normal(size=(2 * N - 1, 2 * N - 1))
+    W = _difference_table(S, N)
+    i1, i2 = np.divmod(np.arange(N * N), N)
+    assert np.array_equal(W, S[i1[:, None] - i1 + N - 1, i2[:, None] - i2 + N - 1])
+    assert W.flags.c_contiguous and W.flags.writeable
+    assert not np.shares_memory(W, S)
+    W[0, 0] = 0.0
+    assert S[N - 1, N - 1] != 0.0
 
 
 @pytest.mark.parametrize("text", ["xi1^2 + sin(xi1)", "xi1^2 + arctan(x1)*xi1 + exp(-x1^2)"],

@@ -1,5 +1,6 @@
 """Spectra, reference oracles, and quasi-orbit essential spectra."""
 
+import importlib
 import json
 import tracemalloc
 
@@ -12,7 +13,7 @@ from magweyl.grid import make_grid
 from magweyl.magnetics import MagneticField, VectorPotential, transversal_gauge
 from magweyl.quantize import Gauge, MagneticOperator, quantize
 from magweyl.spectral import (
-    _magnetic_rotation,
+    _SYMMETRY_TOL,
     compare_bulk_vs_essential,
     essential_spectrum,
     landau_reference,
@@ -252,9 +253,9 @@ def _solved_dtypes(monkeypatch):
     dtypes = []
     eigh = spectral._hermitian_eigh
 
-    def spy(a, vectors):
+    def spy(a, vectors, out=None):
         dtypes.append(a.dtype)
-        return eigh(a, vectors)
+        return eigh(a, vectors, out)
 
     monkeypatch.setattr(spectral, "_hermitian_eigh", spy)
     return dtypes
@@ -343,39 +344,159 @@ def test_the_rotation_check_rejects_a_centred_well_at_its_first_slab(monkeypatch
     well = _operator(["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2 - 2*exp(-x1^2-x2^2)")
     symmetric = _operator(["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2")
     slabs = []
-    sum_squares = spectral._sum_squares
+    quantize_module = importlib.import_module("magweyl.quantize")
+    sum_squares = quantize_module._sum_squares
     N = well.grid.N
 
     def counting(a):
-        # the norm of M goes through the same sum; a slab is N rows of N x N
+        # the norm and Hermiticity sums of the pass go through the same sum,
+        # over blocks of rows; a rotation slab is N rows of N x N
         if a.shape == (N,) * 3:
             slabs.append(None)
         return sum_squares(a)
 
-    monkeypatch.setattr(spectral, "_sum_squares", counting)
+    monkeypatch.setattr(quantize_module, "_sum_squares", counting)
     # the slabs are visited from the centre row outward, where the well is
-    assert _magnetic_rotation(well, well._hermiticity()[1]) is None
+    assert well._defects(well.rotation_phase, _SYMMETRY_TOL)[1] == np.inf
     assert len(slabs) == 1
-    assert _magnetic_rotation(symmetric, symmetric._hermiticity()[1]) is not None
+    assert symmetric._defects(symmetric.rotation_phase, _SYMMETRY_TOL)[1] <= _SYMMETRY_TOL
     assert len(slabs) == 1 + N
 
 
-def test_a_perturbation_above_the_tolerance_or_no_gauge_falls_back():
+def test_a_rotation_sum_stopped_by_a_light_centre_is_finished_against_the_whole_norm():
+    # a potential invariant under T that is light at the centre and heavy at
+    # the edge, with a symmetry breaking inside the centre slab just below
+    # the tolerance of the whole norm: past it for the rows read first
+    g = make_grid(2, 12.0, 16)
+    N, P = g.N, g.npoints
+    i, j = np.divmod(np.arange(P), N)
+    r2 = (i - (N - 1) / 2) ** 2 + (j - (N - 1) / 2) ** 2
+    m = np.diag(1e-3 + r2 ** 2)
+    a, b = 7 * N + 7, 7 * N + 8  # both in slab 7, the first visited
+    eps = 0.25 * _SYMMETRY_TOL * np.linalg.norm(m)
+    m[a, b] = m[b, a] = eps
+    M = MagneticOperator(g, m, np.zeros(P))
+    herm, rot = _written_out_defects(M)
+    slab = slice(7 * N, 8 * N)
+    t = (N - 1 - j) * N + i
+    first = np.linalg.norm(m[t[slab]][:, t] - m[slab]) / np.linalg.norm(m[slab])
+    assert first > _SYMMETRY_TOL >= rot > 0.0
+    assert M._defects(M.rotation_phase, _SYMMETRY_TOL) == M._defects(M.rotation_phase)
+    assert M._defects(M.rotation_phase)[1] == pytest.approx(rot, rel=1e-12, abs=0)
+    assert spectrum(M).symmetry_order == 4
+
+
+def _perturbed(scale):
+    """The symmetric-gauge operator plus ``scale`` times a Hermitian noise of
+    its Frobenius norm, with its rotation phase."""
     M = _operator(["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2")
     m = M.matrix
     rng = np.random.default_rng(3)
     E = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
     E = (E + E.conj().T) / np.linalg.norm(E + E.conj().T) * np.linalg.norm(m)
+    return MagneticOperator(M.grid, m + scale * E, M.rotation_phase)
+
+
+def test_a_perturbation_above_the_tolerance_or_no_gauge_falls_back():
     for scale, order in ((1e-13, 4), (1e-8, 1)):
-        res = spectrum(MagneticOperator(M.grid, m + scale * E, M.rotation_phase))
+        M = _perturbed(scale)
+        res = spectrum(M)
         assert res.symmetry_order == order
-    herm = 0.5 * (m + 1e-8 * E + (m + 1e-8 * E).conj().T)
-    assert np.array_equal(res.eigenvalues, sp_linalg.eigh(herm, eigvals_only=True))
+    m = M.matrix
+    assert np.array_equal(res.eigenvalues, sp_linalg.eigh(0.5 * (m + m.conj().T),
+                                                          eigvals_only=True))
     # an operator that carries no gauge (a product, rep_A) is solved whole
+    m = _perturbed(0.0).matrix
     res = spectrum(MagneticOperator(M.grid, m))
     assert res.symmetry_order == 1
     assert np.array_equal(res.eigenvalues, sp_linalg.eigh(0.5 * (m + m.conj().T),
                                                           eigvals_only=True))
+
+
+# operator -> symmetry order that spectrum picks
+_CHECKED = {
+    **{case: (lambda case=case: _operator(*_SYMMETRIC[case]), 4) for case in _SYMMETRIC},
+    "chiral": (lambda: _operator(["-0.5*x2", "0.5*x1"], _CHIRAL), 4),
+    "near-miss": (lambda: _operator(["-0.5*x2", "0.5*x1"],
+                                    "xi1^2 + xi2^2 - 2*exp(-x1^2-x2^2)"), 1),
+    "rotation-180-only": (lambda: _operator(None, "xi1^2 + 0.5*xi2^2"), 1),
+    "perturbed-1e-13": (lambda: _perturbed(1e-13), 4),
+    "perturbed-1e-8": (lambda: _perturbed(1e-8), 1),
+}
+
+
+def _written_out_defects(M):
+    """||M - M^H||_F / ||M||_F and ||Pi_T M Pi_T^T - D M D^*||_F / ||M||_F
+    by whole-matrix numpy, with T a = (N-1-j, i) for a = (i, j) and
+    D M D^* formed as (u_a M_ab) conj(u_b), the order of the pass."""
+    m, N = M.matrix, M.grid.N
+    i, j = np.divmod(np.arange(N * N), N)
+    t = (N - 1 - j) * N + i
+    u = np.exp(1j * M.rotation_phase)
+    norm = np.linalg.norm(m)
+    return (np.linalg.norm(m - m.conj().T) / norm,
+            np.linalg.norm(m[np.ix_(t, t)] - u[:, None] * m * np.conj(u)[None, :]) / norm)
+
+
+@pytest.mark.parametrize("case", sorted(_CHECKED))
+def test_the_one_pass_check_is_the_written_out_norms(case):
+    make, order = _CHECKED[case]
+    M = make()
+    herm, rot = _written_out_defects(M)
+    # summed to the end, the pass gives both definitions to rounding
+    assert M._defects(M.rotation_phase) == pytest.approx((herm, rot), rel=1e-12, abs=0)
+    # with the tolerance the rotation sum may stop, the Hermiticity sum never
+    defect, symmetry_defect = M._defects(M.rotation_phase, _SYMMETRY_TOL)
+    assert defect == M.hermiticity_defect()
+    assert (symmetry_defect <= _SYMMETRY_TOL) == (rot <= _SYMMETRY_TOL) == (order == 4)
+    res = spectrum(M)
+    assert res.symmetry_order == order
+    assert res.hermiticity_defect == defect
+    if order == 4:
+        assert res.symmetry_defect == symmetry_defect
+
+
+def test_a_1d_defect_over_a_partial_last_slab_is_the_written_out_norm():
+    # P = 100: slabs of 64 rows and then 36
+    g = make_grid(1, 20.0, 100)
+    f = Symbol.from_expression("xi1^2 - 2*exp(-x1^2)", 1, m=2, real=True)
+    M = quantize(f, Gauge(VectorPotential.from_expressions(1, ["arctan(x1)"]), g))
+    m = M.matrix
+    defect, rot = M._defects()
+    assert defect == pytest.approx(np.linalg.norm(m - m.conj().T) / np.linalg.norm(m),
+                                   rel=1e-12, abs=0)
+    assert defect > 0.0 and np.isnan(rot)
+
+
+def test_a_non_hermitian_operator_without_the_symmetry_reports_its_defect():
+    M = _operator(["-0.5*x2", "0.5*x1"], "xi1^2 + xi2^2 - 2*exp(-x1^2-x2^2)")
+    rng = np.random.default_rng(5)
+    E = rng.normal(size=M.matrix.shape) + 1j * rng.normal(size=M.matrix.shape)
+    E *= 1e-6 * np.linalg.norm(M.matrix) / np.linalg.norm(E)
+    bad = MagneticOperator(M.grid, M.matrix + E, M.rotation_phase)
+    herm, rot = _written_out_defects(bad)
+    assert herm > 1e-8 and rot > 1e-3
+    defect = bad.hermiticity_defect()
+    assert defect == pytest.approx(herm, rel=1e-12, abs=0)
+    with pytest.raises(ValueError, match=f"relative asymmetry {defect:.3e} exceeds"):
+        spectrum(bad)
+
+
+def test_the_one_pass_check_holds_no_square_work_array():
+    # P = 1296, as in landau2d: the pass's one work array is N rows of M,
+    # 16 P^2 / N bytes
+    g = make_grid(2, 16.0, 36)
+    A = VectorPotential.from_expressions(2, ["-0.5*x2", "0.5*x1"])
+    M = quantize(Symbol.from_expression("xi1^2 + xi2^2", 2, m=2, real=True), Gauge(A, g))
+    assert np.abs(M.rotation_phase).max() > 1.0
+    tracemalloc.start()
+    try:
+        defect, symmetry_defect = M._defects(M.rotation_phase, _SYMMETRY_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.npoints ** 2
+    assert defect < 1e-15 and symmetry_defect < 1e-13
 
 
 def test_the_block_spectrum_peaks_within_the_spectrum_budget(tmp_path):

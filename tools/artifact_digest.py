@@ -14,6 +14,7 @@ outputs are equal:
 
 The configs cover all seven commands in 1D and 2D, with zero, constant and
 non-polynomial fields (varying along x1 only, along x2 only and along both),
+an x-independent 2D quantization (``quantize-2d-x-independent``),
 explicit non-polynomial, symmetric and Landau gauges, an explicit linear
 gauge with a constant part and a symmetric part in its Jacobian
 (``spectrum-2d-offset-linear``: a gauge transform on top of the symmetric
@@ -89,6 +90,10 @@ CONFIGS = {
                          "task": _task("quantize")},
     "quantize-2d-const": {"grid": _grid(2, 8.0, 12), "field": _CONST, "symbol": _XI2_X,
                           "task": _task("quantize")},
+    # an x-independent symbol: its table is one strided copy of the 2D
+    # difference table
+    "quantize-2d-x-independent": {"grid": _grid(2, 8.0, 12), "field": _CONST,
+                                  "symbol": _XI2, "task": _task("quantize")},
     "quantize-2d-nonpoly": {"grid": _grid(2, 8.0, 12), "field": _NONPOLY, "symbol": _XI2_X,
                             "task": _task("quantize")},
     "quantize-2d-explicit": {"grid": _grid(2, 8.0, 12), "gauge": _EXPLICIT, "symbol": _XI2_X,
