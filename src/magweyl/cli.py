@@ -165,7 +165,7 @@ def _build_grid(config):
     with _naming("grid block"):
         grid = make_grid(n, L, N)
     # the command's traced peak, in bytes per P^2: its operator (16 bytes an
-    # entry), the circulation (8) and at most a few P x P work arrays
+    # entry), in 2D the circulation (8) and at most a few P x P work arrays
     command = config["task"]["command"]
     P = grid.npoints
     need = _PEAK_P2[command] * P * P

@@ -38,9 +38,11 @@ xi1 # xi2 - xi2 # xi1 = i B_12.
 
 The phase is the only gauge-dependent ingredient.  :class:`Gauge` owns it
 and applies e^{-iC} (quantization) or e^{+iC} (its inverse) in place, by
-pairs of an upper-triangle block and its mirror, so the complex phase is
-never held whole; every gauge-dependent function here takes one.  A 2D
-potential of degree <= 1 needs no C: its phase separates.  Any other builds
+one loop over slabs of rows, each slab's upper part with its mirror below
+the diagonal, so the complex phase is never held whole; every
+gauge-dependent function here takes one.  Two kinds of potential need no C,
+since their phase separates: every 1D potential, a pure gauge with
+C(x, y) = u(y) - u(x), and a 2D potential of degree <= 1.  Any other builds
 C once; a reversed segment has the opposite circulation, so C is integrated
 on its upper triangle only, in row blocks that depend on nothing but the
 number of nodes, and the rest is filled from C = -C^T, which holds exactly.
@@ -398,20 +400,20 @@ def _as_table(other, grid):
 # ---------------------------------------------------------------------------
 
 
-# rows per block of the 1D circulation fill and of the mirror into the lower
+# rows per block of the circulation matrix's mirror into its lower
 # triangle; the blocks depend only on P
 _ROWS = 8
 # pair x node points of one circulation call: a block's columns are split
 # into chunks of at most this many, which bounds its work arrays
 _POINTS = 1 << 14
-# the side of the square tiles of the in-place phase application, and rows
-# per block of the 1D symbol table, of the 1D slabs of the Hermiticity
-# defect and of the Cholesky inverse's mirror
+# rows per slab of the 1D phase application, of the 1D symbol table, of the
+# 1D slabs of the Hermiticity defect and of the Cholesky inverse's mirror
 _PHASE_ROWS = 64
 
 
 def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
-    """Circ(A; x_i -> x_j) for every ordered node pair, shape (P, P).
+    """Circ(A; x_i -> x_j) for every ordered node pair of a 2D grid, shape
+    (P, P).  A 1D phase needs no C: it is u(y) - u(x) (:class:`Gauge`).
 
     A reversed segment has the opposite circulation, so only the upper
     triangle is integrated, in fixed row blocks that each compute C[a:b, a:]
@@ -419,16 +421,15 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
     blocks of ``_ROWS`` rows, the strict lower triangle is set to -C^T and
     the diagonal to 0.
 
-    In 2D, row i = i1 N + i2 and column j = j1 N + j2 hold the node pairs
+    Row i = i1 N + i2 and column j = j1 N + j2 hold the node pairs
     (x_i1, x_i2) and (x_j1, x_j2).  A block is the N rows of one first-axis
     index i1, so its upper triangle is the whole column groups j1 >= i1; a
     chunk is some whole j1 groups, or one group split along j2 when it alone
     exceeds ``_POINTS``.  The kernel gets x1 along the (node, j1) axes and x2
     along (node, i2, j2), so a field component that reads x1 only is
-    evaluated at N^2 times fewer points than the pairs.  In 1D a block is ``_ROWS``
-    rows.  Every entry goes through the same operations in the same order,
-    so C = -C^T holds exactly and C is the same to the bit for any blocks
-    and chunks.
+    evaluated at N^2 times fewer points than the pairs.  Every entry goes
+    through the same operations in the same order, so C = -C^T holds
+    exactly and C is the same to the bit for any blocks and chunks.
     """
     P, N = grid.npoints, grid.N
     if A.is_zero():
@@ -436,28 +437,20 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
     nodes = grid.x_nodes
     q = exact_order(DEFAULT_QUAD, A.degree)
     C = np.empty((P, P))
-
-    if grid.n == 1:
-        cols = max(1, _POINTS // (_ROWS * q))
-        for a in range(0, P, _ROWS):
-            x = (nodes[a:a + _ROWS, None],)
-            for c in range(a, P, cols):
-                C[a:a + _ROWS, c:c + cols] = _circulation(A, x, (nodes[c:c + cols],), DEFAULT_QUAD)
-    else:
-        group = N * N * q  # pair x node points of one j1 group of a block
-        groups = max(1, _POINTS // group)
-        split = N if group <= _POINTS else max(1, _POINTS // (N * q))
-        x2 = nodes[:, None, None]  # axes (i2, j1, j2)
-        for i1 in range(N):
-            a = i1 * N
-            x = (nodes[i1], x2)
-            for j1 in range(i1, N, groups):
-                y1 = nodes[j1:j1 + groups, None]
-                for j2 in range(0, N, split):
-                    y = (y1, nodes[j2:j2 + split])
-                    block = _circulation(A, x, y, DEFAULT_QUAD).reshape(N, -1)
-                    c = j1 * N + j2
-                    C[a:a + N, c:c + block.shape[1]] = block
+    group = N * N * q  # pair x node points of one j1 group of a block
+    groups = max(1, _POINTS // group)
+    split = N if group <= _POINTS else max(1, _POINTS // (N * q))
+    x2 = nodes[:, None, None]  # axes (i2, j1, j2)
+    for i1 in range(N):
+        a = i1 * N
+        x = (nodes[i1], x2)
+        for j1 in range(i1, N, groups):
+            y1 = nodes[j1:j1 + groups, None]
+            for j2 in range(0, N, split):
+                y = (y1, nodes[j2:j2 + split])
+                block = _circulation(A, x, y, DEFAULT_QUAD).reshape(N, -1)
+                c = j1 * N + j2
+                C[a:a + N, c:c + block.shape[1]] = block
 
     # the mirror keeps its own _ROWS-row blocks: inside their diagonal blocks
     # a zero circulation mirrors as 0.0 - 0.0 = +0.0, elsewhere as -0.0, so
@@ -474,20 +467,30 @@ def circulation_matrix(A: VectorPotential, grid: PhaseSpaceGrid) -> np.ndarray:
 class Gauge:
     """A vector potential A on a grid, the one owner of the circulation phase.
 
-    A nonzero 2D potential of degree <= 1, A(x) = a + Kx, has a separable
-    phase read from A, since its 1-node rule is exact: with u(x) = C(0, x),
-    C(x, y) = u(y) - u(x) + (B_12/2)(x1 y2 - x2 y1).  Block (i1, j1) of
-    e^{-+iC} in the (i1, i2, j1, j2) view of W is then the outer product of
-    conj(e^{-+iu}[i1] E[j1]) over i2 and e^{-+iu}[j1] E[i1] over j2, with
-    E = e^{-+i(B_12/2) x x^T}.  Any other potential gets the real matrix
-    C = :func:`circulation_matrix`, built on first use and kept.
-    :meth:`attach` and :meth:`strip` multiply W in place by an upper block
-    (the slab j1 >= i1 of one i1, or a tile of side ``_PHASE_ROWS`` of
-    e^{-+iC}) and its mirror by its conjugate transpose.  A diagonal block
-    is mirrored from its strict upper triangle, with a diagonal of exactly 1
-    (or, from C, applied whole), so the phase is exactly conjugate-symmetric;
-    an entry from C gets the phase of a whole-matrix e^{-+iC}, to the bit.
-    A zero potential (``A.is_zero()``) builds nothing: its phase is 1."""
+    Two kinds of potential have a separable phase, C(x, y) = u(y) - u(x)
+    plus, in 2D, a term of the field.  Every 1D potential is a pure gauge,
+    so there C(x, y) = u(y) - u(x) holds exactly; u at the N nodes,
+    u(x_0) = 0, is the cumulative sum over the cells of one
+    :func:`exact_order` Gauss-Legendre rule each.  A nonzero 2D potential
+    of degree <= 1, A(x) = a + Kx, has its 1-node rule exact: with
+    u(x) = C(0, x), C(x, y) = u(y) - u(x) + (B_12/2)(x1 y2 - x2 y1).  Any
+    other potential gets the real matrix C = :func:`circulation_matrix`,
+    built on first use and kept.
+
+    :meth:`attach` and :meth:`strip` multiply W in place by one loop over
+    slabs of rows a:b (in 2D the N rows of one i1, in 1D ``_PHASE_ROWS``
+    rows): W[a:b, a:] by S = e^{-+iC[a:b, a:]}, and its mirror W[b:, a:b]
+    by the conjugate transpose of S right of its diagonal block.  S is a
+    slice of e^{-+iC}, or, for a separable phase, an outer product with
+    g = e^{-+iu}: in 1D of conj(g[a:b]) over the rows and g[a:] over the
+    columns; in 2D, block (i1, j1) in the (i1, i2, j1, j2) view of W, of
+    conj(g[i1] E[j1]) over i2 and g[j1] E[i1] over j2, with
+    E = e^{-+i(B_12/2) x x^T}.  A separable slab's diagonal block is
+    mirrored from its strict upper triangle, with a diagonal of exactly 1,
+    and a slab of C (C = -C^T and C_ii = 0 exactly) is applied whole, so
+    the phase is exactly conjugate-symmetric; an entry from C gets the
+    phase of a whole-matrix e^{-+iC}, to the bit.  A zero potential
+    (``A.is_zero()``) builds nothing: its phase is 1."""
 
     A: VectorPotential
     grid: PhaseSpaceGrid
@@ -498,16 +501,20 @@ class Gauge:
 
     @cached_property
     def _separable(self):
-        """(u at the P nodes, B_12) of a separable phase; None for any other."""
+        """(u at the P nodes, B_12, 0 in 1D) of a separable phase; None for
+        any other."""
         A, x = self.A, self.grid.x_nodes
-        if self.grid.n != 2 or A.degree is None or A.degree > 1 or A.is_zero():
+        if A.is_zero() or self.grid.n == 2 and (A.degree is None or A.degree > 1):
             return None
+        if self.grid.n == 1:
+            cells = _circulation(A, (x[:-1],), (x[1:],), DEFAULT_QUAD)
+            return np.concatenate(([0.0], np.cumsum(cells))), 0.0
         u = _circulation(A, (0.0, 0.0), (x[:, None], x), DEFAULT_QUAD).ravel()
         a, a1, a2 = A.evaluate(np.eye(3, 2, -1))  # A at 0, e1 and e2
         return u, (a1[1] - a[1]) - (a2[0] - a[0])
 
     def _row(self, i: int) -> np.ndarray:
-        """Row i of C, by the separable formula when there is one."""
+        """Row i of C on a 2D grid, by the separable formula when there is one."""
         if self._separable is None:
             return self.circulation[i]
         u, b = self._separable
@@ -517,38 +524,42 @@ class Gauge:
     def _apply(self, sign: complex, W: np.ndarray) -> np.ndarray:
         if self.A.is_zero():
             return W
-        if self._separable is not None:
-            return self._apply_separable(sign, W)
-        C = self.circulation
-        P = len(W)
-        # the phase first: W *= phase rounds differently
-        for a in range(0, P, _PHASE_ROWS):
-            r = slice(a, a + _PHASE_ROWS)
-            np.multiply(np.exp(sign * C[r, r]), W[r, r], out=W[r, r])
-            for b in range(a + _PHASE_ROWS, P, _PHASE_ROWS):
-                c = slice(b, b + _PHASE_ROWS)
-                E = np.exp(sign * C[r, c])
-                np.multiply(E, W[r, c], out=W[r, c])
-                # C[c, r] = -C[r, c]^T, so its phase is conj(E)^T, formed in E
-                np.multiply(np.conjugate(E, out=E).T, W[c, r], out=W[c, r])
-        return W
+        N, x = self.grid.N, self.grid.x_nodes
+        step = N if self.grid.n == 2 else _PHASE_ROWS
+        # slab(a) = e^{sign C[a:a + step, a:]}; what no slab changes is computed once
+        if self._separable is None:
+            slab = lambda a: np.exp(sign * self.circulation[a:a + step, a:])
+        else:
+            u, b12 = self._separable
+            g = np.exp(sign * u)
+            if self.grid.n == 1:
+                outer = lambda a: np.conjugate(g[a:a + step])[:, None] * g[a:]
+            else:
+                g = g.reshape(N, N)
+                E = np.exp(sign * (0.5 * b12) * np.multiply.outer(x, x))
+                # the blocks j1 >= i1 of one i1, as [i2, j1 - i1, j2]
+                outer = lambda a: (np.conjugate(g[a // N] * E[a // N:]).T[:, :, None]
+                                   * (g[a // N:] * E[a // N])).reshape(N, -1)
+            # the diagonal blocks' strict lower triangles and diagonals, by size
+            tri = {m: (np.tril_indices(m, -1), np.diag_indices(m))
+                   for m in {step, self.grid.npoints % step}}
 
-    def _apply_separable(self, sign: complex, W: np.ndarray) -> np.ndarray:
-        (u, b), N, x = self._separable, self.grid.N, self.grid.x_nodes
-        g = np.exp(sign * u).reshape(N, N)
-        E = np.exp(sign * (0.5 * b) * np.multiply.outer(x, x))
-        W4 = W.reshape((N,) * 4)  # [i1, i2, j1, j2]
-        lower, diag = np.tril_indices(N, -1), np.diag_indices(N)
-        for i1 in range(N):
-            # the blocks j1 >= i1, as [i2, j1 - i1, j2]
-            slab = np.conjugate(g[i1] * E[i1:]).T[:, :, None] * (g[i1:] * E[i1])
-            D = slab[:, 0]  # block (i1, i1): exactly conjugate-symmetric, C_ii = 0
-            D[lower] = np.conjugate(D.T[lower])
-            D[diag] = 1.0
-            np.multiply(slab, W4[i1, :, i1:], out=W4[i1, :, i1:])
-            mirror = W4[i1 + 1:, :, i1]  # [j1, j2, i2]
-            np.multiply(np.conjugate(slab[:, 1:]).transpose(1, 2, 0), mirror, out=mirror)
-        return W4.reshape(W.shape)
+            def slab(a):
+                S = outer(a)
+                # the diagonal block: exactly conjugate-symmetric, C_ii = 0
+                D, (lower, diag) = S[:, :len(S)], tri[len(S)]
+                D[lower] = np.conjugate(D.T[lower])
+                D[diag] = 1.0
+                return S
+
+        for a in range(0, len(W), step):
+            # the phase first: W *= phase rounds differently
+            S = slab(a)
+            b = a + len(S)
+            np.multiply(S, W[a:b, a:], out=W[a:b, a:])
+            # C[b:, a:b] = -C[a:b, b:]^T, so its phase is conj(S)^T
+            np.multiply(np.conjugate(S[:, b - a:]).T, W[b:, a:b], out=W[b:, a:b])
+        return W
 
     def attach(self, W: np.ndarray) -> np.ndarray:
         """e^{-iC} W, entrywise, in place: a phase-stripped table to its operator."""

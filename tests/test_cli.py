@@ -658,7 +658,7 @@ def test_shifted_gauge_of_a_polynomial_psi_has_a_degree():
     assert shifted.degree is None
 
 
-@pytest.mark.parametrize("field", ["nonzero", "zero-1d", "zero-2d"])
+@pytest.mark.parametrize("field", ["nonzero", "zero-1d", "zero-2d", "explicit-1d"])
 def test_validate_builds_the_circulation_once_and_only_for_a_nonzero_gauge(
         tmp_path, monkeypatch, field):
     quantize_module = importlib.import_module("magweyl.quantize")
@@ -676,7 +676,11 @@ def test_validate_builds_the_circulation_once_and_only_for_a_nonzero_gauge(
            "zero-1d": {"grid": {"n": 1, "L": 20.0, "N": 32}, "symbol": _ARCTAN_1D,
                        "task": {"command": "validate"}},
            "zero-2d": {"grid": {"n": 2, "L": 8.0, "N": 8}, "symbol": _XI2,
-                       "task": {"command": "validate"}}}[field]
+                       "task": {"command": "validate"}},
+           # a 1D potential is a pure gauge: its phase is u(y) - u(x), no C
+           "explicit-1d": {"grid": {"n": 1, "L": 20.0, "N": 32}, "symbol": _ARCTAN_1D,
+                           "gauge": {"kind": "explicit", "A": ["arctan(x1)"]},
+                           "task": {"command": "validate"}}}[field]
     out = tmp_path / "out"
     assert run(["--config", write_cfg(tmp_path / "cfg.json", cfg), "--out", str(out),
                 "--threads", "2"]) == 0

@@ -19,6 +19,7 @@ import magweyl
 from magweyl.grid import PhaseSpaceGrid, make_grid
 from magweyl.magnetics import (
     DEFAULT_QUAD,
+    FluxQuadrature,
     MagneticField,
     VectorPotential,
     circulation,
@@ -159,15 +160,14 @@ def _circulation_case(case):
     return make_grid(1, 20.0, 100), VectorPotential.from_expressions(1, ["sin(x1)"])
 
 
-@pytest.mark.parametrize("case", ["linear", "explicit", "transversal", "sin1d"])
+@pytest.mark.parametrize("case", ["linear", "explicit", "transversal"])
 def test_circulation_matrix_fills_the_lower_triangle_exactly_from_the_upper(case, monkeypatch):
     g, A = _circulation_case(case)
     P = g.npoints
     quantize_module = importlib.import_module("magweyl.quantize")
-    if P % quantize_module._ROWS == 0:
-        # a 2D grid has P = N^2 with 4 | N, a multiple of the 8-row block, so
-        # a partial last block needs another block size there (1D P = 100 has one)
-        monkeypatch.setattr(quantize_module, "_ROWS", 7)
+    # a 2D grid has P = N^2 with 4 | N, a multiple of the 8-row block, so a
+    # partial last block of the mirror needs another block size
+    monkeypatch.setattr(quantize_module, "_ROWS", 7)
     assert P % quantize_module._ROWS != 0
     # every ordered pair in one broadcast call
     X = g.x_flat()
@@ -177,11 +177,17 @@ def test_circulation_matrix_fills_the_lower_triangle_exactly_from_the_upper(case
     assert np.array_equal(C[upper], expect[upper])
     assert np.array_equal(C, -C.T)
     assert np.array_equal(np.diag(C), np.zeros(P))
-    # a small budget splits every block into column chunks, the last one partial
-    monkeypatch.setattr(quantize_module, "_POINTS", 400)
-    q = exact_order(DEFAULT_QUAD, A.degree)
-    cols = quantize_module._POINTS // (quantize_module._ROWS * q)
-    assert 1 < cols < P and P % cols != 0
+    # a small budget splits every block into column chunks, some partial:
+    # 3 of the j1 groups of N^2 q points (q = 1), which block i1 covers in
+    # N - i1 groups, or 5 of the N = 12 j2 nodes of one group (q = 8)
+    monkeypatch.setattr(quantize_module, "_POINTS", 500)
+    N, q = g.N, exact_order(DEFAULT_QUAD, A.degree)
+    if N * N * q <= quantize_module._POINTS:
+        chunk = quantize_module._POINTS // (N * N * q)
+    else:
+        chunk = quantize_module._POINTS // (N * q)
+        assert N % chunk != 0
+    assert 1 < chunk < N
     assert circulation_matrix(A, g).tobytes() == C.tobytes()
 
 
@@ -236,19 +242,16 @@ def test_the_gauge_cache_gives_the_written_out_phase(A, builds, monkeypatch):
     assert len(calls) == builds
 
 
-@pytest.mark.parametrize("case", ["sin1d", "linear", "transversal"])
-def test_the_tile_pairs_give_the_row_block_phase_bit_for_bit(case):
-    # 1D P = 100 and 2D P = 144 end in a partial tile; the symmetric gauge
-    # and the transversal gauge of a non-polynomial field.  A degree-1 gauge
-    # has a separable phase, so the symmetric one is given an unknown degree
-    # to keep the tile loop under this check
+@pytest.mark.parametrize("case", ["linear", "transversal"])
+def test_the_slabs_of_c_and_their_mirrors_give_the_row_block_phase_bit_for_bit(case):
+    # the symmetric gauge and the transversal gauge of a non-polynomial
+    # field, applied from C by slabs of N rows.  A degree-1 gauge has a
+    # separable phase, so the symmetric one is given an unknown degree to
+    # keep the slabs of C under this check
     g, A = _circulation_case(case)
     if case == "linear":
         A = replace(A, degree=None)
-    P = g.npoints
-    quantize_module = importlib.import_module("magweyl.quantize")
-    rows = quantize_module._PHASE_ROWS
-    assert P % rows != 0
+    P, rows = g.npoints, g.N
     gauge = Gauge(A, g)
     C = gauge.circulation
     W = np.random.default_rng(7).normal(size=(P, 2 * P)).view(complex)
@@ -258,6 +261,30 @@ def test_the_tile_pairs_give_the_row_block_phase_bit_for_bit(case):
             r = slice(a, a + rows)
             expect[r] = np.exp(sign * C[r]) * expect[r]
         assert apply(W.copy()).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("text", ["sin(x1)", "arctan(x1)"])
+def test_a_1d_gauge_applies_the_phase_of_u_without_building_c(text, monkeypatch):
+    # P = 100 ends in a partial slab of 64 rows; C_ref is a 200-node rule on
+    # every segment, which resolves both potentials over L = 20
+    g = make_grid(1, 20.0, 100)
+    A = VectorPotential.from_expressions(1, [text])
+    assert A.degree is None
+    P, X = g.npoints, g.x_flat()
+    quantize_module = importlib.import_module("magweyl.quantize")
+    assert P % quantize_module._PHASE_ROWS != 0
+    C_ref = circulation(A, X[:, None, :], X[None, :, :], FluxQuadrature(200))
+    monkeypatch.setattr(quantize_module, "circulation_matrix", None)  # no C is built
+    gauge = Gauge(A, g)
+    W = np.random.default_rng(5).normal(size=(P, 2 * P)).view(complex)
+    top = np.abs(W).max()
+    for sign, apply in ((-1j, gauge.attach), (1j, gauge.strip)):
+        phase = apply(np.ones((P, P), dtype=complex))
+        assert np.array_equal(phase, phase.conj().T)
+        assert np.array_equal(np.diag(phase), np.ones(P))
+        assert np.abs(phase - np.exp(sign * C_ref)).max() <= 1e-12
+        assert np.array_equal(apply(W.copy()), phase * W)
+    assert np.abs(gauge.strip(gauge.attach(W.copy())) - W).max() <= 2e-15 * top
 
 
 def _grid_of_any_size(n, L, N):

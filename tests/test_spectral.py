@@ -184,6 +184,19 @@ def test_spectrum_is_gauge_independent():
     np.testing.assert_allclose(e1, e2, atol=1e-7)
 
 
+@pytest.mark.parametrize("N", [100, 256])
+def test_a_1d_potential_is_a_pure_gauge_and_keeps_the_zero_gauge_spectrum(N):
+    # every 1D potential is a gradient, so Op^A(f) is a unitary similarity
+    # of Op^0(f); a segment rule per pair missed it by 0.14 (N = 100) and
+    # 0.32 (N = 256), since its 8 nodes do not resolve arctan over L = 20
+    g = make_grid(1, 20.0, N)
+    f = Symbol.from_expression("xi1^2 - 2*exp(-x1^2)", 1, m=2, real=True)
+    A = VectorPotential.from_expressions(1, ["arctan(x1)"])
+    e0 = spectrum(quantize(f, Gauge(VectorPotential.zero(1), g))).eigenvalues
+    eA = spectrum(quantize(f, Gauge(A, g))).eigenvalues
+    assert np.abs(eA - e0).max() <= 1e-10 * np.abs(e0).max()
+
+
 def test_small_landau_clusters_near_reference():
     # desk-scale check; the production-size run lives in the acceptance suite
     g = make_grid(2, 12.0, 24)

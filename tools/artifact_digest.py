@@ -31,15 +31,17 @@ and one whose lattice has no window, an essential spectrum over an identity
 orbit (the default merge tolerance of an x-dependent symbol), over two
 direction orbits and over a translate orbit (``ess-spectrum-1d-translate``),
 so every quasi-orbit projection is covered, polynomial and
-non-polynomial gauge-check shifts, converging and divergent inversions (one at L=7.3,
-N=20, where rounding puts the mirror nodes x = -0.4L and x = +0.4L on
-either side of the interior bound), zero-field inversions in real
+non-polynomial gauge-check shifts (``gauge-check-1d-nonpoly-psi``: a 1D
+shift by the gradient of sin(x1), whose phase is u(y) - u(x)), converging
+and divergent inversions (one at L=7.3, N=20, where rounding puts the
+mirror nodes x = -0.4L and x = +0.4L on either side of the interior
+bound), zero-field inversions in real
 arithmetic (a symbol even in each momentum, whose float64 kernel tables
 are DCT-I transforms of the even samples; ``invert-2d-zero-32`` is the
 benchmark's ``resolvent2d`` path at P = 1024) and in complex arithmetic
 (``invert-2d-zero-odd``: a term odd in xi keeps the table complex), a 1D
 explicit gauge on P = 100
-nodes (a partial last block of the circulation fill and of the phase),
+nodes (a partial last slab of the phase),
 malformed configs, error exits, and a validate at P = 576, where the
 circulation fill splits its row blocks into column chunks.  An
 exception that escapes ``run`` is recorded as ``exit=raised <type>``, so a
@@ -157,6 +159,10 @@ CONFIGS = {
     "gauge-check-2d-nonpoly-psi": {"grid": _grid(2, 8.0, 12), "field": _NONPOLY,
                                    "symbol": _XI2_X,
                                    "gauge": {"kind": "pair", "psi": "sin(x1)*x2"},
+                                   "task": _task("gauge-check")},
+    # a 1D pair: the zero base gauge shifted by the gradient cos(x1) of psi
+    "gauge-check-1d-nonpoly-psi": {"grid": _grid(1, 20.0, 64), "symbol": _ARCTAN_1D,
+                                   "gauge": {"kind": "pair", "psi": "sin(x1)"},
                                    "task": _task("gauge-check")},
     "expand-1d": {"grid": _grid(1, 20.0, 64),
                   "symbol": {"expression": "xi1 + arctan(x1)", "m": 1, "rho": 1},
